@@ -329,38 +329,18 @@ func BenchmarkSlotFreeIn(b *testing.B)   { benchSuite(b, "SlotFreeIn") }
 
 // BenchmarkRunSkewed measures the one-busy-device skew cell (bursty
 // telemetry on four near-idle devices plus a 60%-utilized CAN
-// controller) under all four execution protocols: dense stepping,
-// the legacy single-clock fast-forward (globalmin), the decoupled
-// per-device clocks (fastforward), and the decoupled clocks fanned
-// across OS threads (parshard). The fastforward/globalmin ratio is
-// the decoupling's own win — a busy device no longer throttles idle
-// peers — and parshard/fastforward is the epoch-barrier executor's
-// wall-clock speedup on top (only visible on multi-core hosts).
+// controller) as a dense/fastforward pair: the ratio is what the
+// per-device clocks of the sharded executor buy when a busy device no
+// longer throttles idle peers.
 func BenchmarkRunSkewed(b *testing.B) { benchSuite(b, "RunSkewed") }
 
 // BenchmarkRunSkewedLegacy and BenchmarkRunSkewedRTXen measure the
-// same skew cell on the mesh-coupled baselines, whose transports now
-// run as two boundary-horizon regions (processor band / device row).
-// The fastforward variant forces the pre-split single-clock
-// fast-forward — the busy CAN station pins all 25 routers dense — so
-// parshard/fastforward is the region split's algorithmic win: only
+// same skew cell on the mesh-coupled baselines, whose transports run
+// as two boundary-horizon regions (processor band / device row): only
 // the device row steps densely while the processor band skips.
 func BenchmarkRunSkewedLegacy(b *testing.B) { benchSuite(b, "RunSkewedLegacy") }
 
 func BenchmarkRunSkewedRTXen(b *testing.B) { benchSuite(b, "RunSkewedRTXen") }
-
-// BenchmarkCaseStudyShardPar measures a trimmed case-study sweep with
-// intra-trial shard parallelism as the only concurrency (trial-level
-// pool pinned to one worker).
-func BenchmarkCaseStudyShardPar(b *testing.B) {
-	for _, s := range benchsuite.Specs() {
-		if s.Name == "CaseStudyShardPar" {
-			s.Bench(b)
-			return
-		}
-	}
-	b.Fatal("spec CaseStudyShardPar not found")
-}
 
 // BenchmarkHypervisorStep measures the simulator's slot-processing
 // rate for the full I/O-GUARD system (useful when sizing longer

@@ -124,9 +124,6 @@ func fig7(vms, trials, hps int, seed int64, dense, quants bool, ec cliflags.Reso
 		Workers:      ec.Workers,
 		Dense:        dense,
 		Metrics:      ec.Metrics,
-		ShardWorkers: ec.ShardWorkers,
-		DrainMin:     ec.DrainMin,
-		DrainMax:     ec.DrainMax,
 	})
 	if err != nil {
 		return err
@@ -180,7 +177,6 @@ func robust(util float64, trials, hps int, seed int64, dense bool, ec cliflags.R
 		HyperPeriods: hps,
 		Seed:         seed,
 		Workers:      ec.Workers,
-		ShardWorkers: ec.ShardWorkers,
 		Metrics:      ec.Metrics,
 		Dense:        dense,
 	})

@@ -64,7 +64,7 @@ type clientTimings struct {
 
 func newClientTimings(client int) *clientTimings {
 	rec := func(ch uint64) *metrics.Streaming {
-		return metrics.NewStreamingKLL(loadEps, uint64(client+1)*0x9E3779B97F4A7C15^ch)
+		return metrics.NewStreaming(loadEps, uint64(client+1)*0x9E3779B97F4A7C15^ch)
 	}
 	return &clientTimings{rec(0), rec(1), rec(2), rec(3)}
 }
@@ -150,10 +150,7 @@ func main() {
 				QueueDepth: *queueDepth,
 				Workers:    r.Workers,
 			},
-			DefaultMetrics:      r.Metrics.String(),
-			DefaultShardWorkers: r.ShardWorkers,
-			DefaultDrainMin:     r.DrainMin,
-			DefaultDrainMax:     r.DrainMax,
+			DefaultMetrics: r.Metrics.String(),
 		})
 		ts := httptest.NewServer(srv.Handler())
 		defer func() { ts.Close(); srv.Close() }()

@@ -65,11 +65,8 @@ func main() {
 			MaxJobs: *maxJobs,
 			Workers: r.Workers,
 		},
-		RetryAfter:          *retryAfter,
-		DefaultMetrics:      r.Metrics.String(),
-		DefaultShardWorkers: r.ShardWorkers,
-		DefaultDrainMin:     r.DrainMin,
-		DefaultDrainMax:     r.DrainMax,
+		RetryAfter:     *retryAfter,
+		DefaultMetrics: r.Metrics.String(),
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -19,13 +19,13 @@
 // -metrics selects the collector implementation: exact (default)
 // buffers every completion and reports exact percentiles; stream keeps
 // collector memory independent of the horizon (Welford moments plus a
-// Greenwald–Khanna quantile sketch), which is what makes very long
+// KLL quantile sketch), which is what makes very long
 // -hyperperiods runs tractable. Counters, throughput and min/max are
 // identical in both modes. In stream mode -csv writes rows online
 // through a trace.CSVSink instead of buffering the event log.
 //
 // System specs, the printed metrics blocks and the -workers /
-// -shard-workers / -metrics trio are shared with ioguard-server
+// -metrics / -fault-* flags are shared with ioguard-server
 // (internal/experiments, internal/cliflags): a server-executed trial
 // at the same parameters is byte-identical to this command's output.
 package main
@@ -162,16 +162,13 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 		return build(tr, col)
 	}
 	res, err := system.Run(wrapped, system.Trial{
-		VMs:          vms,
-		Tasks:        ts,
-		Horizon:      ts.Hyperperiod() * slot.Time(hps),
-		Seed:         seed,
-		Dense:        dense,
-		Metrics:      mode,
-		ShardWorkers: ec.ShardWorkers,
-		DrainMin:     ec.DrainMin,
-		DrainMax:     ec.DrainMax,
-		Faults:       ec.Faults,
+		VMs:     vms,
+		Tasks:   ts,
+		Horizon: ts.Hyperperiod() * slot.Time(hps),
+		Seed:    seed,
+		Dense:   dense,
+		Metrics: mode,
+		Faults:  ec.Faults,
 	})
 	if err != nil {
 		return err
@@ -224,16 +221,13 @@ func runSweep(out io.Writer, sysName, family string, vms int, util float64, hps 
 		return err
 	}
 	agg, err := system.ParallelSweep(build, system.Trial{
-		VMs:          vms,
-		Tasks:        ts,
-		Horizon:      ts.Hyperperiod() * slot.Time(hps),
-		Seed:         seed,
-		Dense:        dense,
-		Metrics:      ec.Metrics,
-		ShardWorkers: ec.ShardWorkers,
-		DrainMin:     ec.DrainMin,
-		DrainMax:     ec.DrainMax,
-		Faults:       ec.Faults,
+		VMs:     vms,
+		Tasks:   ts,
+		Horizon: ts.Hyperperiod() * slot.Time(hps),
+		Seed:    seed,
+		Dense:   dense,
+		Metrics: ec.Metrics,
+		Faults:  ec.Faults,
 	}, trials, ec.Workers)
 	if err != nil {
 		return err

@@ -104,8 +104,8 @@ func TestExactCSVWriteErrorSurfaces(t *testing.T) {
 
 // TestServerTrialMatchesCLI pins the service contract: a trial
 // executed through POST /v1/trials renders byte-identically to this
-// command at the same parameters, for both collector modes and a
-// sharded run.
+// command at the same parameters, for both collector modes — and the
+// server's sharded run matches the command's dense reference loop.
 func TestServerTrialMatchesCLI(t *testing.T) {
 	srv := server.New(server.Config{})
 	defer srv.Close()
@@ -113,31 +113,30 @@ func TestServerTrialMatchesCLI(t *testing.T) {
 	defer ts.Close()
 
 	cases := []struct {
-		name    string
-		system  string
-		metrics system.MetricsMode
-		shardWk int
+		name     string
+		system   string
+		metrics  system.MetricsMode
+		cliDense bool
 	}{
-		{"exact", "ioguard-70", system.MetricsExact, 0},
-		{"stream", "ioguard-70", system.MetricsStream, 0},
-		{"baseline", "bluevisor", system.MetricsExact, 0},
-		{"sharded", "ioguard-70", system.MetricsExact, 2},
+		{"exact", "ioguard-70", system.MetricsExact, false},
+		{"stream", "ioguard-70", system.MetricsStream, false},
+		{"baseline", "bluevisor", system.MetricsExact, false},
+		{"sharded", "ioguard-70", system.MetricsExact, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var cli bytes.Buffer
-			if err := run(&cli, tc.system, "case", 2, 0.5, 1, 7, 1, 0, "", false, false, cliflags.Resolved{Workers: 1, Metrics: tc.metrics, ShardWorkers: tc.shardWk}); err != nil {
+			if err := run(&cli, tc.system, "case", 2, 0.5, 1, 7, 1, 0, "", false, tc.cliDense, cliflags.Resolved{Workers: 1, Metrics: tc.metrics}); err != nil {
 				t.Fatalf("cli run: %v", err)
 			}
 
 			body, _ := json.Marshal(map[string]any{
-				"system":        tc.system,
-				"vms":           2,
-				"util":          0.5,
-				"hyperperiods":  1,
-				"seed":          7,
-				"metrics":       tc.metrics.String(),
-				"shard_workers": tc.shardWk,
+				"system":       tc.system,
+				"vms":          2,
+				"util":         0.5,
+				"hyperperiods": 1,
+				"seed":         7,
+				"metrics":      tc.metrics.String(),
 			})
 			resp, err := http.Post(ts.URL+"/v1/trials", "application/json", bytes.NewReader(body))
 			if err != nil {

@@ -30,12 +30,9 @@ type bvShard struct {
 	st      *station
 	pending *queue.PQ[*task.Job] // keyed by pool-arrival slot
 	// dropped counts this shard's full-queue rejections. Kept per
-	// shard (summed by BlueVisor.Dropped) so concurrent shards under
-	// the parallel executor never write a shared counter.
+	// shard (summed by BlueVisor.Dropped) so shards never write a
+	// shared counter.
 	dropped int64
-	// sink, when the parallel runner installs one, receives this
-	// shard's completions instead of the owner's collector.
-	sink func(j *task.Job, at slot.Time)
 }
 
 // Devices returns the single device this shard owns.
@@ -63,21 +60,11 @@ func (s *bvShard) Step(now slot.Time) {
 }
 
 // complete delivers one finished job — response-path cost added — to
-// the redirected sink when one is installed, else to the collector.
+// the collector.
 func (s *bvShard) complete(j *task.Job, finished slot.Time) {
-	at := finished + s.owner.path.Response
-	if s.sink != nil {
-		s.sink(j, at)
-		return
-	}
 	if s.owner.col != nil {
-		s.owner.col.Complete(j, at)
+		s.owner.col.Complete(j, finished+s.owner.path.Response)
 	}
-}
-
-// SetCompletionSink implements system.ParallelShard.
-func (s *bvShard) SetCompletionSink(sink func(j *task.Job, at slot.Time)) {
-	s.sink = sink
 }
 
 // NextWork implements the sim.Quiescer protocol on the shard's local
@@ -105,13 +92,13 @@ func (s *bvShard) pendingJobs(visit func(j *task.Job)) {
 
 // BlueVisor is the BS|BV baseline: one bvShard per device.
 type BlueVisor struct {
-	tasks   task.Set
-	path    rtos.PathCost
+	tasks  task.Set
+	path   rtos.PathCost
 	col    *system.Collector
 	shards []*bvShard
 	byDev  map[string]*bvShard
 	// dropped counts jobs for unknown devices. Atomic: Submit is the
-	// sharded runners' fallback path and may interleave with
+	// sharded executor's fallback path and may interleave with
 	// concurrent Dropped snapshots; per-shard full-queue drops stay in
 	// bvShard.dropped (shard-confined, summed below).
 	dropped atomic.Int64
@@ -176,22 +163,6 @@ func (b *BlueVisor) Step(now slot.Time) {
 	for _, sh := range b.shards {
 		sh.Step(now)
 	}
-}
-
-// NextWork implements the sim.Quiescer protocol: the earliest shard
-// horizon.
-func (b *BlueVisor) NextWork(now slot.Time) slot.Time {
-	next := slot.Never
-	for _, sh := range b.shards {
-		nw := sh.NextWork(now)
-		if nw <= now {
-			return now
-		}
-		if nw < next {
-			next = nw
-		}
-	}
-	return next
 }
 
 // Shards implements system.ShardedSystem: one shard per device, in

@@ -5,7 +5,7 @@
 // and each region's published horizon bounds how far the neighbor may
 // fast-forward — a region never skips past a flit that could still
 // arrive from across the cut. This is what lets Legacy and RT-Xen
-// join ShardSet.RunParallel: the guest-side pipeline rides on the
+// fast-forward per region: the guest-side pipeline rides on the
 // processor shard, the stations on the device shard.
 package baseline
 
@@ -35,8 +35,7 @@ type guestPipe interface {
 
 // procShard is the processor-band shard: guest pipeline + upper mesh
 // rows. It owns every device name, so all fleet releases route here,
-// and it is the only shard that completes jobs — which makes the
-// parallel merge order trivially identical to the sequential one.
+// and it is the only shard that completes jobs.
 type procShard struct {
 	t       *meshTransport
 	r       *noc.Region
@@ -45,7 +44,7 @@ type procShard struct {
 	submit  func(now slot.Time, j *task.Job)
 }
 
-var _ system.ParallelShard = (*procShard)(nil)
+var _ system.Shard = (*procShard)(nil)
 
 func (s *procShard) Devices() []string { return s.devices }
 
@@ -82,10 +81,6 @@ func (s *procShard) SkipTo(from, to slot.Time) {
 	s.r.Publish(to, s.pipe.nextEmit(to))
 }
 
-func (s *procShard) SetCompletionSink(sink func(j *task.Job, at slot.Time)) {
-	s.t.psink = sink
-}
-
 // devShard is the device-row shard: bottom mesh row plus every I/O
 // station, stepped in tile order exactly as the monolithic transport
 // does after the mesh.
@@ -112,7 +107,7 @@ func (s *devShard) stageResponse(dev string, j *task.Job, finished slot.Time) {
 	s.staged = append(s.staged, stagedResp{at: finished, dev: dev, j: j})
 }
 
-var _ system.ParallelShard = (*devShard)(nil)
+var _ system.Shard = (*devShard)(nil)
 
 // Devices returns nil: the processor shard owns every device name, so
 // no releases route here — jobs reach this shard only as request
@@ -153,10 +148,6 @@ func (s *devShard) SkipTo(from, to slot.Time) {
 	s.r.SkipTo(from, to)
 	s.r.Publish(to, s.nextEmit(to))
 }
-
-// SetCompletionSink is a no-op: the device row never completes jobs
-// (responses eject — and complete — on the processor band).
-func (s *devShard) SetCompletionSink(sink func(j *task.Job, at slot.Time)) {}
 
 // nextEmit lower-bounds the next response injection: an in-service
 // operation with r slots remaining responds at pub+r; a mere backlog

@@ -52,9 +52,6 @@ type partShard struct {
 	// the static configuration — Jailhouse has no cell to run them).
 	// Shard-confined; summed by PartitionSystem.Dropped.
 	dropped int64
-	// sink, when the parallel runner installs one, receives this
-	// shard's completions instead of the owner's collector.
-	sink func(j *task.Job, at slot.Time)
 }
 
 // Devices returns the single device this shard owns.
@@ -125,21 +122,11 @@ func (s *partShard) Step(now slot.Time) {
 }
 
 // complete delivers one finished operation — response-path cost added
-// — to the redirected sink when one is installed, else the collector.
+// — to the collector.
 func (s *partShard) complete(j *task.Job, finished slot.Time) {
-	at := finished + s.owner.path.Response
-	if s.sink != nil {
-		s.sink(j, at)
-		return
-	}
 	if s.owner.col != nil {
-		s.owner.col.Complete(j, at)
+		s.owner.col.Complete(j, finished+s.owner.path.Response)
 	}
-}
-
-// SetCompletionSink implements system.ParallelShard.
-func (s *partShard) SetCompletionSink(sink func(j *task.Job, at slot.Time)) {
-	s.sink = sink
 }
 
 // NextWork implements the sim.Quiescer protocol on the shard's local
@@ -193,14 +180,14 @@ type PartitionSystem struct {
 	shards []*partShard
 	byDev  map[string]*partShard
 	// dropped counts jobs for unknown devices. Atomic for the same
-	// reason as BlueVisor's: Submit is the sharded runners' fallback
+	// reason as BlueVisor's: Submit is the sharded executor's fallback
 	// path and may interleave with concurrent Dropped snapshots.
 	dropped atomic.Int64
 }
 
 var _ system.System = (*PartitionSystem)(nil)
 var _ system.ShardedSystem = (*PartitionSystem)(nil)
-var _ system.ParallelShard = (*partShard)(nil)
+var _ system.Shard = (*partShard)(nil)
 
 // NewPartition builds the static-partitioning baseline.
 func NewPartition(vms int, ts task.Set, col *system.Collector) (*PartitionSystem, error) {
@@ -257,22 +244,6 @@ func (p *PartitionSystem) Step(now slot.Time) {
 	for _, sh := range p.shards {
 		sh.Step(now)
 	}
-}
-
-// NextWork implements the sim.Quiescer protocol: the earliest shard
-// horizon.
-func (p *PartitionSystem) NextWork(now slot.Time) slot.Time {
-	next := slot.Never
-	for _, sh := range p.shards {
-		nw := sh.NextWork(now)
-		if nw <= now {
-			return now
-		}
-		if nw < next {
-			next = nw
-		}
-	}
-	return next
 }
 
 // Shards implements system.ShardedSystem: one shard per device in

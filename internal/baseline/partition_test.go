@@ -27,14 +27,15 @@ func TestPartitionQuiesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.NextWork(0); got != slot.Never {
+	q := quiescer(t, sys)
+	if got := q.NextWork(0); got != slot.Never {
 		t.Fatalf("idle system NextWork = %d, want Never", got)
 	}
 	sys.Submit(0, task.NewJob(&ts[0], 0, 0))
 	now := slot.Time(0)
 	steps := 0
 	for steps < 10000 {
-		next := sys.NextWork(now)
+		next := q.NextWork(now)
 		if next == slot.Never {
 			break
 		}
@@ -49,7 +50,7 @@ func TestPartitionQuiesce(t *testing.T) {
 	if col.Completed() != 1 {
 		t.Fatalf("completions = %d after %d pinned steps", col.Completed(), steps)
 	}
-	if got := sys.NextWork(now); got != slot.Never {
+	if got := q.NextWork(now); got != slot.Never {
 		t.Errorf("drained system NextWork = %d, want Never", got)
 	}
 }

@@ -35,12 +35,7 @@ func TestBaselinesQuiesce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q, ok := sys.(interface {
-				NextWork(now slot.Time) slot.Time
-			})
-			if !ok {
-				t.Fatal("baseline does not implement the quiescence protocol")
-			}
+			q := quiescer(t, sys)
 			if got := q.NextWork(0); got != slot.Never {
 				t.Fatalf("idle system NextWork = %d, want Never", got)
 			}
@@ -69,4 +64,24 @@ func TestBaselinesQuiesce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// quiescer returns the component that answers NextWork for a
+// single-device system: the system itself when it implements the
+// protocol (Legacy and RT-Xen, which double as their own shard), else
+// its one device shard.
+func quiescer(t *testing.T, sys system.System) interface {
+	NextWork(now slot.Time) slot.Time
+} {
+	t.Helper()
+	if q, ok := sys.(interface {
+		NextWork(now slot.Time) slot.Time
+	}); ok {
+		return q
+	}
+	ss, ok := sys.(system.ShardedSystem)
+	if !ok || len(ss.Shards()) != 1 {
+		t.Fatal("baseline implements neither the quiescence protocol nor a single shard")
+	}
+	return ss.Shards()[0]
 }

@@ -62,7 +62,6 @@ func TestRegionDeliveryTraceEquivalence(t *testing.T) {
 			tr.Dense = true
 			dense := traceDeliveries(t, build, tr)
 			tr.Dense = false
-			tr.ShardWorkers = 1
 			shard := traceDeliveries(t, build, tr)
 			if len(dense) != len(shard) {
 				t.Fatalf("delivery count: dense=%d shard=%d", len(dense), len(shard))

@@ -10,10 +10,10 @@ import (
 )
 
 // TestMeshStatsConcurrentSnapshot reads Legacy.MeshStats and Dropped
-// while the region shards step on parallel workers. Run under -race in
-// CI, it proves the per-region counters are safe to snapshot mid-run —
-// the satellite requirement that monitoring a live trial (the server's
-// sweep endpoints do this) never tears or races a counter.
+// from a second goroutine while the region shards step. Run under
+// -race in CI, it proves the per-region counters are safe to snapshot
+// mid-run — monitoring a live trial (the server's sweep endpoints do
+// this) never tears or races a counter.
 func TestMeshStatsConcurrentSnapshot(t *testing.T) {
 	ts, err := workload.GenerateTelemetry(workload.TelemetryConfig{VMs: 4, HotDevice: "can", HotUtil: 0.6, Seed: 7})
 	if err != nil {
@@ -27,7 +27,7 @@ func TestMeshStatsConcurrentSnapshot(t *testing.T) {
 		}
 		return l, err
 	}
-	tr := system.Trial{VMs: 4, Tasks: ts, Horizon: ts.Hyperperiod() * 2, Seed: 7, ShardWorkers: 2}
+	tr := system.Trial{VMs: 4, Tasks: ts, Horizon: ts.Hyperperiod() * 2, Seed: 7}
 
 	done := make(chan error, 1)
 	go func() {
@@ -36,7 +36,7 @@ func TestMeshStatsConcurrentSnapshot(t *testing.T) {
 	}()
 
 	// Poll the counters for the whole run (yielding between snapshots —
-	// a hard spin would starve the shard workers on a single-CPU host);
+	// a hard spin would starve the trial on a single-CPU host);
 	// the snapshots must be race-free and monotone in the packet count.
 	var lastInjected int64
 	for {

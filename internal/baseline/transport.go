@@ -54,10 +54,6 @@ type meshTransport struct {
 	shards     []system.Shard
 	reqInject  func(now slot.Time, p *packet.Packet) bool
 	respInject func(now slot.Time, p *packet.Packet) bool
-	// psink, when set by the parallel executor, receives completions
-	// instead of the collector. Only the processor shard's goroutine
-	// calls it.
-	psink func(j *task.Job, at slot.Time)
 	// respond routes a station's completion toward the NoC. Monolithic
 	// runs inject immediately (the mesh step for this slot already
 	// ran); the device shard instead stages the response and injects
@@ -65,9 +61,8 @@ type meshTransport struct {
 	// the FIFO order of same-queue pushes identical to a dense run.
 	respond func(dev string, j *task.Job, finished slot.Time)
 	// dropped counts jobs lost in transport (unknown device, full
-	// injection queue, unmatched delivery). Atomic: the Legacy/RT-Xen
-	// transports run single-shard today, but the counter is reachable
-	// from sharded submit paths and may be snapshotted concurrently.
+	// injection queue, unmatched delivery). Atomic: it may be
+	// snapshotted from another goroutine while a trial runs.
 	dropped atomic.Int64
 	// observe optionally post-processes the observed completion time
 	// (RT-Xen delays it to the VM's next VCPU window).
@@ -216,9 +211,7 @@ func (t *meshTransport) onDeliver(p *packet.Packet, injected, now slot.Time) {
 		if t.observe != nil {
 			at = t.observe(j.Task.VM, at)
 		}
-		if t.psink != nil {
-			t.psink(j, at)
-		} else if t.col != nil {
+		if t.col != nil {
 			t.col.Complete(j, at)
 		}
 	}

@@ -5,17 +5,14 @@
 // two entry points measure exactly the same work.
 //
 // The dense/fastforward pairs exist to quantify the engine's
-// idle-slot fast-forward (sim.Quiescer): both variants execute the
-// identical simulation — the equivalence tests enforce bit-identical
-// results — so their ratio is pure scheduling-loop speedup. The
-// RunSkewed trio adds a /globalmin variant (single-clock fast-forward
-// with the per-device decoupling disabled) so the decoupling's own
-// contribution on one-busy-device workloads is measured separately.
+// idle-slot fast-forward: both variants execute the identical
+// simulation — the equivalence tests enforce bit-identical results —
+// so their ratio is pure scheduling-loop speedup. For full trials the
+// fastforward variant is system.Run's sharded executor.
 package benchsuite
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"ioguard/internal/core"
@@ -200,54 +197,14 @@ func skewedSlotsPerOp() int64 {
 	return int64(tr.Horizon)
 }
 
-// globalMinSystem hides the ShardedSystem protocol of the wrapped
-// system, forcing system.Run onto the legacy single-clock fast-forward
-// (one global min over NextWork). The RunSkewed/globalmin variant uses
-// it to isolate what the per-device clocks buy beyond that.
-type globalMinSystem struct {
-	system.System
-	q  sim.Quiescer
-	sk sim.Skipper
-}
-
-func (g *globalMinSystem) NextWork(now slot.Time) slot.Time { return g.q.NextWork(now) }
-
-func (g *globalMinSystem) SkipTo(from, to slot.Time) {
-	if g.sk != nil {
-		g.sk.SkipTo(from, to)
-	}
-}
-
-// parShardWorkers sizes the intra-trial shard fan-out for the
-// /parshard variants: every core the host offers, floored at 2 so the
-// epoch-barrier executor (rather than the sequential fallback) is
-// exercised even on single-core runners.
-func parShardWorkers() int {
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		return p
-	}
-	return 2
-}
-
-func runSkewed(b *testing.B, variant string) {
+// runSkewed drives the skewed cell on one system: dense steps every
+// slot, fastforward runs the sharded executor.
+func runSkewed(b *testing.B, build system.Builder, dense bool) {
 	tr, err := skewedWorkload()
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr.Dense = variant == "dense"
-	if variant == "parshard" {
-		tr.ShardWorkers = parShardWorkers()
-	}
-	build := func(tr system.Trial, col *system.Collector) (system.System, error) {
-		sys, err := core.New(core.Config{
-			VMs:  tr.VMs,
-			Mode: hypervisor.DirectEDF,
-		}, tr.Tasks, col)
-		if err != nil || variant != "globalmin" {
-			return sys, err
-		}
-		return &globalMinSystem{System: sys, q: sys, sk: sys}, nil
-	}
+	tr.Dense = dense
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -259,81 +216,25 @@ func runSkewed(b *testing.B, variant string) {
 			b.Fatal("trial completed no jobs")
 		}
 	}
+}
+
+// skewedIOGuard is the RunSkewed system: I/O-GUARD with every task on
+// the R-channel, so the busy CAN manager's pool does the work.
+func skewedIOGuard(tr system.Trial, col *system.Collector) (system.System, error) {
+	return core.New(core.Config{VMs: tr.VMs, Mode: hypervisor.DirectEDF}, tr.Tasks, col)
 }
 
 // runSkewedBaseline drives the skewed cell on a mesh-coupled baseline
-// (legacy | rtxen). The fastforward variant hides the region shards
-// behind globalMinSystem — the pre-split single-clock fast-forward,
-// where the busy CAN station pins all 25 routers to dense stepping.
-// parshard engages the region shards across parShardWorkers() threads,
-// so the pairing's ratio is the region split's win: only the device
-// row (5 routers plus stations) steps densely while the processor band
+// (legacy | rtxen). Its fastforward variant runs the two region shards
+// (processor band, device row) on one thread: only the device row
+// steps densely behind the busy CAN station while the processor band
 // fast-forwards between its own injections.
-func runSkewedBaseline(b *testing.B, sysName, variant string) {
-	tr, err := skewedWorkload()
+func runSkewedBaseline(b *testing.B, sysName string, dense bool) {
+	build, err := experiments.BuilderFor(sysName)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if variant == "parshard" {
-		tr.ShardWorkers = parShardWorkers()
-	}
-	inner, err := experiments.BuilderFor(sysName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	build := inner
-	if variant == "fastforward" {
-		build = func(tr system.Trial, col *system.Collector) (system.System, error) {
-			sys, err := inner(tr, col)
-			if err != nil {
-				return nil, err
-			}
-			q, ok := sys.(sim.Quiescer)
-			if !ok {
-				return nil, fmt.Errorf("benchsuite: %s lacks the global fast-forward", sysName)
-			}
-			sk, _ := sys.(sim.Skipper)
-			return &globalMinSystem{System: sys, q: q, sk: sk}, nil
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := system.Run(build, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Completed == 0 {
-			b.Fatal("trial completed no jobs")
-		}
-	}
-}
-
-// caseStudyShardPar runs a trimmed Fig. 7 sweep with each trial's
-// device shards fanned across OS threads (and the trial-level pool
-// pinned to one worker, so intra-trial parallelism is the only
-// concurrency being measured). It sizes the end-to-end win of the
-// epoch-barrier executor on the realistic multi-device workload, next
-// to RunSkewed/parshard's single-cell measurement.
-func caseStudyShardPar(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.CaseStudy(experiments.CaseStudyConfig{
-			VMs:          4,
-			Utils:        []float64{0.70},
-			Trials:       2,
-			HyperPeriods: 2,
-			Seed:         1,
-			Workers:      1,
-			ShardWorkers: parShardWorkers(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(points) == 0 {
-			b.Fatal("case study produced no points")
-		}
-	}
+	runSkewed(b, build, dense)
 }
 
 // collectorComplete measures the collector's per-completion hot path
@@ -410,22 +311,17 @@ func Specs() []Spec {
 		{Name: "RunAvionics/fastforward", SlotsPerOp: avionicsSlotsPerOp(),
 			Bench: func(b *testing.B) { runAvionics(b, false) }},
 		{Name: "RunSkewed/dense", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewed(b, "dense") }},
-		{Name: "RunSkewed/globalmin", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewed(b, "globalmin") }},
+			Bench: func(b *testing.B) { runSkewed(b, skewedIOGuard, true) }},
 		{Name: "RunSkewed/fastforward", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewed(b, "fastforward") }},
-		{Name: "RunSkewed/parshard", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewed(b, "parshard") }},
+			Bench: func(b *testing.B) { runSkewed(b, skewedIOGuard, false) }},
+		{Name: "RunSkewedLegacy/dense", SlotsPerOp: skewedSlotsPerOp(),
+			Bench: func(b *testing.B) { runSkewedBaseline(b, "legacy", true) }},
 		{Name: "RunSkewedLegacy/fastforward", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewedBaseline(b, "legacy", "fastforward") }},
-		{Name: "RunSkewedLegacy/parshard", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewedBaseline(b, "legacy", "parshard") }},
+			Bench: func(b *testing.B) { runSkewedBaseline(b, "legacy", false) }},
+		{Name: "RunSkewedRTXen/dense", SlotsPerOp: skewedSlotsPerOp(),
+			Bench: func(b *testing.B) { runSkewedBaseline(b, "rtxen", true) }},
 		{Name: "RunSkewedRTXen/fastforward", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewedBaseline(b, "rtxen", "fastforward") }},
-		{Name: "RunSkewedRTXen/parshard", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewedBaseline(b, "rtxen", "parshard") }},
-		{Name: "CaseStudyShardPar", SlotsPerOp: 0, Bench: caseStudyShardPar},
+			Bench: func(b *testing.B) { runSkewedBaseline(b, "rtxen", false) }},
 		{Name: "SlotBuild/dense", SlotsPerOp: 0,
 			Bench: func(b *testing.B) { slotBuild(b, true) }},
 		{Name: "SlotBuild/interval", SlotsPerOp: 0,

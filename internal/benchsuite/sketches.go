@@ -60,8 +60,7 @@ func recordSweepSketches(sweep string, points []experiments.CaseStudyPoint) {
 		a := byName[name]
 		if a.mergeFailed || !a.resp.Resolved() || a.resp.Sketch() == nil {
 			// Exact sweeps resolve but hold only the in-memory buffer
-			// (never persisted); GK sweeps cannot merge at all. Only
-			// the KLL fold ships.
+			// (never persisted); only the KLL fold ships.
 			continue
 		}
 		sk := results.SweepSketch{

@@ -1,7 +1,7 @@
 // Package cliflags centralizes the execution flags every I/O-GUARD
-// command shares — -workers, -shard-workers and -metrics — so their
+// command shares — -workers, -metrics and the -fault-* plan — so their
 // names, defaults, help text and validation live in exactly one place.
-// Before this package each main.go re-declared the trio by hand, which
+// Before this package each main.go re-declared them by hand, which
 // let the trial server's configuration drift from the batch CLIs; now
 // ioguard-sim, ioguard-experiments, ioguard-server and ioguard-load
 // all register the same Exec block and resolve it through the same
@@ -10,7 +10,6 @@ package cliflags
 
 import (
 	"flag"
-	"fmt"
 	"runtime"
 
 	"ioguard/internal/faults"
@@ -26,26 +25,15 @@ type Exec struct {
 	// ≤ 0 selects runtime.GOMAXPROCS(0). Output is identical for any
 	// value (the deterministic-fold contract of system.RunCells).
 	Workers int
-	// ShardWorkers is the OS-thread count advancing one trial's device
-	// shards in parallel (the epoch-barrier executor); < 2 keeps the
-	// sequential per-shard schedule. Output is identical for any value.
-	ShardWorkers int
 	// Metrics is the collector-mode spelling: exact (buffered, exact
-	// percentiles), stream (bounded memory, mergeable KLL sketch —
-	// sweeps report merged cross-trial quantiles), or stream-gk (the
-	// pre-KLL Greenwald–Khanna backend, per-trial quantiles only).
+	// percentiles) or stream (bounded memory, mergeable KLL sketch —
+	// sweeps report merged cross-trial quantiles).
 	Metrics string
-	// DrainMin/DrainMax bound the sharded runner's adaptive release-
-	// drain budget (system.Trial.DrainMin/DrainMax); 0 keeps the
-	// built-in bounds. Output is identical for any valid pair — the
-	// budget only sizes conservative fast-forward horizons.
-	DrainMin int
-	DrainMax int
 	// The -fault-* sextet configures the deterministic fault-injection
 	// layer (system.Trial.Faults). All zero — the defaults — is a clean
 	// run; any enabled plan keeps the byte-identity contract across
-	// -workers / -shard-workers / -dense because every fault decision
-	// is a pure per-job hash of (FaultSeed, trial seed).
+	// -workers / -dense because every fault decision is a pure per-job
+	// hash of (FaultSeed, trial seed).
 	FaultSeed     int64
 	FaultJitter   int
 	FaultDrop     float64
@@ -56,11 +44,8 @@ type Exec struct {
 
 // Resolved is a validated execution configuration.
 type Resolved struct {
-	Workers      int
-	ShardWorkers int
-	Metrics      system.MetricsMode
-	DrainMin     int
-	DrainMax     int
+	Workers int
+	Metrics system.MetricsMode
 	// Faults is the validated fault plan; the zero value runs clean.
 	Faults faults.Plan
 }
@@ -72,14 +57,8 @@ func Register(fs *flag.FlagSet) *Exec {
 	e := &Exec{}
 	fs.IntVar(&e.Workers, "workers", runtime.GOMAXPROCS(0),
 		"goroutines running independent trials (output is identical for any value)")
-	fs.IntVar(&e.ShardWorkers, "shard-workers", 0,
-		"OS threads advancing one trial's device shards in parallel (< 2 = sequential; output is identical for any value)")
 	fs.StringVar(&e.Metrics, "metrics", system.MetricsExact.String(),
-		"collector mode: exact (buffered, exact percentiles), stream (bounded memory, mergeable cross-trial quantiles) or stream-gk (per-trial GK back-compat)")
-	fs.IntVar(&e.DrainMin, "drain-min", 0,
-		"lower bound on the sharded runner's adaptive release-drain budget (0 = built-in; output is identical for any value)")
-	fs.IntVar(&e.DrainMax, "drain-max", 0,
-		"upper bound on the sharded runner's adaptive release-drain budget (0 = built-in; output is identical for any value)")
+		"collector mode: exact (buffered, exact percentiles) or stream (bounded memory, mergeable cross-trial quantiles)")
 	fs.Int64Var(&e.FaultSeed, "fault-seed", 0,
 		"fault-injection stream seed; the same seed replays a faulted trial byte-identically")
 	fs.IntVar(&e.FaultJitter, "fault-jitter", 0,
@@ -99,23 +78,13 @@ func Register(fs *flag.FlagSet) *Exec {
 func RegisterDefault() *Exec { return Register(flag.CommandLine) }
 
 // Resolve validates the raw values: workers ≤ 0 resolves to
-// runtime.GOMAXPROCS(0) (matching system.RunCells), negative
-// shard-workers and drain bounds are rejected (as is an inverted
-// min/max pair), and the metrics spelling is parsed through the single
-// system.ParseMetricsMode entry point.
+// runtime.GOMAXPROCS(0) (matching system.RunCells), the metrics
+// spelling is parsed through the single system.ParseMetricsMode entry
+// point, and the fault plan is validated.
 func (e *Exec) Resolve() (Resolved, error) {
-	r := Resolved{Workers: e.Workers, ShardWorkers: e.ShardWorkers, DrainMin: e.DrainMin, DrainMax: e.DrainMax}
+	r := Resolved{Workers: e.Workers}
 	if r.Workers <= 0 {
 		r.Workers = runtime.GOMAXPROCS(0)
-	}
-	if r.ShardWorkers < 0 {
-		return Resolved{}, fmt.Errorf("cliflags: negative -shard-workers %d", e.ShardWorkers)
-	}
-	if r.DrainMin < 0 || r.DrainMax < 0 {
-		return Resolved{}, fmt.Errorf("cliflags: negative drain bound (-drain-min %d, -drain-max %d)", e.DrainMin, e.DrainMax)
-	}
-	if r.DrainMin > 0 && r.DrainMax > 0 && r.DrainMin > r.DrainMax {
-		return Resolved{}, fmt.Errorf("cliflags: -drain-min %d exceeds -drain-max %d", e.DrainMin, e.DrainMax)
 	}
 	mode, err := system.ParseMetricsMode(e.Metrics)
 	if err != nil {

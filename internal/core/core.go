@@ -299,13 +299,6 @@ func (s *System) Submit(now slot.Time, j *task.Job) {
 // Step advances the hypervisor one slot.
 func (s *System) Step(now slot.Time) { s.hv.Step(now) }
 
-// NextWork implements the sim.Quiescer protocol: the earliest slot at
-// which any device's manager has work.
-func (s *System) NextWork(now slot.Time) slot.Time { return s.hv.NextWork(now) }
-
-// SkipTo lets every manager account a fast-forwarded idle span.
-func (s *System) SkipTo(from, to slot.Time) { s.hv.SkipTo(from, to) }
-
 // Pending visits jobs buffered inside the hypervisor.
 func (s *System) Pending(visit func(j *task.Job)) { s.hv.PendingJobs(visit) }
 
@@ -334,14 +327,6 @@ func (d *deviceShard) Step(now slot.Time) { d.mgr.Step(now) }
 
 // NextWork is the manager's quiescence bound on its local clock.
 func (d *deviceShard) NextWork(now slot.Time) slot.Time { return d.mgr.NextWork(now) }
-
-// SetCompletionSink implements system.ParallelShard: the parallel
-// runner buffers this manager's completions per shard and merges them
-// at the epoch barrier, replacing the direct collector wiring done at
-// construction.
-func (d *deviceShard) SetCompletionSink(sink func(j *task.Job, at slot.Time)) {
-	d.mgr.OnComplete = sink
-}
 
 // SkipTo bulk-accounts a fast-forwarded idle span.
 func (d *deviceShard) SkipTo(from, to slot.Time) { d.mgr.SkipTo(from, to) }

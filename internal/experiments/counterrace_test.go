@@ -1,14 +1,12 @@
 package experiments
 
-// Three-way equality tests for the shard-reachable shared counters.
-// The parallel shard executor runs Submit on shard goroutines, so
-// every counter its paths touch — pool drops (full queue), admission
-// rejections, transport drops — must be shard-confined or atomic.
-// These tests drive the two regimes that actually increment those
-// counters (a drop-heavy bounded-pool trial and an admission-enabled
-// ServerEDF trial) and require dense, sequential and parallel shard
-// execution to agree byte-for-byte at every worker count. Run under
-// -race in CI, they also prove the increments themselves are clean.
+// Equality tests for the shard-reachable shared counters: pool drops
+// (full queue), admission rejections and transport drops. These tests
+// drive the two regimes that actually increment those counters (a
+// drop-heavy bounded-pool trial and an admission-enabled ServerEDF
+// trial) and require dense and sharded execution to agree
+// byte-for-byte, counters included. Run under -race in CI, they also
+// prove the counters' atomic increments are clean.
 
 import (
 	"testing"
@@ -22,8 +20,8 @@ import (
 )
 
 // TestDropHeavyCounterEquivalence overloads depth-1 I/O pools at full
-// utilization so Pool.Admit's drop counter fires constantly from the
-// shard goroutines, then pins dense/sequential/parallel equality.
+// utilization so Pool.Admit's drop counter fires constantly, then pins
+// dense/sharded equality.
 func TestDropHeavyCounterEquivalence(t *testing.T) {
 	ts, err := workload.Generate(workload.Config{VMs: 4, TargetUtil: 1.0, Seed: 5})
 	if err != nil {
@@ -54,15 +52,11 @@ func TestDropHeavyCounterEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqual(t, sequential, dense)
-	for _, workers := range workerCounts() {
-		requireEqual(t, sequential, runParallel(t, build, tr, workers))
-	}
 }
 
 // admissionTasks spreads four run-time tasks across two devices and
 // two VMs; only VM 0's tasks get registered, so every VM 1 job is
-// refused at submit time and the admission counter fires from the
-// shard goroutines.
+// refused at submit time and the admission counter fires.
 func admissionTasks() task.Set {
 	return task.Set{
 		{ID: 0, VM: 0, Kind: task.Safety, Device: "spi", Period: 512, WCET: 8, Deadline: 512, OpBytes: 64, Jitter: 32},
@@ -119,9 +113,9 @@ func runAdmission(t *testing.T, tr system.Trial) (*metrics.TrialResult, int64) {
 }
 
 // TestAdmissionCounterEquivalence pins the admission-rejection
-// counter across dense, sequential and parallel shard execution: the
-// same jobs must be refused, in the same quantity, at every worker
-// count — and under -race the atomic increment must be clean.
+// counter across dense and sharded execution: the same jobs must be
+// refused, in the same quantity — and under -race the atomic increment
+// must be clean.
 func TestAdmissionCounterEquivalence(t *testing.T) {
 	base := system.Trial{VMs: 2, Tasks: admissionTasks(), Horizon: 8192, Seed: 3}
 
@@ -138,15 +132,6 @@ func TestAdmissionCounterEquivalence(t *testing.T) {
 	dense, rejDense := runAdmission(t, dtr)
 	requireEqual(t, sequential, dense)
 	if rejDense != rejSeq {
-		t.Fatalf("dense rejected %d, sequential %d", rejDense, rejSeq)
-	}
-	for _, workers := range workerCounts() {
-		ptr := base
-		ptr.ShardWorkers = workers
-		par, rejPar := runAdmission(t, ptr)
-		requireEqual(t, sequential, par)
-		if rejPar != rejSeq {
-			t.Fatalf("parallel(%d) rejected %d, sequential %d", workers, rejPar, rejSeq)
-		}
+		t.Fatalf("dense rejected %d, sharded %d", rejDense, rejSeq)
 	}
 }

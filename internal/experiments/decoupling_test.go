@@ -6,55 +6,31 @@ import (
 	"testing"
 
 	"ioguard/internal/metrics"
-	"ioguard/internal/sim"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/workload"
 )
 
-// globalMin wraps a system so that it no longer advertises
-// system.ShardedSystem: system.Run falls back to the legacy global
-// fast-forward (one min over the whole system's NextWork). The wrapper
-// lets the tests pit all three execution protocols — dense, global
-// min, decoupled per-shard clocks — against each other.
-type globalMin struct {
-	system.System
-	q  sim.Quiescer
-	sk sim.Skipper
-}
+// unsharded wraps a system so that it no longer advertises
+// system.ShardedSystem: system.Run then drives it through the dense
+// loop even with Dense unset — the path every system without shards
+// takes.
+type unsharded struct{ system.System }
 
-func wrapGlobalMin(build system.Builder) system.Builder {
+func wrapUnsharded(build system.Builder) system.Builder {
 	return func(tr system.Trial, col *system.Collector) (system.System, error) {
 		sys, err := build(tr, col)
 		if err != nil {
 			return nil, err
 		}
-		g := &globalMin{System: sys}
-		g.q, _ = sys.(sim.Quiescer)
-		g.sk, _ = sys.(sim.Skipper)
-		return g, nil
+		return unsharded{sys}, nil
 	}
 }
 
-// NextWork delegates the Quiescer protocol to the wrapped system; a
-// system without one pins every slot (dense stepping, still correct).
-func (g *globalMin) NextWork(now slot.Time) slot.Time {
-	if g.q == nil {
-		return now
-	}
-	return g.q.NextWork(now)
-}
-
-// SkipTo forwards skip notifications when the wrapped system wants
-// them.
-func (g *globalMin) SkipTo(from, to slot.Time) {
-	if g.sk != nil {
-		g.sk.SkipTo(from, to)
-	}
-}
-
-// runThree executes the identical trial under all three protocols.
-func runThree(t *testing.T, build system.Builder, tr system.Trial) (dense, global, sharded *metrics.TrialResult) {
+// runThree executes the identical trial three ways: dense, unsharded
+// (the dense loop reached by Run's fallback instead of the Dense
+// flag), and on the sharded executor.
+func runThree(t *testing.T, build system.Builder, tr system.Trial) (dense, plain, sharded *metrics.TrialResult) {
 	t.Helper()
 	tr.Dense = true
 	dense, err := system.Run(build, tr)
@@ -62,15 +38,15 @@ func runThree(t *testing.T, build system.Builder, tr system.Trial) (dense, globa
 		t.Fatalf("dense run: %v", err)
 	}
 	tr.Dense = false
-	global, err = system.Run(wrapGlobalMin(build), tr)
+	plain, err = system.Run(wrapUnsharded(build), tr)
 	if err != nil {
-		t.Fatalf("global-min run: %v", err)
+		t.Fatalf("unsharded run: %v", err)
 	}
 	sharded, err = system.Run(build, tr)
 	if err != nil {
 		t.Fatalf("sharded run: %v", err)
 	}
-	return dense, global, sharded
+	return dense, plain, sharded
 }
 
 // TestDecoupledEquivalenceTelemetry pits dense stepping against the
@@ -101,8 +77,8 @@ func TestDecoupledEquivalenceTelemetry(t *testing.T) {
 	}
 }
 
-// TestDecoupledThreeWayEquivalence checks that all three execution
-// protocols — dense, legacy global min (via a wrapper that hides
+// TestDecoupledThreeWayEquivalence checks that all three ways into
+// Run — dense, a system without shards (via a wrapper that hides
 // Shards), decoupled shard clocks — agree byte-for-byte on both the
 // case-study and telemetry workloads, for every system.
 func TestDecoupledThreeWayEquivalence(t *testing.T) {
@@ -126,8 +102,8 @@ func TestDecoupledThreeWayEquivalence(t *testing.T) {
 		build := builders[name]
 		for _, w := range workloads {
 			t.Run(fmt.Sprintf("%s/%s", name, w.name), func(t *testing.T) {
-				dense, global, sharded := runThree(t, build, w.tr)
-				requireEqual(t, dense, global)
+				dense, plain, sharded := runThree(t, build, w.tr)
+				requireEqual(t, dense, plain)
 				requireEqual(t, dense, sharded)
 			})
 		}

@@ -104,11 +104,6 @@ type CaseStudyConfig struct {
 	// (the reference semantics). Output is byte-identical either way;
 	// the flag exists for the equivalence cmp in CI and for debugging.
 	Dense bool
-	// ShardWorkers fans each trial's device shards across this many OS
-	// threads (the epoch-barrier parallel executor, DESIGN.md §11);
-	// < 2 keeps the sequential per-shard schedule. Like Workers it only
-	// changes wall-clock time — output is identical for any value.
-	ShardWorkers int
 	// Metrics selects each trial's collector mode. The rendered Fig. 7
 	// tables use only exactly-counted quantities (success ratio from
 	// CriticalMisses, throughput from BytesServed), so exact and
@@ -116,11 +111,6 @@ type CaseStudyConfig struct {
 	// mode just bounds per-trial collector memory (enforced by the CI
 	// cmp job).
 	Metrics system.MetricsMode
-	// DrainMin/DrainMax bound each trial's adaptive release-drain
-	// budget (system.Trial.DrainMin/DrainMax); 0 keeps the built-in
-	// bounds. Like ShardWorkers, the knobs never change output.
-	DrainMin int
-	DrainMax int
 }
 
 // trialSeed derives the per-(utilization, trial) seed. The
@@ -196,15 +186,12 @@ func CaseStudy(cfg CaseStudyConfig) ([]CaseStudyPoint, error) {
 					return nil, fmt.Errorf("experiments: unknown system %q", name)
 				}
 				cells = append(cells, system.Cell{Build: build, Trial: system.Trial{
-					VMs:          cfg.VMs,
-					Tasks:        ts,
-					Horizon:      horizon,
-					Seed:         seed,
-					Dense:        cfg.Dense,
-					Metrics:      cfg.Metrics,
-					ShardWorkers: cfg.ShardWorkers,
-					DrainMin:     cfg.DrainMin,
-					DrainMax:     cfg.DrainMax,
+					VMs:     cfg.VMs,
+					Tasks:   ts,
+					Horizon: horizon,
+					Seed:    seed,
+					Dense:   cfg.Dense,
+					Metrics: cfg.Metrics,
 				}})
 			}
 		}
@@ -307,8 +294,7 @@ func RenderCaseStudy(points []CaseStudyPoint, vms int) string {
 // (system, util) cell — the opt-in `-quantiles` companion to the
 // Fig. 7 tables (which stay byte-identical across metrics modes). In
 // exact mode the lines are exact; in stream mode they come from the
-// per-cell merged KLL folds at the sketch's ε; in stream-gk mode the
-// cells report that their per-trial sketches cannot merge.
+// per-cell merged KLL folds at the sketch's ε.
 func RenderCaseStudyQuantiles(points []CaseStudyPoint, vms int) string {
 	type keyT struct {
 		sys  string

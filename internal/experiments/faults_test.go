@@ -22,11 +22,10 @@ func stormPlan(seed int64) faults.Plan {
 	}
 }
 
-// TestFaultedEquivalence extends the dense/fast-forward/parallel
-// equivalence contract to faulted trials: the fault realization is a
-// pure per-job hash, so for every system and fault plan the dense
-// loop, the sequential shard clocks and the epoch-barrier executor at
-// any worker count must produce identical TrialResults — including
+// TestFaultedEquivalence extends the dense/sharded equivalence
+// contract to faulted trials: the fault realization is a pure per-job
+// hash, so for every system and fault plan the dense loop and the
+// sharded executor must produce identical TrialResults — including
 // the fault summary and the timing-accuracy distribution.
 func TestFaultedEquivalence(t *testing.T) {
 	ts, err := workload.Generate(workload.Config{VMs: 4, TargetUtil: 0.7, Seed: 31})
@@ -48,9 +47,6 @@ func TestFaultedEquivalence(t *testing.T) {
 				tr := system.Trial{VMs: 4, Tasks: ts, Horizon: ts.Hyperperiod() * 2, Seed: 31, Faults: p.plan}
 				dense, ff := runBoth(t, build, tr)
 				requireEqual(t, dense, ff)
-				for _, workers := range workerCounts() {
-					requireEqual(t, dense, runParallel(t, build, tr, workers))
-				}
 				if dense.Faults == nil {
 					t.Fatal("faulted trial carried no fault summary")
 				}

@@ -1,6 +1,5 @@
-// Three-way metrics-mode contract: exact, stream (mergeable KLL) and
-// stream-gk (per-trial GK) sweeps must render byte-identical tables at
-// any worker count within a mode, the case-study tables must not vary
+// Metrics-mode contract: exact and stream (mergeable KLL) sweeps must
+// render byte-identical tables at any worker count within a mode, the case-study tables must not vary
 // across modes at all (they use only exactly-counted quantities), and
 // the merged cross-trial quantiles must sit inside the proven ε·n rank
 // band of the exact distribution. Run under -race in CI, the worker
@@ -44,7 +43,7 @@ func TestMetricsModeThreeWaySweepEquivalence(t *testing.T) {
 		Seed:         7,
 		Systems:      []string{"BS|Legacy", "I/O-GUARD-70"},
 	}
-	modes := []system.MetricsMode{system.MetricsExact, system.MetricsStream, system.MetricsStreamGK}
+	modes := []system.MetricsMode{system.MetricsExact, system.MetricsStream}
 	tables := map[system.MetricsMode]string{}
 	for _, mode := range modes {
 		mode := mode

@@ -57,12 +57,11 @@ type RobustnessConfig struct {
 	Systems []string
 	// Scenarios restricts the fault menu by name; nil = all.
 	Scenarios []string
-	// Workers/ShardWorkers/Metrics/Dense follow CaseStudyConfig: they
-	// change wall-clock time only, never a byte of output.
-	Workers      int
-	ShardWorkers int
-	Metrics      system.MetricsMode
-	Dense        bool
+	// Workers/Metrics/Dense follow CaseStudyConfig: they change
+	// wall-clock time only, never a byte of output.
+	Workers int
+	Metrics system.MetricsMode
+	Dense   bool
 }
 
 // RobustnessPoint is one (scenario, system) cell.
@@ -133,15 +132,14 @@ func Robustness(cfg RobustnessConfig) ([]RobustnessPoint, error) {
 					return nil, fmt.Errorf("experiments: unknown system %q", name)
 				}
 				cells = append(cells, system.Cell{Build: build, Trial: system.Trial{
-					VMs:          cfg.VMs,
-					Tasks:        ts,
-					Horizon:      horizon,
-					Seed:         seed,
-					Dense:        cfg.Dense,
-					Metrics:      cfg.Metrics,
-					ShardWorkers: cfg.ShardWorkers,
-					Faults:       sc.Plan,
-					Accuracy:     true,
+					VMs:      cfg.VMs,
+					Tasks:    ts,
+					Horizon:  horizon,
+					Seed:     seed,
+					Dense:    cfg.Dense,
+					Metrics:  cfg.Metrics,
+					Faults:   sc.Plan,
+					Accuracy: true,
 				}})
 			}
 		}

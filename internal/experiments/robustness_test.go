@@ -7,7 +7,7 @@ import (
 )
 
 // TestRobustnessDeterministicAcrossWorkers pins the robustness sweep's
-// fold contract: any (workers, shard-workers) pair renders the
+// fold contract: any worker count, dense or sharded, renders the
 // identical table, faulted scenarios carry fault summaries for every
 // system, and the clean scenario still reports timing accuracy.
 func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
@@ -43,8 +43,8 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("robustness table missing the partitioning baseline")
 	}
 	for _, alt := range []RobustnessConfig{
-		{VMs: 2, Util: 0.8, Trials: 2, HyperPeriods: 1, Seed: 5, Scenarios: cfg.Scenarios, Workers: 1, ShardWorkers: 1},
-		{VMs: 2, Util: 0.8, Trials: 2, HyperPeriods: 1, Seed: 5, Scenarios: cfg.Scenarios, Workers: 3, ShardWorkers: 2},
+		{VMs: 2, Util: 0.8, Trials: 2, HyperPeriods: 1, Seed: 5, Scenarios: cfg.Scenarios, Workers: 1},
+		{VMs: 2, Util: 0.8, Trials: 2, HyperPeriods: 1, Seed: 5, Scenarios: cfg.Scenarios, Workers: 3},
 		{VMs: 2, Util: 0.8, Trials: 2, HyperPeriods: 1, Seed: 5, Scenarios: cfg.Scenarios, Dense: true},
 	} {
 		pts, err := Robustness(alt)
@@ -52,8 +52,8 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := RenderRobustness(pts, alt.VMs, alt.Util); got != want {
-			t.Fatalf("table diverged at workers=%d shard-workers=%d dense=%v:\n%s\nvs\n%s",
-				alt.Workers, alt.ShardWorkers, alt.Dense, got, want)
+			t.Fatalf("table diverged at workers=%d dense=%v:\n%s\nvs\n%s",
+				alt.Workers, alt.Dense, got, want)
 		}
 	}
 }

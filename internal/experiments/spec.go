@@ -93,10 +93,9 @@ func RenderTrial(name string, res *metrics.TrialResult) string {
 // RenderAggregate prints a sweep's aggregate block exactly as
 // ioguard-sim's -trials N mode does. The response/tardiness lines are
 // the cross-trial distributions: exact in -metrics exact, fold-exact
-// merged sketches (within ⌈εN⌉ ranks) in -metrics stream, and a
-// per-trial-only note in -metrics stream-gk, whose GK summaries
-// cannot merge. Each mode renders deterministically for any worker
-// count — the fold order is trial order.
+// merged sketches (within ⌈εN⌉ ranks) in -metrics stream. Each mode
+// renders deterministically for any worker count — the fold order is
+// trial order.
 func RenderAggregate(name string, agg *metrics.Aggregate) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "system: %s (%d trials)\n", name, agg.Trials)

@@ -4,12 +4,12 @@
 // sporadic model's own bound) and request packets at the transport
 // layer (drops, duplicates, extra delivery delay) under a seeded plan.
 //
-// Determinism is the design constraint. The harness runs one trial on
-// anywhere between one and GOMAXPROCS threads (-workers fans trials
-// out, -shard-workers fans one trial's device shards out), and a
-// faulted run must be byte-identical at every setting. A shared
-// sequential RNG cannot provide that — the draw order would depend on
-// the schedule — so every decision here is a pure function of
+// Determinism is the design constraint. The harness runs trials on
+// anywhere between one and GOMAXPROCS threads (-workers), in the dense
+// loop or on per-shard clocks (-dense), and a faulted run must be
+// byte-identical at every setting. A shared sequential RNG cannot
+// provide that — the draw order would depend on the schedule — so
+// every decision here is a pure function of
 //
 //	(plan seed, trial seed, task ID, job sequence, fault point)
 //
@@ -135,8 +135,8 @@ func splitmix64(z uint64) uint64 {
 // Stream is one trial's fault realization. All methods are pure in the
 // decision they return; the mutation is limited to the summary
 // counters, which every caller touches from the single-threaded
-// release/submission contexts of the runner (the coordinator phase
-// under -shard-workers, the run loop otherwise).
+// release/submission contexts of the runner (the sharded executor's
+// drain phase, or the dense loop).
 type Stream struct {
 	plan Plan
 	base uint64

@@ -20,10 +20,9 @@ import (
 // by EnableAdmission and consulted by Submit.
 type admission struct {
 	registered map[int]task.Set // vm → admitted task specs
-	// rejected counts jobs refused at submit time. Atomic: Submit runs
-	// on a shard goroutine under the parallel executor while counter
+	// rejected counts jobs refused at submit time. Atomic: counter
 	// snapshots (RejectedAtAdmission, the server's stats endpoint) may
-	// read concurrently from another thread.
+	// read it from another goroutine while a trial runs.
 	rejected atomic.Int64
 }
 

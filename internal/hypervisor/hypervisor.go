@@ -19,7 +19,7 @@ type Hypervisor struct {
 	drivers  map[string]Driver
 	names    []string // deterministic step order
 	// dropped counts jobs for unknown devices. Atomic: Submit is the
-	// fallback path of the sharded runners and may interleave with
+	// fallback path of the sharded executor and may interleave with
 	// concurrent Dropped snapshots (the server's stats endpoint).
 	dropped atomic.Int64
 }
@@ -93,30 +93,6 @@ func (h *Hypervisor) Dropped() int64 { return h.dropped.Load() }
 func (h *Hypervisor) Step(now slot.Time) {
 	for _, n := range h.names {
 		h.managers[n].Step(now)
-	}
-}
-
-// NextWork implements the sim.Quiescer protocol across devices: the
-// earliest slot any manager needs.
-func (h *Hypervisor) NextWork(now slot.Time) slot.Time {
-	next := slot.Never
-	for _, n := range h.names {
-		nw := h.managers[n].NextWork(now)
-		if nw <= now {
-			return now
-		}
-		if nw < next {
-			next = nw
-		}
-	}
-	return next
-}
-
-// SkipTo forwards a fast-forwarded span to every manager's bulk idle
-// accounting.
-func (h *Hypervisor) SkipTo(from, to slot.Time) {
-	for _, n := range h.names {
-		h.managers[n].SkipTo(from, to)
 	}
 }
 

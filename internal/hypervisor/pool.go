@@ -28,9 +28,8 @@ type Pool struct {
 	handles map[*task.Job]queue.Handle
 
 	// dropped counts jobs rejected because the queue was full. Atomic:
-	// Admit runs on a shard goroutine under the parallel executor while
-	// Dropped may be read concurrently (counter snapshots, the server's
-	// stats endpoint).
+	// Dropped may be read from another goroutine while a trial runs
+	// (counter snapshots, the server's stats endpoint).
 	dropped atomic.Int64
 }
 

@@ -1,20 +1,17 @@
 // DistFold: the cross-trial distribution accumulator behind
 // Aggregate. Per-trial recorders arrive in a fixed fold order (trial
 // order — RunCells returns results by input index) and fold by
-// backend:
+// recorder kind:
 //
 //   - exact *Sample recorders fold value-by-value into an exact
 //     cross-trial Sample — the reference the ε·n acceptance band is
 //     measured against;
-//   - KLL-backed *Streaming recorders Merge — counts, moments and
-//     extrema combine exactly, quantiles at the common ε (KLL's bound
-//     survives merging);
-//   - GK-backed *Streaming recorders cannot fold without compounding
-//     ε, so they are counted as unmerged and the fold answers no
-//     quantiles (the -metrics stream-gk back-compat mode).
+//   - *Streaming recorders Merge — counts, moments and extrema combine
+//     exactly, quantiles at the common ε (KLL's bound survives
+//     merging).
 //
 // A sweep uses one metrics mode throughout, so in practice exactly
-// one of the three paths populates.
+// one of the two paths populates.
 package metrics
 
 import (
@@ -25,9 +22,8 @@ import (
 // DistFold accumulates one cross-trial distribution. The zero value
 // is an empty fold ready for AddRecorder.
 type DistFold struct {
-	exact    *Sample
-	merged   *Streaming
-	unmerged int // recorders that could not fold (GK backend)
+	exact  *Sample
+	merged *Streaming
 }
 
 // unwrapTee peels observation tees off a recorder: the collector
@@ -44,7 +40,9 @@ func unwrapTee(r Recorder) Recorder {
 }
 
 // AddRecorder folds one trial's recorder. Call in trial order: the
-// merged sketch's state is a pure function of the fold sequence.
+// merged sketch's state is a pure function of the fold sequence. Every
+// trial's collector builds its recorders at DefaultSketchEpsilon, so a
+// recorder that cannot fold is a programming error and panics.
 func (f *DistFold) AddRecorder(r Recorder) {
 	if r == nil {
 		return
@@ -56,24 +54,15 @@ func (f *DistFold) AddRecorder(r Recorder) {
 		}
 		p.Each(f.exact.Add)
 	case *Streaming:
-		if !p.Mergeable() {
-			f.unmerged++
-			return
-		}
 		if f.merged == nil {
-			c, err := p.Clone()
-			if err != nil {
-				f.unmerged++
-				return
-			}
-			f.merged = c
+			f.merged = p.Clone()
 			return
 		}
 		if err := f.merged.Merge(p); err != nil {
-			f.unmerged++
+			panic(err)
 		}
 	default:
-		f.unmerged++
+		panic(fmt.Sprintf("metrics: cannot fold %T", p))
 	}
 }
 
@@ -88,27 +77,19 @@ func (f *DistFold) Merge(o *DistFold) error {
 	}
 	if o.merged != nil {
 		if f.merged == nil {
-			c, err := o.merged.Clone()
-			if err != nil {
-				return err
-			}
-			f.merged = c
+			f.merged = o.merged.Clone()
 		} else if err := f.merged.Merge(o.merged); err != nil {
 			return err
 		}
 	}
-	f.unmerged += o.unmerged
 	return nil
 }
 
 // Resolved reports whether the fold can answer distribution queries
-// (at least one recorder folded and none were dropped as unmerged).
+// (at least one recorder folded).
 func (f *DistFold) Resolved() bool {
-	return f.unmerged == 0 && (f.exact != nil || f.merged != nil)
+	return f.exact != nil || f.merged != nil
 }
-
-// Unmerged returns the count of recorders that could not fold.
-func (f *DistFold) Unmerged() int { return f.unmerged }
 
 // recorder returns the backing recorder, preferring the exact fold.
 func (f *DistFold) recorder() Recorder {
@@ -152,7 +133,7 @@ func (f *DistFold) Max() float64 {
 
 // Quantile returns the q-th (q in [0,1]) cross-trial quantile: exact
 // from the exact fold, within ⌈εN⌉ ranks from the merged sketch; 0
-// when the fold is empty or unmerged-only.
+// when the fold is empty.
 func (f *DistFold) Quantile(q float64) float64 {
 	if r := f.recorder(); r != nil {
 		return r.Percentile(q * 100)
@@ -168,9 +149,6 @@ func (f *DistFold) Sketch() *Streaming { return f.merged }
 // String renders the fold for aggregate tables: a stable one-line
 // summary per fold state.
 func (f *DistFold) String() string {
-	if f.unmerged > 0 {
-		return fmt.Sprintf("per-trial only (%d unmerged sketches; use -metrics stream for merged quantiles)", f.unmerged)
-	}
 	r := f.recorder()
 	if r == nil || r.N() == 0 {
 		return "n=0"
@@ -186,8 +164,7 @@ func (f *DistFold) String() string {
 // distFoldJSON is the fold's wire form: only the merged sketch ships
 // (the exact fold is a test-time reference, never persisted).
 type distFoldJSON struct {
-	Merged   *Streaming `json:"merged,omitempty"`
-	Unmerged int        `json:"unmerged,omitempty"`
+	Merged *Streaming `json:"merged,omitempty"`
 }
 
 // MarshalJSON serializes the mergeable state. Folds holding an exact
@@ -197,22 +174,17 @@ func (f *DistFold) MarshalJSON() ([]byte, error) {
 	if f.exact != nil {
 		return nil, fmt.Errorf("metrics: DistFold with exact buffer does not serialize")
 	}
-	return json.Marshal(distFoldJSON{Merged: f.merged, Unmerged: f.unmerged})
+	return json.Marshal(distFoldJSON{Merged: f.merged})
 }
 
 // UnmarshalJSON decodes a fold; the embedded recorder revalidates its
-// own invariants (see Streaming.UnmarshalJSON), and the unmerged
-// count must be non-negative.
+// own invariants (see Streaming.UnmarshalJSON).
 func (f *DistFold) UnmarshalJSON(data []byte) error {
 	var w distFoldJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	if w.Unmerged < 0 {
-		return fmt.Errorf("metrics: DistFold wire unmerged=%d negative", w.Unmerged)
-	}
 	f.exact = nil
 	f.merged = w.Merged
-	f.unmerged = w.Unmerged
 	return nil
 }

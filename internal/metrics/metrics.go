@@ -208,9 +208,8 @@ type Aggregate struct {
 	Misses     Sample // critical misses per trial
 	// Response and Tardiness fold the per-trial completion
 	// distributions across the whole sweep: exact Samples fold into an
-	// exact reference, KLL-backed Streaming recorders Merge without
-	// degrading ε, GK-backed recorders cannot fold and are counted as
-	// unmerged. AddTrial folds in call order, so an aggregate built in
+	// exact reference, Streaming recorders Merge without degrading ε.
+	// AddTrial folds in call order, so an aggregate built in
 	// trial order is a pure function of the trial sequence — the
 	// byte-identical-for-any-workers contract extends to quantiles.
 	Response  DistFold

@@ -7,10 +7,10 @@
 //     nearest-rank percentiles exactly. O(n) memory; the default, and
 //     the reference the experiment tables are rendered from.
 //   - Streaming — bounded memory: Welford running moments, exact
-//     min/max, and a Greenwald–Khanna quantile sketch. Memory is
+//     min/max, and a mergeable KLL quantile sketch. Memory is
 //     independent of the observation count (up to the sketch's
-//     O((1/ε)·log(εn)) tuples), so long-horizon trials no longer
-//     buffer every completion.
+//     O((1/ε)·log(εn)) retained items), so long-horizon trials no
+//     longer buffer every completion.
 //   - Tee — duplicates each observation to side Observers (a
 //     Histogram, a trace sink adapter) while delegating the summary
 //     queries to a primary Recorder, so distribution views are built

@@ -1,13 +1,13 @@
 // Streaming: the bounded-memory Recorder. Moments come from
 // Welford's online algorithm (numerically stable running mean and sum
 // of squared deviations), extrema are tracked exactly, and
-// percentiles come from a quantile Sketch — so a recorder's memory is
-// independent of how many observations flow through it, which is what
-// makes paper-scale 1000-trial × 100 s sweeps tractable without
-// buffering every completion. With the KLL backend (NewStreamingKLL)
-// two recorders also Merge exactly: moments combine by the parallel
-// Welford update, extrema by min/max, and the sketches fold without
-// degrading ε — the primitive behind cross-trial sweep quantiles.
+// percentiles come from a KLL quantile sketch — so a recorder's memory
+// is independent of how many observations flow through it, which is
+// what makes paper-scale 1000-trial × 100 s sweeps tractable without
+// buffering every completion. Two recorders also Merge exactly:
+// moments combine by the parallel Welford update, extrema by min/max,
+// and the sketches fold without degrading ε — the primitive behind
+// cross-trial sweep quantiles.
 package metrics
 
 import (
@@ -18,44 +18,28 @@ import (
 
 // Streaming accumulates scalar observations in bounded memory: exact
 // n/mean/variance/min/max, ε-approximate percentiles. Construct with
-// NewStreaming (per-trial GK backend) or NewStreamingKLL (mergeable
-// backend); the zero value is not usable (the sketch needs its ε).
+// NewStreaming; the zero value is not usable (the sketch needs its ε).
 type Streaming struct {
 	n      int64
 	mean   float64
 	m2     float64 // sum of squared deviations from the running mean
 	min    float64
 	max    float64
-	sketch Sketch
+	sketch *KLL
 }
 
 // NewStreaming returns an empty streaming recorder whose percentile
 // queries are accurate to eps ranks per observation (≤ 0 selects
-// DefaultSketchEpsilon). The quantile backend is the per-trial GK
-// sketch, which cannot Merge; use NewStreamingKLL for recorders that
-// fold into sweep aggregates.
-func NewStreaming(eps float64) *Streaming {
-	return &Streaming{sketch: NewGKSketch(eps)}
-}
-
-// NewStreamingKLL returns an empty streaming recorder backed by the
-// mergeable KLL sketch, its compaction coins seeded from seed (pass
-// the trial seed so the recorder is a pure function of trial
-// identity). Merge on such recorders is fold-exact: the merged ε is
-// the common ε, not a sum.
-func NewStreamingKLL(eps float64, seed uint64) *Streaming {
+// DefaultSketchEpsilon), its sketch's compaction coins seeded from
+// seed (pass the trial seed so the recorder is a pure function of
+// trial identity). Merge is fold-exact: the merged ε is the common ε,
+// not a sum.
+func NewStreaming(eps float64, seed uint64) *Streaming {
 	return &Streaming{sketch: NewKLL(eps, seed)}
 }
 
 // Epsilon returns the percentile sketch's rank-error bound.
 func (s *Streaming) Epsilon() float64 { return s.sketch.Epsilon() }
-
-// Mergeable reports whether this recorder's quantile backend supports
-// fold-exact Merge (true for the KLL backend, false for GK).
-func (s *Streaming) Mergeable() bool {
-	_, ok := s.sketch.(MergeableSketch)
-	return ok
-}
 
 // SketchTuples returns the quantile sketch's current summary size
 // (for memory accounting in tests and benchmarks).
@@ -134,22 +118,17 @@ func (s *Streaming) String() string {
 
 // Merge folds other into the receiver: counts add, moments combine by
 // the parallel Welford update, extrema by min/max, and the quantile
-// sketches Merge (which requires both recorders to carry the
-// mergeable KLL backend at the same ε). The receiver is unchanged on
-// error. Folding a fixed sequence of recorders in a fixed order is
-// deterministic, so sweep aggregates render byte-identically for any
-// worker count.
+// sketches Merge (which requires both recorders to share ε). The
+// receiver is unchanged on error. Folding a fixed sequence of
+// recorders in a fixed order is deterministic, so sweep aggregates
+// render byte-identically for any worker count.
 func (s *Streaming) Merge(other *Streaming) error {
-	ms, ok := s.sketch.(MergeableSketch)
-	if !ok {
-		return fmt.Errorf("metrics: Merge target has non-mergeable %T backend", s.sketch)
-	}
 	if other.n == 0 {
 		// Still fold the coin stream so aggregate identity covers
 		// every trial, observed or not.
-		return ms.Merge(other.sketch)
+		return s.sketch.Merge(other.sketch)
 	}
-	if err := ms.Merge(other.sketch); err != nil {
+	if err := s.sketch.Merge(other.sketch); err != nil {
 		return err
 	}
 	if s.n == 0 {
@@ -170,23 +149,16 @@ func (s *Streaming) Merge(other *Streaming) error {
 	return nil
 }
 
-// Clone returns a deep copy of a KLL-backed recorder (aggregates
-// clone the first folded trial rather than aliasing it). GK-backed
-// recorders cannot be cloned — they exist per trial only.
-func (s *Streaming) Clone() (*Streaming, error) {
-	k, ok := s.sketch.(*KLL)
-	if !ok {
-		return nil, fmt.Errorf("metrics: cannot clone recorder with %T backend", s.sketch)
-	}
+// Clone returns a deep copy (aggregates clone the first folded trial
+// rather than aliasing it).
+func (s *Streaming) Clone() *Streaming {
 	c := *s
-	c.sketch = k.Clone()
-	return &c, nil
+	c.sketch = s.sketch.Clone()
+	return &c
 }
 
-// streamingJSON is the recorder's wire form. Only KLL-backed
-// recorders round-trip: serialization exists so sweeps can persist
-// merged distributions, and only the mergeable backend has a lossless
-// mergeable state worth shipping.
+// streamingJSON is the recorder's wire form: serialization exists so
+// sweeps can persist merged distributions.
 type streamingJSON struct {
 	N      int64           `json:"n"`
 	Mean   float64         `json:"mean"`
@@ -196,13 +168,9 @@ type streamingJSON struct {
 	Sketch json.RawMessage `json:"sketch"`
 }
 
-// MarshalJSON serializes a KLL-backed recorder.
+// MarshalJSON serializes the recorder.
 func (s *Streaming) MarshalJSON() ([]byte, error) {
-	k, ok := s.sketch.(*KLL)
-	if !ok {
-		return nil, fmt.Errorf("metrics: cannot marshal recorder with %T backend", s.sketch)
-	}
-	sk, err := json.Marshal(k)
+	sk, err := json.Marshal(s.sketch)
 	if err != nil {
 		return nil, err
 	}
@@ -211,10 +179,10 @@ func (s *Streaming) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON decodes a KLL-backed recorder, revalidating every
-// wire claim: the sketch's own invariants (see KLL.UnmarshalJSON),
-// the moment fields' finiteness, m2 ≥ 0, min ≤ max, and n equal to
-// the sketch's recomputed observation count. See
+// UnmarshalJSON decodes a recorder, revalidating every wire claim:
+// the sketch's own invariants (see KLL.UnmarshalJSON), the moment
+// fields' finiteness, m2 ≥ 0, min ≤ max, and n equal to the sketch's
+// recomputed observation count. See
 // TestStreamingUnmarshalRejectsMalformed for the case table.
 func (s *Streaming) UnmarshalJSON(data []byte) error {
 	var w streamingJSON

@@ -14,17 +14,17 @@ import (
 // algebraically exact; only quantiles are sketched).
 func TestStreamingMergeMomentsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	whole := NewStreaming(0.01) // exact-moment reference, GK backend is fine
+	whole := NewStreaming(0.01, 9) // exact-moment reference
 	parts := make([]*Streaming, 4)
 	for i := range parts {
-		parts[i] = NewStreamingKLL(0.01, uint64(i)+10)
+		parts[i] = NewStreaming(0.01, uint64(i)+10)
 	}
 	for i := 0; i < 40_000; i++ {
 		v := rng.NormFloat64()*100 + 50
 		whole.Add(v)
 		parts[i%len(parts)].Add(v)
 	}
-	agg := NewStreamingKLL(0.01, 1)
+	agg := NewStreaming(0.01, 1)
 	for _, p := range parts {
 		if err := agg.Merge(p); err != nil {
 			t.Fatal(err)
@@ -48,17 +48,17 @@ func TestStreamingMergeMomentsExact(t *testing.T) {
 // direction must leave moments untouched while still absorbing the
 // coin stream.
 func TestStreamingMergeEmptySides(t *testing.T) {
-	full := NewStreamingKLL(0.01, 1)
+	full := NewStreaming(0.01, 1)
 	for i := 1; i <= 100; i++ {
 		full.Add(float64(i))
 	}
-	if err := full.Merge(NewStreamingKLL(0.01, 2)); err != nil {
+	if err := full.Merge(NewStreaming(0.01, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if full.N() != 100 || full.Min() != 1 || full.Max() != 100 {
 		t.Fatalf("merge of empty changed moments: n=%d min=%g max=%g", full.N(), full.Min(), full.Max())
 	}
-	empty := NewStreamingKLL(0.01, 3)
+	empty := NewStreaming(0.01, 3)
 	if err := empty.Merge(full); err != nil {
 		t.Fatal(err)
 	}
@@ -67,37 +67,15 @@ func TestStreamingMergeEmptySides(t *testing.T) {
 	}
 }
 
-// TestStreamingMergeRequiresMergeableBackend: GK-backed recorders
-// refuse to merge in either role.
-func TestStreamingMergeRequiresMergeableBackend(t *testing.T) {
-	gk := NewStreaming(0.01)
-	kll := NewStreamingKLL(0.01, 1)
-	if err := gk.Merge(kll); err == nil {
-		t.Fatal("merge into GK-backed recorder succeeded")
-	}
-	if err := kll.Merge(gk); err == nil {
-		t.Fatal("merge of GK-backed recorder succeeded")
-	}
-	if gk.Mergeable() {
-		t.Fatal("GK-backed recorder claims mergeable")
-	}
-	if !kll.Mergeable() {
-		t.Fatal("KLL-backed recorder claims non-mergeable")
-	}
-}
-
 // TestStreamingClone: the clone is deep — mutating it does not move
 // the original.
 func TestStreamingClone(t *testing.T) {
-	s := NewStreamingKLL(0.01, 1)
+	s := NewStreaming(0.01, 1)
 	for i := 0; i < 10_000; i++ {
 		s.Add(float64(i))
 	}
 	before, _ := json.Marshal(s)
-	c, err := s.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := s.Clone()
 	for i := 0; i < 10_000; i++ {
 		c.Add(float64(-i))
 	}
@@ -105,15 +83,12 @@ func TestStreamingClone(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatal("mutating clone changed the original")
 	}
-	if _, err := NewStreaming(0.01).Clone(); err == nil {
-		t.Fatal("clone of GK-backed recorder succeeded")
-	}
 }
 
 // TestStreamingJSONRoundTrip: encode → decode → encode is byte-stable
 // and the decoded recorder answers identically.
 func TestStreamingJSONRoundTrip(t *testing.T) {
-	s := NewStreamingKLL(0.005, 9)
+	s := NewStreaming(0.005, 9)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 25_000; i++ {
 		s.Add(rng.ExpFloat64() * 10)
@@ -135,9 +110,6 @@ func TestStreamingJSONRoundTrip(t *testing.T) {
 	}
 	if dec.N() != s.N() || dec.Mean() != s.Mean() || dec.Percentile(99) != s.Percentile(99) {
 		t.Fatal("decoded recorder answers differently")
-	}
-	if _, err := json.Marshal(NewStreaming(0.01)); err == nil {
-		t.Fatal("marshal of GK-backed recorder succeeded")
 	}
 }
 
@@ -178,10 +150,11 @@ func TestStreamingUnmarshalRejectsMalformed(t *testing.T) {
 }
 
 // TestStreamingKLLRecorderContract: the KLL-backed recorder satisfies
-// the same Recorder behavior suite as the GK-backed one.
+// the Recorder behavior suite: zero-valued when empty, exact moments,
+// exact ranks before the first compaction.
 func TestStreamingKLLRecorderContract(t *testing.T) {
-	var _ Recorder = NewStreamingKLL(0.01, 1)
-	s := NewStreamingKLL(0.01, 1)
+	var _ Recorder = NewStreaming(0.01, 1)
+	s := NewStreaming(0.01, 1)
 	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty KLL-backed recorder not zero-valued")
 	}

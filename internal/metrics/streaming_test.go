@@ -11,7 +11,7 @@ import (
 // recorder.
 func fill(values []float64, eps float64) (*Sample, *Streaming) {
 	s := &Sample{}
-	st := NewStreaming(eps)
+	st := NewStreaming(eps, 1)
 	for _, v := range values {
 		s.Add(v)
 		st.Add(v)
@@ -88,10 +88,10 @@ func rankErr(sorted []float64, target int, v float64) int {
 	return ti - hi + 1
 }
 
-// TestGKQuantileRankBound is the sketch's contract: across randomized
-// data sets, the value returned for p50/p95/p99 has a rank within
-// ⌈εn⌉ of the exact nearest rank used by Sample.Percentile.
-func TestGKQuantileRankBound(t *testing.T) {
+// TestStreamingQuantileRankBound is the recorder's contract: across
+// randomized data sets, the value returned for p50/p95/p99 has a rank
+// within ⌈εn⌉ of the exact nearest rank used by Sample.Percentile.
+func TestStreamingQuantileRankBound(t *testing.T) {
 	for _, seed := range []int64{1, 42, 7919} {
 		rng := rand.New(rand.NewSource(seed))
 		for _, n := range []int{100, 2000, 20000} {
@@ -129,7 +129,7 @@ func TestStreamingSmallN(t *testing.T) {
 }
 
 func TestStreamingEmpty(t *testing.T) {
-	st := NewStreaming(0)
+	st := NewStreaming(0, 1)
 	if st.N() != 0 || st.Mean() != 0 || st.Variance() != 0 || st.Min() != 0 ||
 		st.Max() != 0 || st.Percentile(99) != 0 {
 		t.Errorf("empty streaming recorder must answer zeros: %s", st)
@@ -140,7 +140,7 @@ func TestStreamingEmpty(t *testing.T) {
 // stops growing with it — the O(1)-memory claim of streaming mode.
 func TestSketchMemoryBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	st := NewStreaming(DefaultSketchEpsilon)
+	st := NewStreaming(DefaultSketchEpsilon, 1)
 	var at100k int
 	for i := 0; i < 400_000; i++ {
 		st.Add(rng.Float64() * 1e6)
@@ -161,7 +161,7 @@ func TestSketchMemoryBounded(t *testing.T) {
 // allocate — the collector's streaming hot path depends on it.
 func TestStreamingSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	st := NewStreaming(DefaultSketchEpsilon)
+	st := NewStreaming(DefaultSketchEpsilon, 1)
 	for i := 0; i < 200_000; i++ {
 		st.Add(rng.Float64() * 4096)
 	}

@@ -234,10 +234,11 @@ func TestRegionEquivalenceSequential(t *testing.T) {
 	}
 }
 
-// TestRegionEquivalenceParallel drives the partition under the
-// epoch-barrier parallel executor across a sweep of epoch bounds —
-// including bounds that land exactly on a boundary flit's crossing
-// slot — and demands the same trace for every span and worker count.
+// TestRegionEquivalenceParallel drives the partition in successive
+// ShardSet.Run windows — the sharded executor's epochs, which the
+// former parallel runner's barriers also were — across a sweep of
+// spans, including bounds that land exactly on a boundary flit's
+// crossing slot, and demands the same trace for every span.
 func TestRegionEquivalenceParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	injs := genTraffic(rng, 40, 600)
@@ -254,7 +255,7 @@ func TestRegionEquivalenceParallel(t *testing.T) {
 			if end > horizon {
 				end = horizon
 			}
-			set.RunParallel(end, nil, nil, 2)
+			set.Run(end, nil, nil)
 		}
 		compareTraces(t, want, mergedTrace(shards))
 		if got := mergedStats(shards); got != wantStats {
@@ -283,8 +284,8 @@ func TestRegionBoundaryAtEpochBound(t *testing.T) {
 		for _, sh := range shards {
 			set.Add(sh)
 		}
-		set.RunParallel(bound, nil, nil, 2)
-		set.RunParallel(horizon, nil, nil, 2)
+		set.Run(bound, nil, nil)
+		set.Run(horizon, nil, nil)
 		compareTraces(t, want, mergedTrace(shards))
 	}
 }

@@ -267,17 +267,10 @@ func AppendRun(path string, rep Report) ([]byte, error) {
 	return json.MarshalIndent(traj, "", "  ")
 }
 
-// Speedups pairs every <base>/dense and <base>/globalmin result with
-// its <base>/fastforward sibling — or, for the slot-table pairs that
-// have no engine variant, the <base>/interval sibling — and every
-// <base>/parshard result with the same sibling as its baseline. The
-// Dense* fields hold the baseline variant's numbers; for "/globalmin"
-// entries that baseline is the single-clock fast-forward rather than
-// dense stepping, so the ratio isolates what the per-device clock
-// decoupling buys on its own; for "/parshard" entries it is the
-// single-thread sharded fast-forward, so the ratio is the
-// epoch-barrier executor's pure wall-clock win (≈1 on single-core
-// hosts).
+// Speedups pairs every <base>/dense result with its <base>/fastforward
+// sibling — or, for the slot-table pairs that have no engine variant,
+// the <base>/interval sibling. The Dense* fields hold the dense
+// variant's numbers.
 func Speedups(results []Result) []Speedup {
 	byName := make(map[string]Result, len(results))
 	for _, r := range results {
@@ -285,44 +278,25 @@ func Speedups(results []Result) []Speedup {
 	}
 	var out []Speedup
 	for _, r := range results {
-		for _, suffix := range []string{"/dense", "/globalmin"} {
-			base, ok := strings.CutSuffix(r.Name, suffix)
-			if !ok {
-				continue
-			}
-			ff, ok := byName[base+"/fastforward"]
-			if !ok {
-				ff, ok = byName[base+"/interval"]
-			}
-			if !ok || ff.NsPerOp == 0 {
-				continue
-			}
-			name := base
-			if suffix == "/globalmin" {
-				name = base + "/globalmin"
-			}
-			out = append(out, Speedup{
-				Name:          name,
-				DenseNsPerOp:  r.NsPerOp,
-				FFNsPerOp:     ff.NsPerOp,
-				Speedup:       r.NsPerOp / ff.NsPerOp,
-				DenseSlotsSec: r.SlotsPerSec,
-				FFSlotsSec:    ff.SlotsPerSec,
-			})
+		base, ok := strings.CutSuffix(r.Name, "/dense")
+		if !ok {
+			continue
 		}
-		if base, ok := strings.CutSuffix(r.Name, "/parshard"); ok {
-			seq, ok := byName[base+"/fastforward"]
-			if ok && r.NsPerOp > 0 {
-				out = append(out, Speedup{
-					Name:          base + "/parshard",
-					DenseNsPerOp:  seq.NsPerOp,
-					FFNsPerOp:     r.NsPerOp,
-					Speedup:       seq.NsPerOp / r.NsPerOp,
-					DenseSlotsSec: seq.SlotsPerSec,
-					FFSlotsSec:    r.SlotsPerSec,
-				})
-			}
+		ff, ok := byName[base+"/fastforward"]
+		if !ok {
+			ff, ok = byName[base+"/interval"]
 		}
+		if !ok || ff.NsPerOp == 0 {
+			continue
+		}
+		out = append(out, Speedup{
+			Name:          base,
+			DenseNsPerOp:  r.NsPerOp,
+			FFNsPerOp:     ff.NsPerOp,
+			Speedup:       r.NsPerOp / ff.NsPerOp,
+			DenseSlotsSec: r.SlotsPerSec,
+			FFSlotsSec:    ff.SlotsPerSec,
+		})
 	}
 	return out
 }

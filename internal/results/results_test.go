@@ -14,7 +14,7 @@ import (
 // sketchFor builds a small merged recorder for synthetic runs.
 func sketchFor(t *testing.T, seed uint64, scale float64) *metrics.Streaming {
 	t.Helper()
-	s := metrics.NewStreamingKLL(0.01, seed)
+	s := metrics.NewStreaming(0.01, seed)
 	rng := rand.New(rand.NewSource(int64(seed)))
 	for i := 0; i < 5000; i++ {
 		s.Add(rng.ExpFloat64() * scale)

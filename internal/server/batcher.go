@@ -103,9 +103,9 @@ type Batcher struct {
 	executedUnits    atomic.Int64
 	batches          atomic.Int64
 
-	mu     sync.RWMutex // guards closed (write: Close) vs Enqueue sends (read)
-	closed bool
-	in     chan *Unit
+	mu      sync.RWMutex // guards closed (write: Close) vs Enqueue sends (read)
+	closed  bool
+	in      chan *Unit
 	drained chan struct{}
 
 	// recMu guards the timing recorders (written per batch, read by
@@ -123,9 +123,9 @@ func NewBatcher(cfg BatcherConfig) *Batcher {
 		cfg:       cfg,
 		in:        make(chan *Unit, cfg.QueueDepth),
 		drained:   make(chan struct{}),
-		queueWait: metrics.NewStreaming(cfg.StreamEps),
-		execTime:  metrics.NewStreaming(cfg.StreamEps),
-		batchSize: metrics.NewStreaming(cfg.StreamEps),
+		queueWait: metrics.NewStreaming(cfg.StreamEps, 1),
+		execTime:  metrics.NewStreaming(cfg.StreamEps, 2),
+		batchSize: metrics.NewStreaming(cfg.StreamEps, 3),
 	}
 	go b.collect()
 	return b

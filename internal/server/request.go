@@ -44,20 +44,9 @@ type TrialRequest struct {
 	// Dense disables the fast-forward (output is identical either way).
 	Dense bool `json:"dense,omitempty"`
 	// Metrics selects the collector mode: "exact" (default, buffered
-	// exact percentiles), "stream" (bounded memory, mergeable KLL —
-	// sweep aggregates carry true cross-trial quantiles) or
-	// "stream-gk" (per-trial GK back-compat; sweep quantiles stay
-	// per-trial only).
+	// exact percentiles) or "stream" (bounded memory, mergeable KLL —
+	// sweep aggregates carry true cross-trial quantiles).
 	Metrics string `json:"metrics,omitempty"`
-	// ShardWorkers sets Trial.ShardWorkers: OS threads advancing one
-	// trial's device shards in parallel (< 2 = sequential; output is
-	// identical for any value).
-	ShardWorkers int `json:"shard_workers,omitempty"`
-	// DrainMin/DrainMax bound the sharded runner's adaptive release-
-	// drain budget (Trial.DrainMin/DrainMax); 0 keeps the built-in
-	// bounds. Output is identical for any valid pair.
-	DrainMin int `json:"drain_min,omitempty"`
-	DrainMax int `json:"drain_max,omitempty"`
 	// The fault_* sextet mirrors the -fault-* CLI flags: a validated
 	// faults.Plan injected into every trial of the request. All zero
 	// (the default) runs clean. A bad plan is a client error (400).
@@ -105,15 +94,6 @@ func normalize(req TrialRequest) (*normalized, error) {
 	if req.Hyperperiods < 0 {
 		return nil, fmt.Errorf("hyperperiods must be positive (got %d)", req.Hyperperiods)
 	}
-	if req.ShardWorkers < 0 {
-		return nil, fmt.Errorf("shard_workers must be non-negative (got %d)", req.ShardWorkers)
-	}
-	if req.DrainMin < 0 || req.DrainMax < 0 {
-		return nil, fmt.Errorf("drain bounds must be non-negative (got min %d, max %d)", req.DrainMin, req.DrainMax)
-	}
-	if req.DrainMin > 0 && req.DrainMax > 0 && req.DrainMin > req.DrainMax {
-		return nil, fmt.Errorf("drain_min %d exceeds drain_max %d", req.DrainMin, req.DrainMax)
-	}
 	plan := faults.Plan{
 		Seed:          req.FaultSeed,
 		ReleaseJitter: slot.Time(req.FaultJitter),
@@ -141,16 +121,13 @@ func normalize(req TrialRequest) (*normalized, error) {
 		req:   req,
 		build: build,
 		trial: system.Trial{
-			VMs:          req.VMs,
-			Tasks:        ts,
-			Horizon:      ts.Hyperperiod() * slot.Time(req.Hyperperiods),
-			Seed:         req.Seed,
-			Dense:        req.Dense,
-			Metrics:      mode,
-			ShardWorkers: req.ShardWorkers,
-			DrainMin:     req.DrainMin,
-			DrainMax:     req.DrainMax,
-			Faults:       plan,
+			VMs:     req.VMs,
+			Tasks:   ts,
+			Horizon: ts.Hyperperiod() * slot.Time(req.Hyperperiods),
+			Seed:    req.Seed,
+			Dense:   req.Dense,
+			Metrics: mode,
+			Faults:  plan,
 		},
 		trials: req.Trials,
 	}, nil
@@ -238,25 +215,19 @@ type SweepStatus struct {
 
 // DistSummary flattens one merged cross-trial distribution
 // (metrics.DistFold) for the sweep payload. Epsilon is the sketch's
-// rank-error bound (0 means the fold was exact); a nonzero Unmerged
-// count means the sweep ran in a mode whose per-trial sketches cannot
-// fold (stream-gk) and no cross-trial quantiles exist.
+// rank-error bound (0 means the fold was exact).
 type DistSummary struct {
-	N        int     `json:"n"`
-	Mean     float64 `json:"mean"`
-	P50      float64 `json:"p50"`
-	P90      float64 `json:"p90"`
-	P99      float64 `json:"p99"`
-	Max      float64 `json:"max"`
-	Epsilon  float64 `json:"epsilon,omitempty"`
-	Unmerged int     `json:"unmerged,omitempty"`
+	N       int     `json:"n"`
+	Mean    float64 `json:"mean"`
+	P50     float64 `json:"p50"`
+	P90     float64 `json:"p90"`
+	P99     float64 `json:"p99"`
+	Max     float64 `json:"max"`
+	Epsilon float64 `json:"epsilon,omitempty"`
 }
 
 // distSummary snapshots a fold, or nil when it is empty.
 func distSummary(f *metrics.DistFold) *DistSummary {
-	if f.Unmerged() > 0 {
-		return &DistSummary{Unmerged: f.Unmerged()}
-	}
 	if f.N() == 0 {
 		return nil
 	}

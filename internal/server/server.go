@@ -32,14 +32,9 @@ type Config struct {
 	// RetryAfter is the hint returned with 429 responses (default
 	// 250ms; the header rounds up to whole seconds).
 	RetryAfter time.Duration
-	// DefaultMetrics, DefaultShardWorkers and DefaultDrainMin/Max fill
-	// requests that omit the matching fields — the server-side halves
-	// of the shared -metrics / -shard-workers / -drain-min / -drain-max
-	// flags (internal/cliflags).
-	DefaultMetrics      string
-	DefaultShardWorkers int
-	DefaultDrainMin     int
-	DefaultDrainMax     int
+	// DefaultMetrics fills requests that omit the metrics field — the
+	// server-side half of the shared -metrics flag (internal/cliflags).
+	DefaultMetrics string
 }
 
 // Server is the trial service: a batcher for the synchronous path, a
@@ -133,15 +128,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*normali
 	}
 	if req.Metrics == "" {
 		req.Metrics = s.cfg.DefaultMetrics
-	}
-	if req.ShardWorkers == 0 {
-		req.ShardWorkers = s.cfg.DefaultShardWorkers
-	}
-	if req.DrainMin == 0 {
-		req.DrainMin = s.cfg.DefaultDrainMin
-	}
-	if req.DrainMax == 0 {
-		req.DrainMax = s.cfg.DefaultDrainMax
 	}
 	norm, err := normalize(req)
 	if err != nil {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-
-	"ioguard/internal/slot"
-)
+import "ioguard/internal/slot"
 
 // Clocked is a component that owns a local virtual clock inside a
 // ShardSet: it is stepped like a Stepper and must answer NextWork
@@ -64,8 +60,7 @@ type shard struct {
 // must undo by ordering on (slot, shard) — see system.Collector.
 type ShardSet struct {
 	shards []shard
-	heap   []int32   // shard indices ordered by (clock, index)
-	groups [][]int32 // per-worker heaps, cached across RunParallel calls
+	heap   []int32 // shard indices ordered by (clock, index)
 }
 
 // NewShardSet returns an empty shard scheduler.
@@ -105,13 +100,9 @@ func (s *ShardSet) before(a, b int32) bool {
 	return a < b
 }
 
-// push and pop operate on an explicit heap slice so the same ordering
-// machinery serves both the global laggard heap (Run) and the
-// per-group heaps of RunParallel. Concurrent use is safe as long as
-// each heap only holds shard indices no other goroutine advances:
-// before() then reads only clocks owned by the calling goroutine.
-func (s *ShardSet) push(h []int32, i int32) []int32 {
-	h = append(h, i)
+// push and pop maintain the laggard heap.
+func (s *ShardSet) push(i int32) {
+	h := append(s.heap, i)
 	k := len(h) - 1
 	for k > 0 {
 		p := (k - 1) / 2
@@ -121,10 +112,11 @@ func (s *ShardSet) push(h []int32, i int32) []int32 {
 		h[k], h[p] = h[p], h[k]
 		k = p
 	}
-	return h
+	s.heap = h
 }
 
-func (s *ShardSet) pop(h []int32) ([]int32, int32) {
+func (s *ShardSet) pop() int32 {
+	h := s.heap
 	n := len(h) - 1
 	root := h[0]
 	h[0] = h[n]
@@ -145,18 +137,27 @@ func (s *ShardSet) pop(h []int32) ([]int32, int32) {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return h, root
+	s.heap = h
+	return root
 }
 
-// runHeap drains one laggard heap to until: each pop executes exactly
-// one slot of the heap's minimum-clock shard — feed first, then Step —
-// and then fast-forwards the shard as far as its NextWork and the
-// horizon allow. Returns the emptied slice so callers can reuse its
-// capacity.
-func (s *ShardSet) runHeap(h []int32, until slot.Time, feed FeedFunc, horizon HorizonFunc) []int32 {
-	for len(h) > 0 {
-		var idx int32
-		h, idx = s.pop(h)
+// Run advances every shard's clock to until (exclusive of slot until
+// itself), executing the laggard-first (clock, shard) lexicographic
+// schedule: each pop executes exactly one slot of the minimum-clock
+// shard — feed first, then Step — and then fast-forwards the shard as
+// far as its NextWork and the horizon allow. feed and horizon may be
+// nil for closed shards with no external inputs. Callers may run the
+// set in successive windows (the sharded executor's epochs): a shard
+// resumes at the clock the previous call left it at.
+func (s *ShardSet) Run(until slot.Time, feed FeedFunc, horizon HorizonFunc) {
+	s.heap = s.heap[:0]
+	for i := range s.shards {
+		if s.shards[i].clock < until {
+			s.push(int32(i))
+		}
+	}
+	for len(s.heap) > 0 {
+		idx := s.pop()
 		sh := &s.shards[idx]
 		now := sh.clock
 		if feed != nil {
@@ -190,69 +191,7 @@ func (s *ShardSet) runHeap(h []int32, until slot.Time, feed FeedFunc, horizon Ho
 			sh.clock = now
 		}
 		if sh.clock < until {
-			h = s.push(h, idx)
+			s.push(idx)
 		}
 	}
-	return h
-}
-
-// Run advances every shard's clock to until (exclusive of slot until
-// itself), executing the laggard-first (clock, shard) lexicographic
-// schedule on the calling goroutine. feed and horizon may be nil for
-// closed shards with no external inputs.
-func (s *ShardSet) Run(until slot.Time, feed FeedFunc, horizon HorizonFunc) {
-	h := s.heap[:0]
-	for i := range s.shards {
-		if s.shards[i].clock < until {
-			h = s.push(h, int32(i))
-		}
-	}
-	s.heap = s.runHeap(h, until, feed, horizon)
-}
-
-// RunParallel advances every shard's clock to until across `workers`
-// OS threads: shards are partitioned round-robin into worker groups,
-// and each group runs the laggard-first schedule over its own members
-// on a private goroutine. The return is the epoch barrier — it does
-// not happen until every shard's clock has reached until.
-//
-// Because groups advance concurrently, the (clock, shard) order that
-// Run establishes holds only *within* a group here; callers that need
-// the sequential interleaving must buffer cross-shard output per shard
-// and merge it in (slot, shard) order at the barrier (see
-// system.runShardedParallel). For the same reason feed and horizon
-// must be shard-confined: they are invoked concurrently from different
-// goroutines, each with the shard indices of one group only, so they
-// may touch per-shard state freely but nothing shared. The sequential
-// closures used with Run (which lazily drain a shared release engine)
-// are NOT safe here — drain shared sources before the epoch instead.
-//
-// workers < 2 (or fewer than two shards) degrades to Run on the
-// calling goroutine, preserving its exact schedule.
-func (s *ShardSet) RunParallel(until slot.Time, feed FeedFunc, horizon HorizonFunc, workers int) {
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	if workers < 2 {
-		s.Run(until, feed, horizon)
-		return
-	}
-	for len(s.groups) < workers {
-		s.groups = append(s.groups, nil)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		h := s.groups[g][:0]
-		for i := g; i < len(s.shards); i += workers {
-			if s.shards[i].clock < until {
-				h = s.push(h, int32(i))
-			}
-		}
-		wg.Add(1)
-		go func(g int, h []int32) {
-			defer wg.Done()
-			s.groups[g] = s.runHeap(h, until, feed, horizon)
-		}(g, h)
-	}
-	wg.Wait()
 }

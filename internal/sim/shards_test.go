@@ -269,114 +269,145 @@ func TestShardSetSkipExactlyToUntil(t *testing.T) {
 	}
 }
 
-// parallelProbes builds a ShardSet of n probes with deterministic
-// per-shard work plans and private execution logs (no shared state, so
-// the set is safe to drive from RunParallel's worker goroutines).
-func parallelProbes(t *testing.T, n int, horizon slot.Time) (*ShardSet, []*probe, []*[]exec) {
+// planProbes builds a ShardSet of n probes with deterministic
+// per-shard work plans, all appending to one shared execution log.
+func planProbes(t *testing.T, n int, horizon slot.Time) (*ShardSet, []*probe, *[]exec) {
 	rng := rand.New(rand.NewSource(int64(n)*1009 + 1))
 	s := NewShardSet()
 	ps := make([]*probe, n)
-	logs := make([]*[]exec, n)
+	log := &[]exec{}
 	for i := 0; i < n; i++ {
 		var plan []slot.Time
 		for at := slot.Time(rng.Intn(16)); at < horizon; at += slot.Time(1 + rng.Intn(211)) {
 			plan = append(plan, at)
 		}
-		log := &[]exec{}
 		p := &probe{t: t, name: fmt.Sprintf("p%d", i), work: plan, log: log}
 		p.idx = s.Add(p)
 		ps[i] = p
-		logs[i] = log
 	}
-	return s, ps, logs
+	return s, ps, log
 }
 
-// TestShardSetRunParallelMatchesRun: for any worker count — degenerate
-// (1), uneven (n not divisible), equal to and exceeding the shard
-// count — every shard's executed slot sequence, stats and final clock
-// must be identical to the sequential laggard-first run.
-func TestShardSetRunParallelMatchesRun(t *testing.T) {
+// workExecs filters an execution log down to the slots each shard had
+// planned work in: the steps a run cannot skip, whatever its windows.
+func workExecs(ps []*probe, log []exec) []exec {
+	planned := make([]map[slot.Time]bool, len(ps))
+	for i, p := range ps {
+		planned[i] = make(map[slot.Time]bool, len(p.work))
+		for _, at := range p.work {
+			planned[i][at] = true
+		}
+	}
+	var out []exec
+	for _, e := range log {
+		if planned[e.shard][e.at] {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestShardSetEpochsMatchRun: driving the set through successive Run
+// windows — the sharded executor's epochs — at any span, from a single
+// slot to the whole horizon, must execute every planned work slot in
+// the same global (slot, shard) order as one Run to the horizon, keep
+// the whole log in that order, and leave every shard at the horizon
+// with each slot either stepped or skipped exactly once.
+func TestShardSetEpochsMatchRun(t *testing.T) {
 	const shards, horizon = 6, 4000
-	ref, _, refLogs := parallelProbes(t, shards, horizon)
+	ref, refProbes, refLog := planProbes(t, shards, horizon)
 	ref.Run(horizon, nil, nil)
-	for _, workers := range []int{1, 2, 3, 4, 6, 9} {
-		s, _, logs := parallelProbes(t, shards, horizon)
-		s.RunParallel(horizon, nil, nil, workers)
-		for i := 0; i < shards; i++ {
-			if !reflect.DeepEqual(*logs[i], *refLogs[i]) {
-				t.Errorf("workers=%d: shard %d executed %d slots, sequential executed %d (or in a different order)",
-					workers, i, len(*logs[i]), len(*refLogs[i]))
+	want := workExecs(refProbes, *refLog)
+	for _, span := range []slot.Time{1, 7, 211, 1024, horizon} {
+		s, ps, log := planProbes(t, shards, horizon)
+		for end := span; ; end += span {
+			if end > horizon {
+				end = horizon
 			}
-			if s.Stats(i) != ref.Stats(i) {
-				t.Errorf("workers=%d: shard %d stats %+v, want %+v", workers, i, s.Stats(i), ref.Stats(i))
+			s.Run(end, nil, nil)
+			if end == horizon {
+				break
 			}
-			if s.Clock(i) != ref.Clock(i) {
-				t.Errorf("workers=%d: shard %d clock %d, want %d", workers, i, s.Clock(i), ref.Clock(i))
+		}
+		if !sort.SliceIsSorted(*log, func(a, b int) bool {
+			x, y := (*log)[a], (*log)[b]
+			return x.at < y.at || (x.at == y.at && x.shard < y.shard)
+		}) {
+			t.Errorf("span=%d: execution left (slot, shard) order", span)
+		}
+		if got := workExecs(ps, *log); !reflect.DeepEqual(got, want) {
+			t.Errorf("span=%d: executed %d work slots, one run executed %d (or in a different order)", span, len(got), len(want))
+		}
+		for i, p := range ps {
+			if p.wi != len(p.work) {
+				t.Errorf("span=%d: shard %d finished %d/%d work items", span, i, p.wi, len(p.work))
+			}
+			st := s.Stats(i)
+			if st.Stepped+int64(st.Skipped) != horizon || s.Clock(i) != horizon {
+				t.Errorf("span=%d: shard %d stepped %d + skipped %d at clock %d, want %d", span, i, st.Stepped, st.Skipped, s.Clock(i), horizon)
 			}
 		}
 	}
 }
 
-// TestShardSetRunParallelEpochs drives the same set through repeated
-// RunParallel windows (the epoch pattern the system layer uses) with
-// shard-confined feed/horizon closures, checking inputs are consumed
-// exactly at their arrival slots and every epoch barrier leaves all
-// clocks at the window bound.
-func TestShardSetRunParallelEpochs(t *testing.T) {
+// TestShardSetRunEpochs drives the set through repeated Run windows
+// with feed/horizon closures at several spans, checking inputs are
+// consumed exactly at their arrival slots and every window leaves all
+// clocks at its bound.
+func TestShardSetRunEpochs(t *testing.T) {
 	const horizon = 30_000
-	const span = 1024
-	rng := rand.New(rand.NewSource(23))
-	var ks []*sink
-	s := NewShardSet()
-	for i := 0; i < 5; i++ {
-		var in []slot.Time
-		for at := slot.Time(rng.Intn(300)); at < horizon; at += slot.Time(50 + rng.Intn(3000)) {
-			in = append(in, at)
-		}
-		k := &sink{t: t, inputs: in}
-		ks = append(ks, k)
-		s.Add(k)
-	}
-	// Both closures touch only shard i's state — the confinement
-	// RunParallel's contract demands.
-	feed := func(i int, now slot.Time) {
-		k := ks[i]
-		for k.ii < len(k.inputs) && k.inputs[k.ii] <= now {
-			if k.inputs[k.ii] < now {
-				t.Errorf("shard %d: input at %d delivered late at %d", i, k.inputs[k.ii], now)
+	for _, span := range []slot.Time{1, 1024, 4096} {
+		rng := rand.New(rand.NewSource(23))
+		var ks []*sink
+		s := NewShardSet()
+		for i := 0; i < 5; i++ {
+			var in []slot.Time
+			for at := slot.Time(rng.Intn(300)); at < horizon; at += slot.Time(50 + rng.Intn(3000)) {
+				in = append(in, at)
 			}
-			k.ii++
-			k.consumed++
+			k := &sink{t: t, inputs: in}
+			ks = append(ks, k)
+			s.Add(k)
 		}
-	}
-	hz := func(i int, limit slot.Time) slot.Time {
-		k := ks[i]
-		if k.ii >= len(k.inputs) || k.inputs[k.ii] > limit {
-			return limit
-		}
-		return k.inputs[k.ii]
-	}
-	for end := slot.Time(span); ; end += span {
-		if end > horizon {
-			end = horizon
-		}
-		s.RunParallel(end, feed, hz, 3)
-		for i := range ks {
-			if got := s.Clock(i); got != end {
-				t.Fatalf("after epoch to %d: shard %d clock = %d (barrier leak)", end, i, got)
+		feed := func(i int, now slot.Time) {
+			k := ks[i]
+			for k.ii < len(k.inputs) && k.inputs[k.ii] <= now {
+				if k.inputs[k.ii] < now {
+					t.Errorf("span=%d: shard %d: input at %d delivered late at %d", span, i, k.inputs[k.ii], now)
+				}
+				k.ii++
+				k.consumed++
 			}
 		}
-		if end == horizon {
-			break
+		hz := func(i int, limit slot.Time) slot.Time {
+			k := ks[i]
+			if k.ii >= len(k.inputs) || k.inputs[k.ii] > limit {
+				return limit
+			}
+			return k.inputs[k.ii]
 		}
-	}
-	for i, k := range ks {
-		if k.consumed != len(k.inputs) {
-			t.Errorf("shard %d consumed %d/%d inputs", i, k.consumed, len(k.inputs))
+		for end := span; ; end += span {
+			if end > horizon {
+				end = horizon
+			}
+			s.Run(end, feed, hz)
+			for i := range ks {
+				if got := s.Clock(i); got != end {
+					t.Fatalf("span=%d: after window to %d: shard %d clock = %d", span, end, i, got)
+				}
+			}
+			if end == horizon {
+				break
+			}
 		}
-		st := s.Stats(i)
-		if st.Stepped+int64(st.Skipped) != horizon {
-			t.Errorf("shard %d: stepped %d + skipped %d ≠ %d", i, st.Stepped, st.Skipped, horizon)
+		for i, k := range ks {
+			if k.consumed != len(k.inputs) {
+				t.Errorf("span=%d: shard %d consumed %d/%d inputs", span, i, k.consumed, len(k.inputs))
+			}
+			st := s.Stats(i)
+			if st.Stepped+int64(st.Skipped) != horizon {
+				t.Errorf("span=%d: shard %d: stepped %d + skipped %d ≠ %d", span, i, st.Stepped, st.Skipped, horizon)
+			}
 		}
 	}
 }

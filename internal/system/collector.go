@@ -19,10 +19,6 @@
 //     without degrading ε. Counts, misses, bytes and throughput stay
 //     exact; only percentile queries carry the sketch's documented
 //     ε rank error.
-//   - MetricsStreamGK: the pre-KLL streaming collector — same bounded
-//     memory, Greenwald–Khanna percentile sketch. GK summaries cannot
-//     merge, so sweep aggregates report no cross-trial quantiles;
-//     kept for back-compat comparison behind -metrics stream-gk.
 package system
 
 import (
@@ -41,7 +37,6 @@ type MetricsMode uint8
 const (
 	MetricsExact MetricsMode = iota
 	MetricsStream
-	MetricsStreamGK
 )
 
 // String returns the CLI spelling of the mode.
@@ -51,8 +46,6 @@ func (m MetricsMode) String() string {
 		return "exact"
 	case MetricsStream:
 		return "stream"
-	case MetricsStreamGK:
-		return "stream-gk"
 	default:
 		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
@@ -65,10 +58,8 @@ func ParseMetricsMode(s string) (MetricsMode, error) {
 		return MetricsExact, nil
 	case "stream", "streaming":
 		return MetricsStream, nil
-	case "stream-gk", "gk":
-		return MetricsStreamGK, nil
 	default:
-		return MetricsExact, fmt.Errorf("system: unknown metrics mode %q (want exact|stream|stream-gk)", s)
+		return MetricsExact, fmt.Errorf("system: unknown metrics mode %q (want exact|stream)", s)
 	}
 }
 
@@ -173,9 +164,7 @@ func (c *Collector) newRecorder() metrics.Recorder {
 		// identity with the recorder ordinal.
 		s := c.seed + (c.sketchSeq+1)*0x9E3779B97F4A7C15
 		c.sketchSeq++
-		return metrics.NewStreamingKLL(metrics.DefaultSketchEpsilon, s)
-	case MetricsStreamGK:
-		return metrics.NewStreaming(metrics.DefaultSketchEpsilon)
+		return metrics.NewStreaming(metrics.DefaultSketchEpsilon, s)
 	default:
 		return &metrics.Sample{}
 	}

