@@ -355,6 +355,7 @@ func BenchmarkHypervisorStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Step(Time(i))

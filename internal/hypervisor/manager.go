@@ -14,6 +14,7 @@ package hypervisor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ioguard/internal/queue"
@@ -98,10 +99,27 @@ type preTask struct {
 	id          slot.TaskID
 	offset      slot.Time
 	nextRelease slot.Time
-	started     bool // nextRelease fast-forwarded to the current time
 	seq         int
 	pending     *queue.FIFO[*task.Job] // released, unfinished jobs (in order)
 	owned       []slot.Run             // maximal table runs owned by id, ascending in [0,H)
+	// relIdx is the task's position in the release heap, or -1 while
+	// it waits on the not-yet-started list.
+	relIdx int
+	// busyIdx is the task's position in the manager's busy list (tasks
+	// with pending jobs), or -1 while its backlog is empty.
+	busyIdx int
+}
+
+// firstRelease returns the task's first release at or after now when
+// it starts there: a task loaded mid-run begins at its next
+// table-aligned release and must not back-fill jobs from before it was
+// loaded.
+func (pt *preTask) firstRelease(now slot.Time) slot.Time {
+	nr := pt.nextRelease
+	if nr < now {
+		nr += ((now - nr + pt.spec.Period - 1) / pt.spec.Period) * pt.spec.Period
+	}
+	return nr
 }
 
 // nextOwned returns the first slot ≥ from of the infinite table σ that
@@ -120,6 +138,77 @@ func (pt *preTask) nextOwned(from, h slot.Time) slot.Time {
 		return from + (pt.owned[i].Start - idx)
 	}
 	return from + (h - idx) + pt.owned[0].Start
+}
+
+// releaseHeap orders started pre-defined tasks by (next release, task
+// id), so Step touches only the tasks due this slot and NextWork reads
+// the earliest release at the head. Every element's relIdx tracks its
+// position, so a retired task is removed in place.
+type releaseHeap []*preTask
+
+func (h releaseHeap) before(i, j int) bool {
+	if h[i].nextRelease != h[j].nextRelease {
+		return h[i].nextRelease < h[j].nextRelease
+	}
+	return h[i].id < h[j].id
+}
+
+func (h releaseHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].relIdx = i
+	h[j].relIdx = j
+}
+
+func (h releaseHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(i, p) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+// down restores the heap property below position i after the key at
+// i increased (a released task's next release only moves later).
+func (h releaseHeap) down(i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(h) && h.before(l, m) {
+			m = l
+		}
+		if r < len(h) && h.before(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h.swap(i, m)
+		i = m
+	}
+}
+
+func (h *releaseHeap) push(pt *preTask) {
+	pt.relIdx = len(*h)
+	*h = append(*h, pt)
+	h.up(pt.relIdx)
+}
+
+// remove deletes pt, which must be in the heap.
+func (h *releaseHeap) remove(pt *preTask) {
+	i, last := pt.relIdx, len(*h)-1
+	if i != last {
+		h.swap(i, last)
+	}
+	(*h)[last] = nil
+	*h = (*h)[:last]
+	pt.relIdx = -1
+	if i < last {
+		h.down(i)
+		h.up(i)
+	}
 }
 
 // serverState is the run-time state of one periodic server.
@@ -141,13 +230,20 @@ type Manager struct {
 	cfg     Config
 	pools   []*Pool
 	servers []*serverState
-	pre     map[slot.TaskID]*preTask
-	preIDs  []slot.TaskID // deterministic iteration order
-	inbox   *queue.FIFO[delivery]
-	stats   Stats
-	vmStats []VMStats
-	lastJob *task.Job
-	adm     *admission
+	// P-channel registry: pre holds every pre-defined task sorted by
+	// id (lookup, deterministic iteration). Started tasks sit in the
+	// release heap; a task loaded since the last Step waits on
+	// unstarted until that Step fast-forwards its first release. busy
+	// holds the tasks with pending jobs, in no particular order.
+	pre       []*preTask
+	rel       releaseHeap
+	unstarted []*preTask
+	busy      []*preTask
+	inbox     *queue.FIFO[delivery]
+	stats     Stats
+	vmStats   []VMStats
+	lastJob   *task.Job
+	adm       *admission
 
 	// OnComplete, when non-nil, receives every finished job after the
 	// response path: at is the slot at which the requester observes
@@ -173,7 +269,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:   cfg,
-		pre:   make(map[slot.TaskID]*preTask),
 		inbox: queue.NewFIFO[delivery](0),
 	}
 	m.vmStats = make([]VMStats, cfg.VMs)
@@ -243,24 +338,61 @@ func (m *Manager) Preload(spec *task.Sporadic, id slot.TaskID, offset slot.Time)
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if _, dup := m.pre[id]; dup {
+	i, dup := m.preIndex(id)
+	if dup {
 		return fmt.Errorf("hypervisor: pre-defined task %d already loaded", id)
 	}
 	owned := m.cfg.Table.OwnedRuns(id)
 	if len(owned) == 0 {
 		return fmt.Errorf("hypervisor: task %d owns no slot in the table", id)
 	}
-	m.pre[id] = &preTask{
+	pt := &preTask{
 		spec:        spec,
 		id:          id,
 		offset:      offset,
 		nextRelease: offset,
 		pending:     queue.NewFIFO[*task.Job](0),
 		owned:       owned,
+		relIdx:      -1,
+		busyIdx:     -1,
 	}
-	m.preIDs = append(m.preIDs, id)
-	sort.Slice(m.preIDs, func(i, j int) bool { return m.preIDs[i] < m.preIDs[j] })
+	m.pre = slices.Insert(m.pre, i, pt)
+	m.unstarted = append(m.unstarted, pt)
 	return nil
+}
+
+// preIndex binary-searches the id-sorted registry: the position of id,
+// or where it would be inserted, and whether it is loaded.
+func (m *Manager) preIndex(id slot.TaskID) (int, bool) {
+	i := sort.Search(len(m.pre), func(k int) bool { return m.pre[k].id >= id })
+	return i, i < len(m.pre) && m.pre[i].id == id
+}
+
+// lookupPre returns the loaded pre-defined task with the given id, or
+// nil.
+func (m *Manager) lookupPre(id slot.TaskID) *preTask {
+	if i, ok := m.preIndex(id); ok {
+		return m.pre[i]
+	}
+	return nil
+}
+
+// setBusy keeps the busy list in step with pt's backlog after a push
+// or pop on pt.pending.
+func (m *Manager) setBusy(pt *preTask) {
+	switch busy := pt.pending.Len() > 0; {
+	case busy && pt.busyIdx < 0:
+		pt.busyIdx = len(m.busy)
+		m.busy = append(m.busy, pt)
+	case !busy && pt.busyIdx >= 0:
+		last := len(m.busy) - 1
+		moved := m.busy[last]
+		m.busy[pt.busyIdx] = moved
+		moved.busyIdx = pt.busyIdx
+		m.busy[last] = nil
+		m.busy = m.busy[:last]
+		pt.busyIdx = -1
+	}
 }
 
 // Submit hands a run-time I/O job to the hypervisor at slot now. The
@@ -285,17 +417,22 @@ func (m *Manager) PendingJobs(visit func(j *task.Job)) {
 		p.Each(visit)
 	}
 	m.inbox.Each(func(d delivery) { visit(d.job) })
-	for _, id := range m.preIDs {
-		m.pre[id].pending.Each(func(j *task.Job) { visit(j) })
+	for _, pt := range m.pre {
+		pt.pending.Each(func(j *task.Job) { visit(j) })
 	}
 }
 
 // Step advances the manager one slot:
-//  1. deliver due request-path jobs into their pools,
+//  1. deliver due request-path jobs into their pools, refreshing each
+//     admitting pool's shadow register (L-Sched),
 //  2. release due jobs of pre-defined tasks,
-//  3. refresh the local schedulers' shadow registers,
-//  4. replenish server budgets at period boundaries,
-//  5. run the executor for this slot (P-channel owner or G-Sched pick).
+//  3. replenish server budgets at period boundaries,
+//  4. run the executor for this slot (P-channel owner or G-Sched pick).
+//
+// Pools and pre-defined tasks with nothing due this slot are not
+// touched: a shadow register changes only when its pool's queue does
+// (here on admission, in Pool.Remove on completion), and the release
+// heap yields only the tasks whose release is due.
 func (m *Manager) Step(now slot.Time) {
 	for {
 		d, ok := m.inbox.Peek()
@@ -303,32 +440,30 @@ func (m *Manager) Step(now slot.Time) {
 			break
 		}
 		m.inbox.Pop()
-		if m.pools[d.job.Task.VM].Admit(d.job) {
+		p := m.pools[d.job.Task.VM]
+		if p.Admit(d.job) {
+			p.Schedule()
 			m.vmStats[d.job.Task.VM].Admitted++
 		} else {
 			m.stats.Dropped++
 			m.vmStats[d.job.Task.VM].Dropped++
 		}
 	}
-	for _, id := range m.preIDs {
-		pt := m.pre[id]
-		if !pt.started {
-			// A task loaded mid-run starts at its next table-aligned
-			// release; it must not back-fill jobs from before it was
-			// loaded.
-			for pt.nextRelease < now {
-				pt.nextRelease += pt.spec.Period
-			}
-			pt.started = true
-		}
+	for _, pt := range m.unstarted {
+		pt.nextRelease = pt.firstRelease(now)
+		m.rel.push(pt)
+	}
+	clear(m.unstarted)
+	m.unstarted = m.unstarted[:0]
+	for len(m.rel) > 0 && m.rel[0].nextRelease <= now {
+		pt := m.rel[0]
 		for pt.nextRelease <= now {
 			pt.pending.Push(task.NewJob(pt.spec, pt.seq, pt.nextRelease))
 			pt.seq++
 			pt.nextRelease += pt.spec.Period
 		}
-	}
-	for _, p := range m.pools {
-		p.Schedule()
+		m.rel.down(0)
+		m.setBusy(pt)
 	}
 	for _, s := range m.servers {
 		if now%s.cfg.Period == 0 {
@@ -342,8 +477,7 @@ func (m *Manager) Step(now slot.Time) {
 // execute grants this slot to at most one job.
 func (m *Manager) execute(now slot.Time) {
 	if owner := m.cfg.Table.Owner(now); owner != slot.Free {
-		pt := m.pre[owner]
-		if pt != nil {
+		if pt := m.lookupPre(owner); pt != nil {
 			if j, ok := pt.pending.Peek(); ok {
 				m.runPre(now, pt, j)
 				return
@@ -375,6 +509,7 @@ func (m *Manager) runPre(now slot.Time, pt *preTask, j *task.Job) {
 	m.stats.PSlotsUsed++
 	if j.Done() {
 		pt.pending.Pop()
+		m.setBusy(pt)
 		m.complete(j)
 	}
 }
@@ -448,11 +583,13 @@ func (m *Manager) runRChannel(now slot.Time) bool {
 // due delivery holds R-channel work; a pending P-channel job only
 // pins its task's next owned table slot (it cannot execute anywhere
 // else). The remaining candidates are the request path's head
-// delivery, each pre-defined task's next release, and — in ServerEDF
-// mode — the next server period boundary (replenishment mutates
-// budgets and deadlines) plus, while any budget remains, the next slot
-// that would drain it. The bound is conservative, never optimistic:
-// fast-forwarding on it is invisible in the execution results.
+// delivery, the earliest pre-defined release (the release heap's
+// head, or the first release of a task loaded since the last Step),
+// and — in ServerEDF mode — the next server period boundary
+// (replenishment mutates budgets and deadlines) plus, while any budget
+// remains, the next slot that would drain it. The bound is
+// conservative, never optimistic: fast-forwarding on it is invisible
+// in the execution results.
 func (m *Manager) NextWork(now slot.Time) slot.Time {
 	if d, ok := m.inbox.Peek(); ok && d.at <= now {
 		return now
@@ -469,25 +606,29 @@ func (m *Manager) NextWork(now slot.Time) slot.Time {
 		next = d.at
 	}
 	h := slot.Time(m.cfg.Table.Len())
-	for _, id := range m.preIDs {
-		pt := m.pre[id]
-		if pt.pending.Len() > 0 {
-			// A pending P-channel job executes only in slots its task
-			// owns; the manager next touches it at the first such slot.
-			no := pt.nextOwned(now, h)
-			if no <= now {
-				return now
-			}
-			if no < next {
-				next = no
-			}
+	for _, pt := range m.busy {
+		// A pending P-channel job executes only in slots its task
+		// owns; the manager next touches it at the first such slot.
+		no := pt.nextOwned(now, h)
+		if no <= now {
+			return now
 		}
-		nr := pt.nextRelease
-		if !pt.started && nr < now {
-			// Mirror Step's start-up fast-forward without mutating:
-			// the first release is the next period multiple ≥ now.
-			nr += ((now - nr + pt.spec.Period - 1) / pt.spec.Period) * pt.spec.Period
+		if no < next {
+			next = no
 		}
+	}
+	if len(m.rel) > 0 {
+		nr := m.rel[0].nextRelease
+		if nr <= now {
+			return now
+		}
+		if nr < next {
+			next = nr
+		}
+	}
+	for _, pt := range m.unstarted {
+		// Mirror Step's start-up fast-forward without mutating.
+		nr := pt.firstRelease(now)
 		if nr <= now {
 			return now
 		}

@@ -8,6 +8,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 
 	"ioguard/internal/slot"
 	"ioguard/internal/task"
@@ -21,7 +22,7 @@ func (m *Manager) LoadPre(spec *task.Sporadic, id slot.TaskID, offset slot.Time)
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if _, dup := m.pre[id]; dup {
+	if _, dup := m.preIndex(id); dup {
 		return fmt.Errorf("hypervisor: pre-defined task %d already loaded", id)
 	}
 	_, err := m.cfg.Table.AllocatePeriodic(slot.Requirement{
@@ -47,10 +48,11 @@ func (m *Manager) LoadPre(spec *task.Sporadic, id slot.TaskID, offset slot.Time)
 // loss), its registration removed, and its table slots freed for the
 // R-channel.
 func (m *Manager) UnloadPre(id slot.TaskID) error {
-	pt, ok := m.pre[id]
+	i, ok := m.preIndex(id)
 	if !ok {
 		return fmt.Errorf("hypervisor: pre-defined task %d not loaded", id)
 	}
+	pt := m.pre[i]
 	for {
 		j, ok := pt.pending.Pop()
 		if !ok {
@@ -61,12 +63,13 @@ func (m *Manager) UnloadPre(id slot.TaskID) error {
 			m.vmStats[vm].Dropped++
 		}
 	}
-	delete(m.pre, id)
-	for i, pid := range m.preIDs {
-		if pid == id {
-			m.preIDs = append(m.preIDs[:i:i], m.preIDs[i+1:]...)
-			break
-		}
+	m.setBusy(pt)
+	m.pre = slices.Delete(m.pre, i, i+1)
+	if pt.relIdx >= 0 {
+		m.rel.remove(pt)
+	} else {
+		k := slices.Index(m.unstarted, pt)
+		m.unstarted = slices.Delete(m.unstarted, k, k+1)
 	}
 	m.cfg.Table.Release(id)
 	return nil

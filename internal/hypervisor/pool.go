@@ -54,7 +54,9 @@ func (p *Pool) Len() int { return p.pq.Len() }
 func (p *Pool) Dropped() int64 { return p.dropped.Load() }
 
 // Admit buffers a run-time job, keyed by its absolute deadline. It
-// reports false (and counts a drop) when the pool is full.
+// reports false (and counts a drop) when the pool is full. The shadow
+// register is left as is; the manager runs Schedule after each
+// admission.
 func (p *Pool) Admit(j *task.Job) bool {
 	h, err := p.pq.Push(j.Deadline, j)
 	if err != nil {
@@ -68,7 +70,10 @@ func (p *Pool) Admit(j *task.Job) bool {
 // Schedule runs the local scheduler (L-Sched): it finds the buffered
 // job with the earliest deadline and maps it into the shadow register
 // for the global scheduler to consider. An empty pool clears the
-// register.
+// register. Running it after every change to the queue (Admit,
+// Remove) keeps the register equal to a per-slot refresh: a queued
+// job's key never changes, so neither does the minimum between
+// changes.
 func (p *Pool) Schedule() {
 	_, key, j, ok := p.pq.Min()
 	if !ok {

@@ -52,7 +52,7 @@ func (f *DistFold) AddRecorder(r Recorder) {
 		if f.exact == nil {
 			f.exact = &Sample{}
 		}
-		p.Each(f.exact.Add)
+		f.exact.AddSample(p)
 	case *Streaming:
 		if f.merged == nil {
 			f.merged = p.Clone()
@@ -73,7 +73,7 @@ func (f *DistFold) Merge(o *DistFold) error {
 		if f.exact == nil {
 			f.exact = &Sample{}
 		}
-		o.exact.Each(f.exact.Add)
+		f.exact.AddSample(o.exact)
 	}
 	if o.merged != nil {
 		if f.merged == nil {

@@ -19,9 +19,22 @@ type Sample struct {
 	sorted bool
 }
 
+// NewSample returns an empty sample with room for n observations.
+func NewSample(n int) *Sample { return &Sample{values: make([]float64, 0, n)} }
+
 // Add appends an observation.
 func (s *Sample) Add(v float64) {
 	s.values = append(s.values, v)
+	s.sorted = false
+}
+
+// AddSample appends every observation of o in its current order, as
+// o.Each(s.Add) would, in one copy.
+func (s *Sample) AddSample(o *Sample) {
+	if len(o.values) == 0 {
+		return
+	}
+	s.values = append(s.values, o.values...)
 	s.sorted = false
 }
 

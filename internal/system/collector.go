@@ -112,6 +112,11 @@ type Collector struct {
 	// that drives trace sinks online instead of replaying Each
 	// afterwards.
 	observers []func(j *task.Job, at slot.Time)
+
+	// presize is the exact mode's expected completion count (capped):
+	// the capacity of the completion log and of the trial-level
+	// response, tardiness and accuracy samples.
+	presize int
 }
 
 // maxCollectorPresize caps the pre-allocation of NewCollector: a
@@ -148,6 +153,7 @@ func NewSeededCollectorFor(mode MetricsMode, n int, seed int64) *Collector {
 			n = maxCollectorPresize
 		}
 		c.done = make([]completion, 0, n)
+		c.presize = n
 	}
 	c.ensure()
 	return c
@@ -156,8 +162,9 @@ func NewSeededCollectorFor(mode MetricsMode, n int, seed int64) *Collector {
 // Mode returns the collector's metrics mode.
 func (c *Collector) Mode() MetricsMode { return c.mode }
 
-// newRecorder builds one scalar recorder for the collector's mode.
-func (c *Collector) newRecorder() metrics.Recorder {
+// newRecorder builds one scalar recorder for the collector's mode; an
+// exact sample gets room for n observations.
+func (c *Collector) newRecorder(n int) metrics.Recorder {
 	switch c.mode {
 	case MetricsStream:
 		// Distinct deterministic seed per recorder: mix the trial
@@ -166,7 +173,7 @@ func (c *Collector) newRecorder() metrics.Recorder {
 		c.sketchSeq++
 		return metrics.NewStreaming(metrics.DefaultSketchEpsilon, s)
 	default:
-		return &metrics.Sample{}
+		return metrics.NewSample(n)
 	}
 }
 
@@ -174,8 +181,8 @@ func (c *Collector) newRecorder() metrics.Recorder {
 // stays usable.
 func (c *Collector) ensure() {
 	if c.response == nil {
-		c.response = c.newRecorder()
-		c.tardiness = c.newRecorder()
+		c.response = c.newRecorder(c.presize)
+		c.tardiness = c.newRecorder(c.presize)
 	}
 }
 
@@ -218,7 +225,7 @@ func teeInto(r metrics.Recorder, o metrics.Observer) metrics.Recorder {
 func (c *Collector) TrackAccuracy() {
 	c.ensure()
 	if c.accuracy == nil {
-		c.accuracy = c.newRecorder()
+		c.accuracy = c.newRecorder(c.presize)
 	}
 }
 
@@ -290,7 +297,7 @@ func (c *Collector) Complete(j *task.Job, at slot.Time) {
 	if c.trackByTask {
 		st, ok := c.perTask[j.Task.ID]
 		if !ok {
-			st = &TaskStat{Task: j.Task, Response: c.newRecorder()}
+			st = &TaskStat{Task: j.Task, Response: c.newRecorder(0)}
 			c.perTask[j.Task.ID] = st
 		}
 		st.observe(j, at)

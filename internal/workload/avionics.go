@@ -96,7 +96,10 @@ func GenerateAvionics(cfg AvionicsConfig) (task.Set, error) {
 		cfg.Partitions = 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var ts task.Set
+	entries, alarms := AvionicsEntries(), AvionicsAlarmEntries()
+	// Exact capacity: callers keep generated sets for a whole sweep,
+	// so append's spare capacity would be retained with them.
+	ts := make(task.Set, 0, cfg.Partitions*len(entries)+len(alarms))
 	id := 0
 	add := func(e Entry, jitter slot.Time) {
 		ts = append(ts, task.Sporadic{
@@ -114,7 +117,7 @@ func GenerateAvionics(cfg AvionicsConfig) (task.Set, error) {
 		id++
 	}
 	for p := 0; p < cfg.Partitions; p++ {
-		for _, e := range AvionicsEntries() {
+		for _, e := range entries {
 			if p > 0 {
 				e.Name = fmt.Sprintf("%s-%d", e.Name, p)
 			}
@@ -131,7 +134,7 @@ func GenerateAvionics(cfg AvionicsConfig) (task.Set, error) {
 			return p / 16
 		}
 	}
-	for _, e := range AvionicsAlarmEntries() {
+	for _, e := range alarms {
 		// Draw even when the value is overridden, so Seed changes the
 		// assignment order deterministically like the telemetry family.
 		_ = rng.Int63()

@@ -150,5 +150,5 @@ func GenerateTelemetry(cfg TelemetryConfig) (task.Set, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
-	return ts, nil
+	return exactCap(ts), nil
 }

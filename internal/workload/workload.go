@@ -227,7 +227,16 @@ func Generate(cfg Config) (task.Set, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
-	return ts, nil
+	return exactCap(ts), nil
+}
+
+// exactCap copies ts into a slice of exactly its length: callers keep
+// generated sets for a whole sweep, so append's spare capacity would
+// be retained with them.
+func exactCap(ts task.Set) task.Set {
+	out := make(task.Set, len(ts))
+	copy(out, ts)
+	return out
 }
 
 // DeviceUtilization returns the per-device utilization of a set.

@@ -260,3 +260,25 @@ func TestGenerateAt40PercentHasNoSynthetic(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratedSetsExactCapacity: sweeps keep every generated task set
+// alive for their whole run, so a generator must not hand back
+// append's spare capacity with it.
+func TestGeneratedSetsExactCapacity(t *testing.T) {
+	gens := map[string]func() (task.Set, error){
+		"case-study": func() (task.Set, error) { return Generate(Config{VMs: 4, TargetUtil: 0.8, Seed: 1}) },
+		"telemetry": func() (task.Set, error) {
+			return GenerateTelemetry(TelemetryConfig{VMs: 4, Sensors: 3, HotDevice: "can", HotUtil: 0.5, Seed: 1})
+		},
+		"avionics": func() (task.Set, error) { return GenerateAvionics(AvionicsConfig{VMs: 4, Partitions: 3, Seed: 1}) },
+	}
+	for name, gen := range gens {
+		ts, err := gen()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cap(ts) != len(ts) {
+			t.Errorf("%s: %d tasks in a set of capacity %d", name, len(ts), cap(ts))
+		}
+	}
+}
