@@ -301,12 +301,6 @@ func benchSuite(b *testing.B, prefix string) {
 	}
 }
 
-// BenchmarkEngineIdle measures the simulation engine on a mostly idle
-// horizon (one quiescent component, one event per 10k slots): the
-// dense variant steps every slot, fastforward uses the quiescence
-// protocol. Their ratio is the engine-level fast-forward speedup.
-func BenchmarkEngineIdle(b *testing.B) { benchSuite(b, "EngineIdle") }
-
 // BenchmarkRunSparse measures a full idle-heavy case-study trial
 // (stretched automotive workload, 0.05 per-device utilization) through
 // system.Run, dense vs fast-forward.

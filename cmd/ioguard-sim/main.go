@@ -161,10 +161,14 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 		}
 		return build(tr, col)
 	}
+	horizon, err := ts.Horizon(hps)
+	if err != nil {
+		return err
+	}
 	res, err := system.Run(wrapped, system.Trial{
 		VMs:     vms,
 		Tasks:   ts,
-		Horizon: ts.Hyperperiod() * slot.Time(hps),
+		Horizon: horizon,
 		Seed:    seed,
 		Dense:   dense,
 		Metrics: mode,
@@ -220,10 +224,14 @@ func runSweep(out io.Writer, sysName, family string, vms int, util float64, hps 
 	if err != nil {
 		return err
 	}
+	horizon, err := ts.Horizon(hps)
+	if err != nil {
+		return err
+	}
 	agg, err := system.ParallelSweep(build, system.Trial{
 		VMs:     vms,
 		Tasks:   ts,
-		Horizon: ts.Hyperperiod() * slot.Time(hps),
+		Horizon: horizon,
 		Seed:    seed,
 		Dense:   dense,
 		Metrics: ec.Metrics,

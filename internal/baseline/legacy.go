@@ -111,43 +111,12 @@ func (l *Legacy) Step(now slot.Time) {
 	l.t.step(now)
 }
 
-// NextWork implements the sim.Quiescer protocol: the transport when
-// busy, otherwise the earliest scheduled request injection.
-func (l *Legacy) NextWork(now slot.Time) slot.Time {
-	next := l.t.nextWork(now)
-	if next <= now {
-		return now
-	}
-	if _, at, _, ok := l.pending.Min(); ok {
-		if at <= now {
-			return now
-		}
-		if at < next {
-			next = at
-		}
-	}
-	return next
-}
-
-// SkipTo implements sim.Skipper: a skipped span only ever covers mesh
-// link countdowns (NextWork pins every other kind of progress), which
-// the transport replays in bulk.
-func (l *Legacy) SkipTo(from, to slot.Time) { l.t.skipTo(from, to) }
-
-// Devices returns the workload's device names; as a single shard the
-// legacy system consumes every released job.
-func (l *Legacy) Devices() []string { return l.devices }
-
 // Shards implements system.ShardedSystem with two region shards: the
 // processor band (kernel path + request injection + response ejection)
 // and the device row (stations), coupled only through the mesh's
-// boundary-flit horizons. Falls back to the monolithic single shard
-// if the region split is unavailable.
+// boundary-flit horizons.
 func (l *Legacy) Shards() []system.Shard {
-	if sh := l.t.regionShards(l, l.devices, l.Submit); sh != nil {
-		return sh
-	}
-	return []system.Shard{l}
+	return l.t.regionShards(l, l.devices, l.Submit)
 }
 
 // Pending visits jobs still inside the system.

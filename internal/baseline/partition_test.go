@@ -27,7 +27,11 @@ func TestPartitionQuiesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := quiescer(t, sys)
+	shards := sys.Shards()
+	if len(shards) != 1 {
+		t.Fatalf("single-device partition has %d shards, want 1", len(shards))
+	}
+	q := shards[0]
 	if got := q.NextWork(0); got != slot.Never {
 		t.Fatalf("idle system NextWork = %d, want Never", got)
 	}

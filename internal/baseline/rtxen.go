@@ -204,42 +204,12 @@ func (x *RTXen) Step(now slot.Time) {
 	x.t.step(now)
 }
 
-// NextWork implements the sim.Quiescer protocol. The VMM pipeline is
-// busy while any backend queue holds work; an operation inside the
-// serialized backend next matters at vmmBusyAt (its injection slot);
-// guest-side requests matter at their VMM-arrival slot.
-func (x *RTXen) NextWork(now slot.Time) slot.Time {
-	next := x.t.nextWork(now)
-	if next <= now {
-		return now
-	}
-	if at := x.pipeNextWork(now); at <= now {
-		return now
-	} else if at < next {
-		next = at
-	}
-	return next
-}
-
-// SkipTo implements sim.Skipper: skipped spans cover only mesh link
-// countdowns — NextWork pins VMM backend completion, queue service and
-// pending arrivals to executed slots.
-func (x *RTXen) SkipTo(from, to slot.Time) { x.t.skipTo(from, to) }
-
-// Devices returns the workload's device names; as a single shard the
-// RT-Xen system consumes every released job.
-func (x *RTXen) Devices() []string { return x.devices }
-
 // Shards implements system.ShardedSystem with two region shards: the
 // guest path and serialized VMM backend ride on the processor band,
 // the stations on the device row, coupled only through the mesh's
-// boundary-flit horizons. Falls back to the monolithic single shard
-// if the region split is unavailable.
+// boundary-flit horizons.
 func (x *RTXen) Shards() []system.Shard {
-	if sh := x.t.regionShards(x, x.devices, x.Submit); sh != nil {
-		return sh
-	}
-	return []system.Shard{x}
+	return x.t.regionShards(x, x.devices, x.Submit)
 }
 
 // Pending visits jobs anywhere in the software or transport pipeline.

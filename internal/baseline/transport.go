@@ -43,14 +43,13 @@ type meshTransport struct {
 	inflight   map[jobKey]*task.Job
 	respCost   slot.Time // software response-path cost at the processor
 
-	// Region mode (engaged by regionShards): the mesh is partitioned
-	// into the processor band and the device row, each advancing on its
-	// own virtual clock with boundary-flit horizons. The injector
-	// indirection lets sendRequest/sendResponse target whichever view
-	// of the mesh is live; monolithic runs keep mesh.Inject. regions is
-	// atomic so a stats snapshot may race the Shards() call that
-	// engages region mode.
-	regions    atomic.Pointer[[]*noc.Region]
+	// regions partition the mesh into the processor band (rows
+	// 0..H-2) and the device row (row H-1), each advancing on its own
+	// virtual clock with boundary-flit horizons; regionShards engages
+	// them. The injector indirection lets sendRequest/sendResponse
+	// target whichever view of the mesh is live; dense runs keep
+	// mesh.Inject.
+	regions    []*noc.Region
 	shards     []system.Shard
 	reqInject  func(now slot.Time, p *packet.Packet) bool
 	respInject func(now slot.Time, p *packet.Packet) bool
@@ -103,6 +102,18 @@ func newMeshTransport(vms int, devices []string, col *system.Collector, respCost
 		}
 		t.stations[dev] = st
 	}
+	regions, err := noc.Regions(cfg, []int{cfg.Height - 1, 1})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range regions {
+		r.OnDeliver = t.onDeliver
+	}
+	// The device row consumes delivered requests and its stations emit
+	// responses back toward the processor band: same-side feedback the
+	// region's horizon accounting must know about.
+	regions[1].Loopback = true
+	t.regions = regions
 	mesh.OnDeliver = t.onDeliver
 	t.reqInject = mesh.Inject
 	t.respInject = mesh.Inject
@@ -225,27 +236,6 @@ func (t *meshTransport) step(now slot.Time) {
 	}
 }
 
-// nextWork reports when the transport next needs a step: now while
-// any station is serving/queueing work, the mesh's transit horizon
-// while packets are only counting down link serialization (the gap
-// the fast-forward may skip), slot.Never once everything has drained
-// (the mesh and stations generate no work on their own).
-func (t *meshTransport) nextWork(now slot.Time) slot.Time {
-	for _, st := range t.stations {
-		if st.busy() {
-			return now
-		}
-	}
-	return t.mesh.NextWork(now)
-}
-
-// skipTo bulk-advances the mesh's in-transit links over a skipped
-// span. Stations are idle whenever the engine skips (nextWork pins
-// busy stations to now), so only link countdowns need replaying.
-func (t *meshTransport) skipTo(from, to slot.Time) {
-	t.mesh.SkipTo(from, to)
-}
-
 // deviceNames returns the devices in deterministic (tile) order.
 func (t *meshTransport) deviceNames() []string {
 	cfg := t.mesh.Config()
@@ -273,39 +263,23 @@ func (t *meshTransport) pendingJobs(visit func(j *task.Job)) {
 // the mesh, sharded runs the regions), so the merge is a plain sum.
 func (t *meshTransport) meshStats() noc.Stats {
 	s := t.mesh.Stats()
-	if rp := t.regions.Load(); rp != nil {
-		for _, r := range *rp {
-			s = s.Merge(r.Stats())
-		}
+	for _, r := range t.regions {
+		s = s.Merge(r.Stats())
 	}
 	return s
 }
 
 // regionShards partitions the transport for multi-shard execution:
-// the processor band (rows 0..H-2, where requests originate and
-// responses eject) and the device row (row H-1, stations included)
-// each become one shard over a noc.Region. Injectors are rebound to
-// the regions — safe because system.Run only calls Shards() on the
-// non-dense path, and a system instance drives exactly one trial.
+// the processor band (where requests originate and responses eject)
+// and the device row (stations included) each become one shard over
+// their noc.Region. Injectors are rebound to the regions — safe
+// because system.Run only calls Shards() on the non-dense path, and a
+// system instance drives exactly one trial.
 func (t *meshTransport) regionShards(pipe guestPipe, devices []string, submit func(now slot.Time, j *task.Job)) []system.Shard {
 	if t.shards != nil {
 		return t.shards
 	}
-	cfg := t.mesh.Config()
-	regions, err := noc.Regions(cfg, []int{cfg.Height - 1, 1})
-	if err != nil {
-		// cfg came from a validated mesh, so this cannot happen; fall
-		// back to the monolithic single-shard path rather than panic.
-		return nil
-	}
-	proc, dev := regions[0], regions[1]
-	proc.OnDeliver = t.onDeliver
-	dev.OnDeliver = t.onDeliver
-	// The device row consumes delivered requests and its stations emit
-	// responses back toward the processor band: same-side feedback the
-	// region's horizon accounting must know about.
-	dev.Loopback = true
-	t.regions.Store(&regions)
+	proc, dev := t.regions[0], t.regions[1]
 	t.reqInject = proc.Inject
 	t.respInject = dev.Inject
 	stations := make([]*station, 0, len(t.stations))

@@ -4,11 +4,11 @@
 // trajectory (BENCH_sim.json). Keeping the bodies here guarantees the
 // two entry points measure exactly the same work.
 //
-// The dense/fastforward pairs exist to quantify the engine's
-// idle-slot fast-forward: both variants execute the identical
-// simulation — the equivalence tests enforce bit-identical results —
-// so their ratio is pure scheduling-loop speedup. For full trials the
-// fastforward variant is system.Run's sharded executor.
+// The dense/fastforward pairs exist to quantify system.Run's idle-slot
+// fast-forward: both variants execute the identical trial — the
+// equivalence tests enforce bit-identical results — so their ratio is
+// pure scheduling-loop speedup. The dense variant is the reference
+// loop, the fastforward variant the sharded executor.
 package benchsuite
 
 import (
@@ -19,7 +19,6 @@ import (
 	"ioguard/internal/experiments"
 	"ioguard/internal/hypervisor"
 	"ioguard/internal/queue"
-	"ioguard/internal/sim"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/task"
@@ -33,73 +32,6 @@ type Spec struct {
 	Name       string
 	SlotsPerOp int64
 	Bench      func(b *testing.B)
-}
-
-// engineIdleSlots is the horizon of the EngineIdle benchmark: a mostly
-// idle engine with one quiescent component and an event every
-// engineIdleEvery slots.
-const (
-	engineIdleSlots = 1_000_000
-	engineIdleEvery = 10_000
-)
-
-// idleStepper is never busy; it counts executed slots and skipped
-// spans so the benchmark can assert full coverage of the horizon.
-type idleStepper struct {
-	stepped int64
-	skipped slot.Time
-}
-
-func (s *idleStepper) Step(slot.Time)               { s.stepped++ }
-func (s *idleStepper) NextWork(slot.Time) slot.Time { return slot.Never }
-func (s *idleStepper) SkipTo(from, to slot.Time)    { s.skipped += to - from }
-
-func engineIdle(b *testing.B, dense bool) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := sim.New(1)
-		st := &idleStepper{}
-		e.Register(st)
-		fired := 0
-		for at := slot.Time(0); at < engineIdleSlots; at += engineIdleEvery {
-			e.At(at, func(slot.Time) { fired++ })
-		}
-		if dense {
-			e.RunDense(engineIdleSlots)
-		} else {
-			e.Run(engineIdleSlots)
-		}
-		if fired != engineIdleSlots/engineIdleEvery {
-			b.Fatalf("fired %d events, want %d", fired, engineIdleSlots/engineIdleEvery)
-		}
-		if st.stepped+int64(st.skipped) != engineIdleSlots {
-			b.Fatalf("stepped %d + skipped %d ≠ horizon %d", st.stepped, st.skipped, engineIdleSlots)
-		}
-	}
-}
-
-// engineEventSlots is the horizon of the EngineEvents benchmark: a
-// self-rescheduling event chain exercises the event heap every slot.
-const engineEventSlots = 100_000
-
-func engineEvents(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := sim.New(1)
-		var fired int64
-		var chain func(now slot.Time)
-		chain = func(now slot.Time) {
-			fired++
-			if now+1 < engineEventSlots {
-				e.After(1, chain)
-			}
-		}
-		e.At(0, chain)
-		e.Run(engineEventSlots)
-		if fired != engineEventSlots {
-			b.Fatalf("fired %d events, want %d", fired, engineEventSlots)
-		}
-	}
 }
 
 // sparseStretch derives the idle-heavy cell: the case-study workload's
@@ -297,11 +229,6 @@ func pqChurn(b *testing.B) {
 // sub-benchmark paths the `go test -bench` wrappers expose.
 func Specs() []Spec {
 	return []Spec{
-		{Name: "EngineIdle/dense", SlotsPerOp: engineIdleSlots,
-			Bench: func(b *testing.B) { engineIdle(b, true) }},
-		{Name: "EngineIdle/fastforward", SlotsPerOp: engineIdleSlots,
-			Bench: func(b *testing.B) { engineIdle(b, false) }},
-		{Name: "EngineEvents", SlotsPerOp: engineEventSlots, Bench: engineEvents},
 		{Name: "RunSparse/dense", SlotsPerOp: sparseSlotsPerOp(),
 			Bench: func(b *testing.B) { runSparse(b, true) }},
 		{Name: "RunSparse/fastforward", SlotsPerOp: sparseSlotsPerOp(),

@@ -5,49 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"ioguard/internal/metrics"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/workload"
 )
-
-// unsharded wraps a system so that it no longer advertises
-// system.ShardedSystem: system.Run then drives it through the dense
-// loop even with Dense unset — the path every system without shards
-// takes.
-type unsharded struct{ system.System }
-
-func wrapUnsharded(build system.Builder) system.Builder {
-	return func(tr system.Trial, col *system.Collector) (system.System, error) {
-		sys, err := build(tr, col)
-		if err != nil {
-			return nil, err
-		}
-		return unsharded{sys}, nil
-	}
-}
-
-// runThree executes the identical trial three ways: dense, unsharded
-// (the dense loop reached by Run's fallback instead of the Dense
-// flag), and on the sharded executor.
-func runThree(t *testing.T, build system.Builder, tr system.Trial) (dense, plain, sharded *metrics.TrialResult) {
-	t.Helper()
-	tr.Dense = true
-	dense, err := system.Run(build, tr)
-	if err != nil {
-		t.Fatalf("dense run: %v", err)
-	}
-	tr.Dense = false
-	plain, err = system.Run(wrapUnsharded(build), tr)
-	if err != nil {
-		t.Fatalf("unsharded run: %v", err)
-	}
-	sharded, err = system.Run(build, tr)
-	if err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	return dense, plain, sharded
-}
 
 // TestDecoupledEquivalenceTelemetry pits dense stepping against the
 // decoupled per-device clocks on the bursty-telemetry family — sparse
@@ -77,11 +38,10 @@ func TestDecoupledEquivalenceTelemetry(t *testing.T) {
 	}
 }
 
-// TestDecoupledThreeWayEquivalence checks that all three ways into
-// Run — dense, a system without shards (via a wrapper that hides
-// Shards), decoupled shard clocks — agree byte-for-byte on both the
-// case-study and telemetry workloads, for every system.
-func TestDecoupledThreeWayEquivalence(t *testing.T) {
+// TestDecoupledEquivalenceWorkloads checks that dense stepping and the
+// decoupled shard clocks agree byte-for-byte on both the case-study
+// and telemetry workloads, for every system.
+func TestDecoupledEquivalenceWorkloads(t *testing.T) {
 	caseTS, err := workload.Generate(workload.Config{VMs: 4, TargetUtil: 0.7, Seed: 101})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +62,7 @@ func TestDecoupledThreeWayEquivalence(t *testing.T) {
 		build := builders[name]
 		for _, w := range workloads {
 			t.Run(fmt.Sprintf("%s/%s", name, w.name), func(t *testing.T) {
-				dense, plain, sharded := runThree(t, build, w.tr)
-				requireEqual(t, dense, plain)
+				dense, sharded := runBoth(t, build, w.tr)
 				requireEqual(t, dense, sharded)
 			})
 		}

@@ -25,7 +25,6 @@ import (
 	"ioguard/internal/hw"
 	"ioguard/internal/hypervisor"
 	"ioguard/internal/metrics"
-	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/workload"
 )
@@ -179,7 +178,10 @@ func CaseStudy(cfg CaseStudyConfig) ([]CaseStudyPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			horizon := ts.Hyperperiod() * slot.Time(cfg.HyperPeriods)
+			horizon, err := ts.Horizon(cfg.HyperPeriods)
+			if err != nil {
+				return nil, err
+			}
 			for _, name := range names {
 				build, ok := builders[name]
 				if !ok {

@@ -16,7 +16,6 @@ import (
 
 	"ioguard/internal/faults"
 	"ioguard/internal/metrics"
-	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/workload"
 )
@@ -125,7 +124,10 @@ func Robustness(cfg RobustnessConfig) ([]RobustnessPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			horizon := ts.Hyperperiod() * slot.Time(cfg.HyperPeriods)
+			horizon, err := ts.Horizon(cfg.HyperPeriods)
+			if err != nil {
+				return nil, err
+			}
 			for _, name := range names {
 				build, ok := builders[name]
 				if !ok {

@@ -57,32 +57,6 @@ func (p Port) String() string {
 	}
 }
 
-// Arbitration selects how router output ports order waiting packets.
-type Arbitration uint8
-
-// Arbitration policies.
-const (
-	// FIFOArbitration is the conventional router: first come, first
-	// served (the policy that makes BS|Legacy unpredictable).
-	FIFOArbitration Arbitration = iota
-	// DeadlineArbitration forwards the earliest-deadline waiting
-	// packet first — a predictability-focused router extension in the
-	// spirit of the paper's assumption (i); provided for ablations.
-	DeadlineArbitration
-)
-
-// String returns the policy name.
-func (a Arbitration) String() string {
-	switch a {
-	case FIFOArbitration:
-		return "fifo"
-	case DeadlineArbitration:
-		return "deadline"
-	default:
-		return fmt.Sprintf("arbitration(%d)", uint8(a))
-	}
-}
-
 // flight is a packet in transit through one router output port.
 type flight struct {
 	pkt      *packet.Packet
@@ -90,45 +64,10 @@ type flight struct {
 	left     slot.Time // remaining slots on the current link
 }
 
-// pktQueue abstracts the per-port waiting buffer so both arbitration
-// policies share the router pipeline.
-type pktQueue interface {
-	push(f *flight) bool
-	pop() (*flight, bool)
-	len() int
-	each(visit func(f *flight))
-}
-
-// fifoPktQueue adapts queue.FIFO.
-type fifoPktQueue struct{ q *queue.FIFO[*flight] }
-
-func (f fifoPktQueue) push(fl *flight) bool        { return f.q.Push(fl) }
-func (f fifoPktQueue) pop() (*flight, bool)        { return f.q.Pop() }
-func (f fifoPktQueue) len() int                    { return f.q.Len() }
-func (f fifoPktQueue) each(visit func(fl *flight)) { f.q.Each(visit) }
-
-// prioPktQueue adapts queue.PQ keyed by packet deadline.
-type prioPktQueue struct {
-	q *queue.PQ[*flight]
-}
-
-func (p prioPktQueue) push(fl *flight) bool {
-	_, err := p.q.Push(fl.pkt.Deadline, fl)
-	return err == nil
-}
-func (p prioPktQueue) pop() (*flight, bool) {
-	_, fl, ok := p.q.PopMin()
-	return fl, ok
-}
-func (p prioPktQueue) len() int { return p.q.Len() }
-func (p prioPktQueue) each(visit func(fl *flight)) {
-	p.q.Each(func(_ queue.Handle, _ slot.Time, fl *flight) { visit(fl) })
-}
-
-// outPort is one router output: an arbiter plus the link currently
-// serializing a packet.
+// outPort is one router output: a FIFO arbiter plus the link
+// currently serializing a packet.
 type outPort struct {
-	waiting pktQueue
+	waiting *queue.FIFO[*flight]
 	current *flight
 }
 
@@ -141,10 +80,9 @@ type router struct {
 // Config parameterizes the mesh.
 type Config struct {
 	Width, Height int
-	FlitBytes     int         // link width; default 4
-	HopLatency    slot.Time   // router pipeline latency per hop; default 1
-	QueueDepth    int         // per-port buffer depth; 0 = unbounded
-	Arbitration   Arbitration // output-port policy; default FIFO
+	FlitBytes     int       // link width; default 4
+	HopLatency    slot.Time // router pipeline latency per hop; default 1
+	QueueDepth    int       // per-port buffer depth; 0 = unbounded
 }
 
 // DefaultConfig returns the 5×5 mesh of the evaluation platform.
@@ -166,13 +104,10 @@ func (c Config) normalized() (Config, error) {
 	return c, nil
 }
 
-// newPktQueue builds the per-port waiting buffer for the configured
-// arbitration policy.
-func newPktQueue(c Config) pktQueue {
-	if c.Arbitration == DeadlineArbitration {
-		return prioPktQueue{q: queue.NewPQ[*flight](c.QueueDepth)}
-	}
-	return fifoPktQueue{q: queue.NewFIFO[*flight](c.QueueDepth)}
+// newOutPort builds one router output with an empty FIFO of the
+// configured depth.
+func newOutPort(c Config) *outPort {
+	return &outPort{waiting: queue.NewFIFO[*flight](c.QueueDepth)}
 }
 
 // coordAt returns the tile coordinate of router index ri under c.
@@ -256,13 +191,13 @@ func (s Stats) AvgDelay() float64 {
 	return float64(s.TotalDelay) / float64(s.Delivered)
 }
 
-// Mesh is the simulated NoC. It implements sim.Stepper; step it once
-// per slot. Delivered packets are handed to the OnDeliver callback.
+// Mesh is the simulated NoC as one unit, stepped once per slot: the
+// dense reference that the region shards (Regions) reproduce.
+// Delivered packets are handed to the OnDeliver callback.
 type Mesh struct {
-	cfg      Config
-	routers  []*router
-	stats    Stats
-	inflight int // packets queued or on a link, maintained O(1)
+	cfg     Config
+	routers []*router
+	stats   Stats
 
 	// OnDeliver is invoked when a packet reaches its destination's
 	// local port. It may be nil.
@@ -280,7 +215,7 @@ func New(cfg Config) (*Mesh, error) {
 		for x := 0; x < cfg.Width; x++ {
 			r := &router{at: Coord{x, y}}
 			for p := range r.out {
-				r.out[p] = &outPort{waiting: newPktQueue(cfg)}
+				r.out[p] = newOutPort(cfg)
 			}
 			m.routers = append(m.routers, r)
 		}
@@ -347,19 +282,18 @@ func (m *Mesh) Inject(now slot.Time, pkt *packet.Packet) bool {
 	r := m.routers[pkt.Src]
 	port := m.route(r.at, m.CoordOf(pkt.Dst))
 	fl := &flight{pkt: pkt, injected: now}
-	if !r.out[port].waiting.push(fl) {
+	if !r.out[port].waiting.Push(fl) {
 		m.stats.Dropped++
 		return false
 	}
 	m.noteDepth(r.out[port])
 	m.stats.Injected++
-	m.inflight++
 	return true
 }
 
 // noteDepth tracks the deepest per-port backlog seen.
 func (m *Mesh) noteDepth(op *outPort) {
-	if d := op.waiting.len(); d > m.stats.MaxQueued {
+	if d := op.waiting.Len(); d > m.stats.MaxQueued {
 		m.stats.MaxQueued = d
 	}
 }
@@ -379,7 +313,7 @@ func (m *Mesh) Step(now slot.Time) {
 		for p := Port(0); p < numPorts; p++ {
 			op := r.out[p]
 			if op.current == nil {
-				if fl, ok := op.waiting.pop(); ok {
+				if fl, ok := op.waiting.Pop(); ok {
 					fl.left = m.linkSlots(fl.pkt)
 					op.current = fl
 				}
@@ -406,9 +340,8 @@ func (m *Mesh) Step(now slot.Time) {
 		next := m.neighbor(a.at, a.port)
 		nr := m.routers[next]
 		port := m.route(nr.at, m.CoordOf(a.fl.pkt.Dst))
-		if !nr.out[port].waiting.push(a.fl) {
+		if !nr.out[port].waiting.Push(a.fl) {
 			m.stats.Dropped++ // bounded buffer overflow mid-route
-			m.inflight--
 		} else {
 			m.noteDepth(nr.out[port])
 		}
@@ -416,7 +349,6 @@ func (m *Mesh) Step(now slot.Time) {
 }
 
 func (m *Mesh) deliver(fl *flight, now slot.Time) {
-	m.inflight--
 	m.stats.Delivered++
 	d := now + 1 - fl.injected
 	m.stats.TotalDelay += d
@@ -433,68 +365,13 @@ func (m *Mesh) neighbor(ri int, port Port) int {
 	return neighborIdx(m.cfg, ri, port)
 }
 
-// InFlight returns the number of packets inside the NoC in O(1); it
-// equals Pending() at every slot boundary and backs NextWork.
-func (m *Mesh) InFlight() int { return m.inflight }
-
-// NextWork implements the sim.Quiescer protocol. An empty mesh has no
-// self-generated work, ever. A busy mesh next changes observable state
-// when a hop completes (the packet moves routers or delivers) or when
-// an idle link can pull a waiting packet — in between, links only
-// count down serialization slots, which SkipTo replays in bulk. The
-// returned slot is exact: the earliest hop completion is at
-// now + left - 1 because Step decrements before testing.
-func (m *Mesh) NextWork(now slot.Time) slot.Time {
-	if m.inflight == 0 {
-		return slot.Never
-	}
-	next := slot.Never
-	for _, r := range m.routers {
-		for p := Port(0); p < numPorts; p++ {
-			op := r.out[p]
-			if op.current == nil {
-				if op.waiting.len() > 0 {
-					return now // an idle link pulls a packet this slot
-				}
-				continue
-			}
-			if op.current.left <= 1 {
-				return now // hop completes during Step(now)
-			}
-			if at := now + op.current.left - 1; at < next {
-				next = at
-			}
-		}
-	}
-	return next
-}
-
-// SkipTo advances every in-transit link across a fast-forwarded span
-// [from, to): each current flight's remaining serialization shrinks by
-// the span, exactly as to-from calls to Step would have left it. The
-// engine only skips spans NextWork cleared, so no hop can complete (or
-// waiting packet be pulled) inside the span.
-func (m *Mesh) SkipTo(from, to slot.Time) {
-	if m.inflight == 0 {
-		return
-	}
-	span := to - from
-	for _, r := range m.routers {
-		for p := Port(0); p < numPorts; p++ {
-			if fl := r.out[p].current; fl != nil {
-				fl.left -= span
-			}
-		}
-	}
-}
-
 // Pending returns the number of packets currently inside the NoC
 // (queued or on a link).
 func (m *Mesh) Pending() int {
 	n := 0
 	for _, r := range m.routers {
 		for p := Port(0); p < numPorts; p++ {
-			n += r.out[p].waiting.len()
+			n += r.out[p].waiting.Len()
 			if r.out[p].current != nil {
 				n++
 			}

@@ -2,9 +2,8 @@
 // contiguous row bands, each advancing on its own virtual clock.
 //
 // The monolithic Mesh steps all Width×Height routers under one clock,
-// so one busy row pins every idle row to dense stepping — which is why
-// the Legacy/RT-Xen baselines could not join the per-shard
-// fast-forward. A Region owns one row band and exchanges cross-band
+// so one busy row would pin every idle row to dense stepping; it stays
+// as the dense reference. A Region owns one row band and exchanges cross-band
 // traffic through boundary mailboxes; the conservative-lookahead
 // discipline that makes decoupled clocks sound is the boundary-flit
 // horizon each region publishes:
@@ -213,7 +212,7 @@ func Regions(cfg Config, rows []int) ([]*Region, error) {
 		for ri := r.first; ri <= r.last; ri++ {
 			rt := &router{at: coordAt(cfg, ri)}
 			for p := range rt.out {
-				rt.out[p] = &outPort{waiting: newPktQueue(cfg)}
+				rt.out[p] = newOutPort(cfg)
 			}
 			r.routers = append(r.routers, rt)
 		}
@@ -238,10 +237,6 @@ func Regions(cfg Config, rows []int) ([]*Region, error) {
 // call from any goroutine while the region runs.
 func (r *Region) Stats() Stats { return r.stats.snapshot() }
 
-// InFlight returns the number of packets currently owned by this band
-// (excluding crossings parked in boundary mailboxes).
-func (r *Region) InFlight() int { return r.inflight }
-
 // Owns reports whether the band contains the given tile.
 func (r *Region) Owns(id packet.NodeID) bool {
 	return int(id) >= r.first && int(id) <= r.last
@@ -249,7 +244,7 @@ func (r *Region) Owns(id packet.NodeID) bool {
 
 // noteDepth tracks the deepest per-port backlog seen.
 func (r *Region) noteDepth(op *outPort) {
-	if d := int64(op.waiting.len()); d > r.stats.maxQueued.Load() {
+	if d := int64(op.waiting.Len()); d > r.stats.maxQueued.Load() {
 		r.stats.maxQueued.Store(d)
 	}
 }
@@ -265,7 +260,7 @@ func (r *Region) Inject(now slot.Time, pkt *packet.Packet) bool {
 	rt := r.routers[li]
 	port := routeXY(rt.at, coordAt(r.cfg, int(pkt.Dst)))
 	fl := &flight{pkt: pkt, injected: now}
-	if !rt.out[port].waiting.push(fl) {
+	if !rt.out[port].waiting.Push(fl) {
 		r.stats.dropped.Add(1)
 		return false
 	}
@@ -281,7 +276,7 @@ func (r *Region) Inject(now slot.Time, pkt *packet.Packet) bool {
 func (r *Region) applyOne(c crossing) {
 	li := c.dst - r.first
 	op := r.routers[li].out[c.port]
-	if !op.waiting.push(c.fl) {
+	if !op.waiting.Push(c.fl) {
 		r.stats.dropped.Add(1) // bounded buffer overflow mid-route
 		return
 	}
@@ -335,7 +330,7 @@ func (r *Region) Advance(now slot.Time) {
 			}
 			op := rt.out[p]
 			if op.current == nil {
-				fl, ok := op.waiting.pop()
+				fl, ok := op.waiting.Pop()
 				if !ok {
 					r.masks[li] &^= 1 << p
 					continue
@@ -349,7 +344,7 @@ func (r *Region) Advance(now slot.Time) {
 			}
 			fl := op.current
 			op.current = nil
-			if op.waiting.len() == 0 {
+			if op.waiting.Len() == 0 {
 				r.masks[li] &^= 1 << p
 			}
 			hops = append(hops, crossing{fl: fl, dst: r.first + li, port: p, arrival: now})
@@ -417,7 +412,7 @@ func (r *Region) outHorizon(toPrev bool, pub, nextEmit slot.Time) slot.Time {
 		op := r.routers[li].out[bp]
 		if op.current != nil {
 			min(pub + op.current.left - 1)
-		} else if op.waiting.len() > 0 {
+		} else if op.waiting.Len() > 0 {
 			min(pub + r.minLink - 1)
 		}
 	}
@@ -571,8 +566,9 @@ func (r *Region) NextWork(now slot.Time) slot.Time {
 }
 
 // SkipTo advances every in-transit link across a fast-forwarded span
-// [from, to), exactly as Mesh.SkipTo does for the whole grid. The
-// caller must Publish(to, …) afterwards so neighbors observe the jump.
+// [from, to): each current flight's remaining serialization shrinks by
+// the span, exactly as to-from calls to Advance would have left it.
+// The caller must Publish(to, …) afterwards so neighbors observe the jump.
 func (r *Region) SkipTo(from, to slot.Time) {
 	span := to - from
 	for li, rt := range r.routers {

@@ -81,8 +81,8 @@ func runMonolithic(t *testing.T, injs []regInjection, horizon slot.Time) ([]regD
 		}
 		m.Step(now)
 	}
-	if m.InFlight() != 0 {
-		t.Fatalf("monolithic mesh still has %d packets in flight at the horizon", m.InFlight())
+	if n := m.Pending(); n != 0 {
+		t.Fatalf("monolithic mesh still has %d packets in flight at the horizon", n)
 	}
 	return got, m.Stats()
 }

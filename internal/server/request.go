@@ -91,9 +91,6 @@ func normalize(req TrialRequest) (*normalized, error) {
 	if req.Trials < 0 {
 		return nil, fmt.Errorf("trials must be positive (got %d)", req.Trials)
 	}
-	if req.Hyperperiods < 0 {
-		return nil, fmt.Errorf("hyperperiods must be positive (got %d)", req.Hyperperiods)
-	}
 	plan := faults.Plan{
 		Seed:          req.FaultSeed,
 		ReleaseJitter: slot.Time(req.FaultJitter),
@@ -117,13 +114,17 @@ func normalize(req TrialRequest) (*normalized, error) {
 	if err != nil {
 		return nil, err
 	}
+	horizon, err := ts.Horizon(req.Hyperperiods)
+	if err != nil {
+		return nil, err
+	}
 	return &normalized{
 		req:   req,
 		build: build,
 		trial: system.Trial{
 			VMs:     req.VMs,
 			Tasks:   ts,
-			Horizon: ts.Hyperperiod() * slot.Time(req.Hyperperiods),
+			Horizon: horizon,
 			Seed:    req.Seed,
 			Dense:   req.Dense,
 			Metrics: mode,

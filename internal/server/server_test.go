@@ -150,6 +150,10 @@ func TestBadRequestsRejected(t *testing.T) {
 		{"fault_drop": 2.0},
 		{"fault_delay": 0.5}, // delay probability without fault_delay_max
 		{"fault_jitter": -3},
+		{"hyperperiods": -1},
+		// 1152921504606847 × H = 16000 (the default system) overflows
+		// slot.Time and wraps to a 384-slot horizon.
+		{"hyperperiods": 1152921504606847},
 	} {
 		resp := postJSON(t, hts.URL+"/v1/trials", body)
 		resp.Body.Close()

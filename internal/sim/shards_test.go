@@ -411,3 +411,85 @@ func TestShardSetRunEpochs(t *testing.T) {
 		}
 	}
 }
+
+// recorder is a single shard with a scripted busy set: it records
+// every Step slot and every skipped span.
+type recorder struct {
+	busy    []slot.Time // sorted
+	stepped []slot.Time
+	spans   [][2]slot.Time
+}
+
+func (r *recorder) Step(now slot.Time) { r.stepped = append(r.stepped, now) }
+
+func (r *recorder) NextWork(now slot.Time) slot.Time {
+	for _, at := range r.busy {
+		if at >= now {
+			return at
+		}
+	}
+	return slot.Never
+}
+
+func (r *recorder) SkipTo(from, to slot.Time) { r.spans = append(r.spans, [2]slot.Time{from, to}) }
+
+// TestRunSkipsIdleRegions: only declared-busy slots (plus slot 0,
+// which Run always executes before consulting NextWork) are stepped,
+// and the skipped spans tile the gaps exactly, in order.
+func TestRunSkipsIdleRegions(t *testing.T) {
+	r := &recorder{busy: []slot.Time{5, 6, 100}}
+	s := NewShardSet()
+	s.Add(r)
+	s.Run(1000, nil, nil)
+	if got := s.Clock(0); got != 1000 {
+		t.Fatalf("clock = %d, want 1000", got)
+	}
+	if want := []slot.Time{0, 5, 6, 100}; !reflect.DeepEqual(r.stepped, want) {
+		t.Errorf("stepped %v, want %v", r.stepped, want)
+	}
+	want := [][2]slot.Time{{1, 5}, {7, 100}, {101, 1000}}
+	if !reflect.DeepEqual(r.spans, want) {
+		t.Errorf("skipped spans %v, want %v", r.spans, want)
+	}
+}
+
+// TestShardSetRunAllocFree: once the scheduler heap has grown, running
+// further windows over allocation-free shards must not allocate.
+func TestShardSetRunAllocFree(t *testing.T) {
+	busy := make([]slot.Time, 0, 64)
+	for at := slot.Time(0); at < 1<<20; at += 4099 {
+		busy = append(busy, at)
+	}
+	s := NewShardSet()
+	for i := 0; i < 4; i++ {
+		s.Add(&probe{t: t, name: fmt.Sprintf("p%d", i), work: busy})
+	}
+	end := slot.Time(1024)
+	s.Run(end, nil, nil) // warm up: heap at steady size
+	allocs := testing.AllocsPerRun(200, func() {
+		end += 1024
+		s.Run(end, nil, nil)
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state Run allocates %.3f allocs/op, want 0", allocs)
+	}
+}
+
+// TestRunAdvancesTime: a shard starts at slot 0, Run moves its clock to
+// exactly until, and a Run into the past is a no-op.
+func TestRunAdvancesTime(t *testing.T) {
+	s := NewShardSet()
+	s.Add(&probe{t: t, name: "p", work: []slot.Time{3}})
+	if got := s.Clock(0); got != 0 {
+		t.Fatalf("clock = %d before any Run, want 0", got)
+	}
+	s.Run(10, nil, nil)
+	if got := s.Clock(0); got != 10 {
+		t.Fatalf("clock = %d, want 10", got)
+	}
+	before := s.Stats(0)
+	s.Run(5, nil, nil)
+	if got := s.Clock(0); got != 10 || s.Stats(0) != before {
+		t.Errorf("Run into the past moved the shard: clock %d, stats %+v (was %+v)", got, s.Stats(0), before)
+	}
+}

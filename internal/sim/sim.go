@@ -1,61 +1,57 @@
-// Package sim provides the deterministic slot-stepped simulation
-// engine that stands in for the VC709 FPGA platform of the paper's
-// evaluation. All system elements synchronize to a single global
-// timer (assumption (iii) of Sec. II); the engine models that timer
-// and advances every registered component one time slot at a time.
+// Package sim provides the deterministic slot-stepped clock that
+// stands in for the VC709 FPGA platform of the paper's evaluation.
+// All system elements synchronize to a single global timer
+// (assumption (iii) of Sec. II); ShardSet models that timer as one
+// local virtual clock per independent component and is the only
+// fast-forward engine in the simulator. The dense reference loop
+// (system.Run with Trial.Dense) steps every slot instead.
 //
 // Determinism matters: the paper re-runs each configuration 1000
-// times with identical inputs across systems; the engine therefore
-// derives all randomness from one seeded source so that "the data
-// input to the examined systems was identical in each execution".
+// times with identical inputs across systems, so "the data input to
+// the examined systems was identical in each execution". Callers seed
+// every random source explicitly; this package draws none.
 //
 // # Determinism contract
 //
 // Independent of how time advances, the observable order of work is
 // fixed:
 //
-//   - events fire in (at, seq) order — earliest slot first, ties
-//     broken by scheduling order — before any Stepper of that slot;
-//   - steppers run once per executed slot, in registration order;
-//   - fast-forwarding (below) may never skip a slot that any
-//     component declared busy, so it is invisible to the simulated
-//     system: dense stepping and fast-forward stepping produce
-//     identical results, bit for bit.
+//   - a component is stepped at most once per slot, and every slot it
+//     is not stepped in is reported to its Skipper;
+//   - (slot, component) pairs execute in lexicographic order, so
+//     equal-slot components step in registration order, as a dense
+//     loop steps them;
+//   - fast-forwarding may never skip a slot that a component declared
+//     busy or that could carry an external input to it, so it is
+//     invisible to the simulated system: dense stepping and
+//     fast-forward stepping produce identical results, bit for bit.
 //
 // # Quiescence protocol
 //
-// Run fast-forwards over idle regions instead of stepping them slot
-// by slot. A Stepper opts in by implementing Quiescer: NextWork(now)
-// returns the earliest slot ≥ now at which the component needs to be
-// stepped (now itself if it is busy, slot.Never if it is fully
-// drained), assuming every slot before now has been stepped. Steppers
-// that do not implement Quiescer are treated as always busy — the
-// compatible default — which forces dense stepping of the whole
-// engine. Components that account per-slot statistics over idle spans
-// (e.g. table-idle counters) additionally implement Skipper; SkipTo
-// observes the skipped span [from, to) in bulk.
+// A component opts into fast-forward by implementing Quiescer:
+// NextWork(now) returns the earliest slot ≥ now at which the component
+// needs to be stepped (now itself if it is busy, slot.Never if it is
+// fully drained), assuming every slot before now has been stepped.
+// Components that account per-slot statistics over idle spans (e.g.
+// table-idle counters) additionally implement Skipper; SkipTo observes
+// the skipped span [from, to) in bulk.
 //
 // # Per-component clocks
 //
-// The Engine's fast-forward takes one global min over every
-// component's NextWork, so a single busy component forces dense
-// stepping of all the others. ShardSet lifts that restriction for
-// groups of independent components: each shard owns a local virtual
-// clock and advances through its own busy/idle regions, with
-// cross-shard couplings expressed as explicit conservative horizons
-// (HorizonFunc) instead of implicit lockstep. Executing the laggard
-// shard first keeps the global execution order identical to dense
-// stepping, so the determinism contract above holds per component.
+// A single global min over every component's NextWork would let one
+// busy component force dense stepping of all the others. ShardSet
+// instead gives each shard a local virtual clock that advances through
+// its own busy/idle regions, with cross-shard couplings expressed as
+// explicit conservative horizons (HorizonFunc) instead of implicit
+// lockstep. Executing the laggard shard first keeps the global
+// execution order identical to dense stepping, so the determinism
+// contract above holds per component.
 package sim
 
-import (
-	"math/rand"
-
-	"ioguard/internal/slot"
-)
+import "ioguard/internal/slot"
 
 // Stepper is a hardware component clocked by the global timer: Step
-// is called exactly once per executed slot, in registration order.
+// is called exactly once per executed slot.
 type Stepper interface {
 	Step(now slot.Time)
 }
@@ -64,7 +60,7 @@ type Stepper interface {
 // NextWork(now) returns the earliest slot ≥ now at which the
 // component has work, under the assumption that every slot before now
 // has been stepped: now itself when busy, slot.Never when fully
-// drained. The engine may then skip the slots in between without
+// drained. The scheduler may then skip the slots in between without
 // stepping the component. Implementations must be conservative — a
 // slot that would change any observable state counts as work.
 type Quiescer interface {
@@ -72,212 +68,9 @@ type Quiescer interface {
 }
 
 // Skipper is the optional bulk-accounting extension for components
-// that maintain per-slot counters even while idle. When the engine
+// that maintain per-slot counters even while idle. When the scheduler
 // fast-forwards, SkipTo(from, to) reports the skipped span [from, to)
 // so the component can account it in O(1) instead of O(span).
 type Skipper interface {
 	SkipTo(from, to slot.Time)
-}
-
-// StepFunc adapts a function to the Stepper interface.
-type StepFunc func(now slot.Time)
-
-// Step calls f(now).
-func (f StepFunc) Step(now slot.Time) { f(now) }
-
-// event is a one-shot callback scheduled for an absolute slot.
-type event struct {
-	at  slot.Time
-	seq int64
-	fn  func(now slot.Time)
-}
-
-func (ev event) before(o event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	return ev.seq < o.seq
-}
-
-// eventHeap is a value-based binary min-heap ordered by (at, seq).
-// The sift operations are implemented directly rather than through
-// container/heap: boxing event values into `any` would allocate on
-// every Push, and the event queue is on the per-slot hot path.
-type eventHeap []event
-
-func (h *eventHeap) push(ev event) {
-	s := append(*h, ev)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s[i].before(s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	n := len(s) - 1
-	root := s[0]
-	s[0] = s[n]
-	s[n] = event{} // drop the callback reference from the backing array
-	s = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s[l].before(s[m]) {
-			m = l
-		}
-		if r < n && s[r].before(s[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	*h = s
-	return root
-}
-
-// entry caches a registered component's optional interfaces so the
-// per-slot loop and the fast-forward scan avoid repeated type
-// assertions.
-type entry struct {
-	s  Stepper
-	q  Quiescer // nil: always busy
-	sk Skipper  // nil: nothing to account over skipped spans
-}
-
-// Engine is the global timer plus the set of clocked components. The
-// zero value is not usable; call New.
-type Engine struct {
-	now      slot.Time
-	rng      *rand.Rand
-	steppers []entry
-	events   eventHeap
-	nextSeq  int64
-}
-
-// New returns an engine at slot 0 with a deterministic random source.
-func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Now returns the current slot.
-func (e *Engine) Now() slot.Time { return e.now }
-
-// RNG returns the engine's deterministic random source. All stochastic
-// workload decisions must draw from it to keep runs reproducible.
-func (e *Engine) RNG() *rand.Rand { return e.rng }
-
-// Register adds a clocked component. Components are stepped in
-// registration order within each slot, which fixes the intra-slot
-// pipeline order (e.g. schedulers before executors). The component's
-// Quiescer/Skipper implementations, if any, are captured here.
-func (e *Engine) Register(s Stepper) {
-	ent := entry{s: s}
-	if q, ok := s.(Quiescer); ok {
-		ent.q = q
-	}
-	if sk, ok := s.(Skipper); ok {
-		ent.sk = sk
-	}
-	e.steppers = append(e.steppers, ent)
-}
-
-// At schedules fn to run at the start of slot at. Events scheduled for
-// the past run at the start of the next Step. Events at the same slot
-// run in scheduling order, before any Stepper.
-func (e *Engine) At(at slot.Time, fn func(now slot.Time)) {
-	e.events.push(event{at: at, seq: e.nextSeq, fn: fn})
-	e.nextSeq++
-}
-
-// After schedules fn delay slots from now.
-func (e *Engine) After(delay slot.Time, fn func(now slot.Time)) {
-	e.At(e.now+delay, fn)
-}
-
-// Step advances the simulation by one slot: due events fire first,
-// then every registered component steps, then time advances.
-func (e *Engine) Step() {
-	for len(e.events) > 0 && e.events[0].at <= e.now {
-		ev := e.events.pop()
-		ev.fn(e.now)
-	}
-	for _, ent := range e.steppers {
-		ent.s.Step(e.now)
-	}
-	e.now++
-}
-
-// nextWork returns the earliest slot in [e.now, horizon] that must be
-// stepped: the next pending event, the earliest busy component, or
-// the horizon. Any component without a Quiescer pins it to e.now.
-func (e *Engine) nextWork(horizon slot.Time) slot.Time {
-	next := horizon
-	if len(e.events) > 0 {
-		at := e.events[0].at
-		if at <= e.now {
-			return e.now
-		}
-		if at < next {
-			next = at
-		}
-	}
-	for _, ent := range e.steppers {
-		if ent.q == nil {
-			return e.now
-		}
-		nw := ent.q.NextWork(e.now)
-		if nw <= e.now {
-			return e.now
-		}
-		if nw < next {
-			next = nw
-		}
-	}
-	return next
-}
-
-// skipTo jumps the timer to slot to, letting Skipper components
-// account the span [e.now, to) in bulk.
-func (e *Engine) skipTo(to slot.Time) {
-	for _, ent := range e.steppers {
-		if ent.sk != nil {
-			ent.sk.SkipTo(e.now, to)
-		}
-	}
-	e.now = to
-}
-
-// Run steps the simulation until Now() == until (exclusive of slot
-// until itself), fast-forwarding over regions every component declares
-// idle. It is a no-op when until ≤ Now(). Per the determinism
-// contract, Run and RunDense produce identical results.
-func (e *Engine) Run(until slot.Time) {
-	for e.now < until {
-		e.Step()
-		if e.now >= until {
-			return
-		}
-		if next := e.nextWork(until); next > e.now {
-			e.skipTo(next)
-		}
-	}
-}
-
-// RunDense steps every slot until Now() == until without
-// fast-forwarding — the reference semantics Run must match.
-func (e *Engine) RunDense(until slot.Time) {
-	for e.now < until {
-		e.Step()
-	}
 }

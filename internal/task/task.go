@@ -147,6 +147,21 @@ func (s Set) Hyperperiod() slot.Time {
 	return slot.LCMAll(ps...)
 }
 
+// Horizon returns the length of n hyper-periods in slots. It rejects
+// a non-positive n and a product that overflows slot.Time (a
+// hyper-period LCMAll already saturated at slot.Never included), so a
+// user-supplied count can never wrap into a short, wrong horizon.
+func (s Set) Horizon(n int) (slot.Time, error) {
+	if n <= 0 {
+		return 0, fmt.Errorf("non-positive horizon: %d hyper-periods", n)
+	}
+	h := s.Hyperperiod()
+	if h > 0 && slot.Time(n) > (slot.Never-1)/h {
+		return 0, fmt.Errorf("horizon overflow: %d hyper-periods of %d slots exceed the slot counter", n, h)
+	}
+	return h * slot.Time(n), nil
+}
+
 // Validate checks every task and the uniqueness of IDs.
 func (s Set) Validate() error {
 	seen := make(map[int]bool, len(s))

@@ -104,6 +104,30 @@ func TestSetHyperperiod(t *testing.T) {
 	}
 }
 
+// TestSetHorizon: n hyper-periods in slots, with non-positive counts
+// and any product that would overflow slot.Time rejected instead of
+// wrapping into a short horizon.
+func TestSetHorizon(t *testing.T) {
+	s := Set{valid(0, 0, 4, 1, 4), valid(1, 0, 6, 1, 6)} // H = 12
+	if got, err := s.Horizon(3); err != nil || got != 36 {
+		t.Errorf("Horizon(3) = %d, %v; want 36", got, err)
+	}
+	max := int((slot.Never - 1) / 12)
+	if got, err := s.Horizon(max); err != nil || got != slot.Time(max)*12 {
+		t.Errorf("Horizon(%d) = %d, %v; want the largest representable horizon", max, got, err)
+	}
+	for _, n := range []int{0, -1, max + 1, 1 << 62} {
+		if got, err := s.Horizon(n); err == nil {
+			t.Errorf("Horizon(%d) = %d, want an error", n, got)
+		}
+	}
+	// A hyper-period LCMAll saturated at Never is itself an overflow.
+	huge := Set{valid(0, 0, slot.Never/3, 1, 1), valid(1, 0, slot.Never/3-1, 1, 1)}
+	if got, err := huge.Horizon(1); err == nil {
+		t.Errorf("Horizon(1) of a saturated hyper-period = %d, want an error", got)
+	}
+}
+
 func TestSetValidate(t *testing.T) {
 	ok := Set{valid(0, 0, 10, 1, 10), valid(1, 1, 10, 1, 10)}
 	if err := ok.Validate(); err != nil {
