@@ -17,12 +17,12 @@
 // metrics; -workers only changes wall-clock time, never the output.
 //
 // -metrics selects the collector implementation: exact (default)
-// buffers every completion and reports exact percentiles; stream keeps
-// collector memory independent of the horizon (Welford moments plus a
-// KLL quantile sketch), which is what makes very long
+// buffers every response time and reports exact percentiles; stream
+// keeps collector memory independent of the horizon (Welford moments
+// plus a KLL quantile sketch), which is what makes very long
 // -hyperperiods runs tractable. Counters, throughput and min/max are
-// identical in both modes. In stream mode -csv writes rows online
-// through a trace.CSVSink instead of buffering the event log.
+// identical in both modes. -csv writes rows online through a
+// trace.CSVSink in either mode; -gantt renders from a trace.Recorder.
 //
 // System specs, the printed metrics blocks and the -workers /
 // -metrics / -fault-* flags are shared with ioguard-server
@@ -106,15 +106,13 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 		return runSweep(out, sysName, family, vms, util, hps, seed, trials, dense, ec)
 	}
 
-	// Trace plumbing. The buffered Recorder backs -gantt (it renders
-	// from the event log); -csv goes through the streaming CSVSink in
-	// stream mode (rows written as events happen, bounded memory) and
-	// through the Recorder's buffered export in exact mode. Completion
-	// events reach either via Collector.Observe — online, not an
-	// after-the-run Each replay.
+	// Trace plumbing. The Recorder backs -gantt (it renders from the
+	// executed slots); -csv streams every event through a CSVSink as it
+	// happens, in either metrics mode. Completion rows reach the sink
+	// via Collector.Observe.
 	rec := &trace.Recorder{}
 	var sink *trace.CSVSink
-	if csvPath != "" && mode == system.MetricsStream {
+	if csvPath != "" {
 		csvFile, ferr := openTraceFile(csvPath)
 		if ferr != nil {
 			return ferr
@@ -136,17 +134,21 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 			}
 		}()
 	}
-	wantTrace := gantt > 0 || csvPath != ""
-	onExec := rec.OnExecute
-	if sink != nil {
-		onExec = sink.OnExecute
-	}
 	build, err := experiments.BuilderFor(sysName)
 	if err != nil {
 		return err
 	}
-	if wantTrace {
-		build = withTrace(build, onExec)
+	switch {
+	case gantt > 0 && sink != nil:
+		s := sink // sink is cleared once flushed; the hook keeps its own
+		build = withTrace(build, func(now slot.Time, j *task.Job) {
+			rec.OnExecute(now, j)
+			s.OnExecute(now, j)
+		})
+	case gantt > 0:
+		build = withTrace(build, rec.OnExecute)
+	case sink != nil:
+		build = withTrace(build, sink.OnExecute)
 	}
 	var captured *system.Collector
 	wrapped := func(tr system.Trial, col *system.Collector) (system.System, error) {
@@ -156,8 +158,6 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 		}
 		if sink != nil {
 			col.Observe(sink.OnComplete)
-		} else if csvPath != "" {
-			col.Observe(rec.OnComplete)
 		}
 		return build(tr, col)
 	}
@@ -190,25 +190,13 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 		fmt.Fprintln(out)
 		fmt.Fprint(out, system.RenderByTask(captured.ByTask()))
 	}
-	if csvPath != "" {
-		if sink != nil {
-			s := sink
-			sink = nil // the deferred joiner must not flush again
-			if err := s.Flush(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "streamed trace events to %s\n", csvPath)
-		} else {
-			f, err := openTraceFile(csvPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := rec.WriteCSV(f); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %d trace events to %s\n", rec.Len(), csvPath)
+	if sink != nil {
+		s := sink
+		sink = nil // the deferred joiner must not flush again
+		if err := s.Flush(); err != nil {
+			return err
 		}
+		fmt.Fprintf(out, "streamed trace events to %s\n", csvPath)
 	}
 	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,19 +54,70 @@ func withFailingTraceFile(t *testing.T, budget int) {
 
 // TestStreamCSVFlushErrorSurfaces: a trial that itself succeeds must
 // still fail the command when the streamed trace hit a write error —
-// the sink swallows it on the hot path and only Flush reveals it.
+// the sink swallows it on the hot path and only Flush reveals it. -csv
+// streams in both metrics modes.
 func TestStreamCSVFlushErrorSurfaces(t *testing.T) {
-	withFailingTraceFile(t, 64)
-	var out bytes.Buffer
-	err := run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 0, "trace.csv", false, false, cliflags.Resolved{Workers: 1, Metrics: system.MetricsStream})
-	if err == nil {
-		t.Fatal("run succeeded despite failing trace writer")
+	for _, mode := range []system.MetricsMode{system.MetricsExact, system.MetricsStream} {
+		t.Run(mode.String(), func(t *testing.T) {
+			withFailingTraceFile(t, 64)
+			var out bytes.Buffer
+			err := run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 0, "trace.csv", false, false, cliflags.Resolved{Workers: 1, Metrics: mode})
+			if err == nil {
+				t.Fatal("run succeeded despite failing trace writer")
+			}
+			if !strings.Contains(err.Error(), "streaming csv") || !errors.Is(err, errDiskFull) {
+				t.Fatalf("error does not surface the sink failure: %v", err)
+			}
+			if strings.Contains(out.String(), "streamed trace events") {
+				t.Fatalf("success message printed despite flush error:\n%s", out.String())
+			}
+		})
 	}
-	if !strings.Contains(err.Error(), "streaming csv") || !errors.Is(err, errDiskFull) {
-		t.Fatalf("error does not surface the sink failure: %v", err)
+}
+
+// TestTraceOutputIdenticalAcrossModes: -gantt and -csv together print
+// the chart and write the same CSV bytes in exact mode, stream mode
+// and with -dense.
+func TestTraceOutputIdenticalAcrossModes(t *testing.T) {
+	dir := t.TempDir()
+	runs := []struct {
+		name  string
+		mode  system.MetricsMode
+		dense bool
+	}{
+		{"exact", system.MetricsExact, false},
+		{"stream", system.MetricsStream, false},
+		{"dense", system.MetricsExact, true},
 	}
-	if strings.Contains(out.String(), "streamed trace events") {
-		t.Fatalf("success message printed despite flush error:\n%s", out.String())
+	var wantOut, wantCSV []byte
+	for i, r := range runs {
+		path := filepath.Join(dir, r.name+".csv")
+		var out bytes.Buffer
+		if err := run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 30, path, false, r.dense, cliflags.Resolved{Workers: 1, Metrics: r.mode}); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if !strings.Contains(out.String(), "slots 0..29") || strings.Contains(out.String(), "no trace recorded") {
+			t.Fatalf("%s: no Gantt rows in output:\n%s", r.name, out.String())
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(got), ",execute,") || !strings.Contains(string(got), ",complete,") {
+			t.Fatalf("%s: CSV lacks execute or complete rows", r.name)
+		}
+		// The status line names the file; compare the rest.
+		stdout := bytes.ReplaceAll(out.Bytes(), []byte(path), []byte("trace.csv"))
+		if i == 0 {
+			wantOut, wantCSV = stdout, got
+			continue
+		}
+		if !bytes.Equal(stdout, wantOut) {
+			t.Errorf("%s: stdout differs from %s:\n%s\n--- want ---\n%s", r.name, runs[0].name, stdout, wantOut)
+		}
+		if !bytes.Equal(got, wantCSV) {
+			t.Errorf("%s: CSV differs from %s", r.name, runs[0].name)
+		}
 	}
 }
 
@@ -86,19 +139,6 @@ func TestFlushErrorJoinedWithTrialError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "streaming csv") || !errors.Is(err, errDiskFull) {
 		t.Fatalf("flush error lost on early-exit path: %v", err)
-	}
-}
-
-// TestExactCSVWriteErrorSurfaces covers the buffered export path.
-func TestExactCSVWriteErrorSurfaces(t *testing.T) {
-	withFailingTraceFile(t, 8)
-	var out bytes.Buffer
-	err := run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 0, "trace.csv", false, false, cliflags.Resolved{Workers: 1, Metrics: system.MetricsExact})
-	if err == nil {
-		t.Fatal("run succeeded despite failing trace writer")
-	}
-	if !errors.Is(err, errDiskFull) {
-		t.Fatalf("exact-mode export error lost: %v", err)
 	}
 }
 

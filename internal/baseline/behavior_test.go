@@ -18,6 +18,8 @@ func TestRTXenVMMSerializes(t *testing.T) {
 		{ID: 1, VM: 1, Kind: task.Safety, Device: "flexray", Period: 10000, WCET: 5, Deadline: 10000},
 	}
 	col := &system.Collector{}
+	var at []slot.Time
+	col.Observe(func(j *task.Job, t slot.Time) { at = append(at, t) })
 	// Quantum 1 keeps VCPU windows from dominating the measurement.
 	x, err := NewRTXen(2, ts, col, 1)
 	if err != nil {
@@ -31,8 +33,6 @@ func TestRTXenVMMSerializes(t *testing.T) {
 	if col.Completed() != 2 {
 		t.Fatalf("completions = %d", col.Completed())
 	}
-	var at []slot.Time
-	col.Each(func(j *task.Job, t slot.Time) { at = append(at, t) })
 	gap := at[1] - at[0]
 	if gap < 0 {
 		gap = -gap
@@ -50,6 +50,12 @@ func TestBlueVisorRoundRobinStarvationFree(t *testing.T) {
 		{ID: 1, VM: 1, Kind: task.Safety, Device: "spi", Period: 1000, WCET: 10, Deadline: 1000},
 	}
 	col := &system.Collector{}
+	var victimDone slot.Time
+	col.Observe(func(j *task.Job, at slot.Time) {
+		if j.Task.ID == 1 && victimDone == 0 {
+			victimDone = at
+		}
+	})
 	b, err := NewBlueVisor(2, ts, col)
 	if err != nil {
 		t.Fatal(err)
@@ -59,16 +65,8 @@ func TestBlueVisorRoundRobinStarvationFree(t *testing.T) {
 		b.Submit(0, task.NewJob(&ts[0], i, 0))
 	}
 	b.Submit(0, task.NewJob(&ts[1], 0, 0))
-	var victimDone slot.Time
 	for now := slot.Time(0); now < 500; now++ {
 		b.Step(now)
-		if victimDone == 0 {
-			col.Each(func(j *task.Job, at slot.Time) {
-				if j.Task.ID == 1 {
-					victimDone = at
-				}
-			})
-		}
 	}
 	if victimDone == 0 {
 		t.Fatal("victim never completed")
@@ -88,6 +86,12 @@ func TestLegacyFIFOStarvesUnderFlood(t *testing.T) {
 		{ID: 1, VM: 1, Kind: task.Safety, Device: "spi", Period: 1000, WCET: 10, Deadline: 1000},
 	}
 	col := &system.Collector{}
+	var victimDone slot.Time
+	col.Observe(func(j *task.Job, at slot.Time) {
+		if j.Task.ID == 1 {
+			victimDone = at
+		}
+	})
 	l, err := NewLegacy(2, ts, col)
 	if err != nil {
 		t.Fatal(err)
@@ -96,15 +100,9 @@ func TestLegacyFIFOStarvesUnderFlood(t *testing.T) {
 		l.Submit(0, task.NewJob(&ts[0], i, 0))
 	}
 	l.Submit(0, task.NewJob(&ts[1], 0, 0))
-	var victimDone slot.Time
 	for now := slot.Time(0); now < 2000; now++ {
 		l.Step(now)
 	}
-	col.Each(func(j *task.Job, at slot.Time) {
-		if j.Task.ID == 1 {
-			victimDone = at
-		}
-	})
 	if victimDone == 0 {
 		t.Fatal("victim never completed")
 	}

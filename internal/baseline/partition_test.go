@@ -66,6 +66,8 @@ func TestPartitionQuiesce(t *testing.T) {
 func TestPartitionNoReclamation(t *testing.T) {
 	ts := partWorkload()
 	col := &system.Collector{}
+	var at slot.Time
+	col.Observe(func(j *task.Job, t slot.Time) { at = t })
 	p, err := NewPartition(2, ts, col)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +79,6 @@ func TestPartitionNoReclamation(t *testing.T) {
 	if col.Completed() != 1 {
 		t.Fatalf("completions = %d", col.Completed())
 	}
-	var at slot.Time
-	col.Each(func(j *task.Job, t slot.Time) { at = t })
 	// Arrival at slot 2 (request path), frozen until VM1's window at
 	// slot 32, setup 2 + WCET 5 finish at 39, +2 response ⇒ 41.
 	if at != 41 {
@@ -95,6 +95,8 @@ func TestPartitionFreezesAcrossWindows(t *testing.T) {
 		{ID: 1, VM: 1, Kind: task.Safety, Device: "spi", Period: 10000, WCET: 5, Deadline: 10000, OpBytes: 64},
 	}
 	col := &system.Collector{}
+	done := map[int]slot.Time{}
+	col.Observe(func(j *task.Job, t slot.Time) { done[j.Task.ID] = t })
 	p, err := NewPartition(2, ts, col)
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +109,6 @@ func TestPartitionFreezesAcrossWindows(t *testing.T) {
 	if col.Completed() != 2 {
 		t.Fatalf("completions = %d", col.Completed())
 	}
-	done := map[int]slot.Time{}
-	col.Each(func(j *task.Job, t slot.Time) { done[j.Task.ID] = t })
 	// VM0: starts at slot 2 with 40+2 slots of service; 30 run in
 	// window [2,32), the rest freeze through VM1's window and finish 12
 	// slots into window [64,96): finish 76, +2 response ⇒ 78.
@@ -129,6 +129,12 @@ func TestPartitionFreezesAcrossWindows(t *testing.T) {
 func TestPartitionIsolationUnderFlood(t *testing.T) {
 	ts := partWorkload()
 	col := &system.Collector{}
+	var victimDone slot.Time
+	col.Observe(func(j *task.Job, at slot.Time) {
+		if j.Task.ID == 1 {
+			victimDone = at
+		}
+	})
 	p, err := NewPartition(2, ts, col)
 	if err != nil {
 		t.Fatal(err)
@@ -137,15 +143,9 @@ func TestPartitionIsolationUnderFlood(t *testing.T) {
 		p.Submit(0, task.NewJob(&ts[0], i, 0))
 	}
 	p.Submit(0, task.NewJob(&ts[1], 0, 0))
-	var victimDone slot.Time
 	for now := slot.Time(0); now < 2000; now++ {
 		p.Step(now)
 	}
-	col.Each(func(j *task.Job, at slot.Time) {
-		if j.Task.ID == 1 {
-			victimDone = at
-		}
-	})
 	if victimDone == 0 {
 		t.Fatal("victim never completed")
 	}

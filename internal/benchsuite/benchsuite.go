@@ -182,8 +182,9 @@ func collectorComplete(b *testing.B, mode system.MetricsMode) {
 	var x uint64 = 7
 	warm := 100_000
 	if mode == system.MetricsExact {
-		// Exact mode buffers every completion; warming 100k iterations
-		// would just grow the log. Warm enough to settle the recorders.
+		// Exact mode buffers every response time; warming 100k
+		// iterations would just grow the samples past their presize.
+		// Warm enough to settle the recorders.
 		warm = 1 << 10
 	}
 	for i := 0; i < warm; i++ {

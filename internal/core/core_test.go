@@ -120,6 +120,11 @@ func TestEndToEndMeetsDeadlinesUnderFeasibleLoad(t *testing.T) {
 
 func TestPreloadedTasksCompleteExactlyOnSchedule(t *testing.T) {
 	col := &system.Collector{}
+	col.Observe(func(j *task.Job, at slot.Time) {
+		if at > j.Deadline {
+			t.Errorf("P-channel job %d missed: %d > %d", j.Seq, at, j.Deadline)
+		}
+	})
 	ts := task.Set{{ID: 0, VM: 0, Kind: task.Safety, Device: "spi", Period: 16, WCET: 2, Deadline: 16}}
 	s, err := New(Config{VMs: 1, PreloadFrac: 1}, ts, col)
 	if err != nil {
@@ -134,11 +139,6 @@ func TestPreloadedTasksCompleteExactlyOnSchedule(t *testing.T) {
 	if col.Completed() != 10 {
 		t.Fatalf("completions = %d, want 10", col.Completed())
 	}
-	col.Each(func(j *task.Job, at slot.Time) {
-		if at > j.Deadline {
-			t.Errorf("P-channel job %d missed: %d > %d", j.Seq, at, j.Deadline)
-		}
-	})
 }
 
 func TestHigherPreloadNoWorseUnderOverload(t *testing.T) {

@@ -25,7 +25,9 @@ import (
 	"ioguard/internal/hw"
 	"ioguard/internal/hypervisor"
 	"ioguard/internal/metrics"
+	"ioguard/internal/slot"
 	"ioguard/internal/system"
+	"ioguard/internal/task"
 	"ioguard/internal/workload"
 )
 
@@ -416,10 +418,8 @@ func RenderFig8(points []Fig8Point) string {
 // returns the response-time histogram of each — the distributional
 // view behind Obs. 3's "less experimental variance" claim: I/O-GUARD's
 // mass sits in tight bands while the FIFO baselines grow heavy tails.
-// The histogram is attached to the collector as an online sink
-// (Collector.ObserveResponse), so it fills while the trial runs and
-// works identically in both metrics modes — no post-hoc replay of a
-// buffered sample.
+// The histogram is filled by a Collector.Observe sink while the trial
+// runs, so it works identically in both metrics modes.
 func ResponseProfile(vms int, util float64, seed int64) (map[string]*metrics.Histogram, error) {
 	ts, err := workload.Generate(workload.Config{VMs: vms, TargetUtil: util, Seed: seed})
 	if err != nil {
@@ -432,7 +432,7 @@ func ResponseProfile(vms int, util float64, seed int64) (map[string]*metrics.His
 			return nil, err
 		}
 		profiled := func(tr system.Trial, col *system.Collector) (system.System, error) {
-			col.ObserveResponse(h)
+			col.Observe(func(j *task.Job, at slot.Time) { h.Add(float64(at - j.Release)) })
 			return build(tr, col)
 		}
 		if _, err := system.Run(profiled, system.Trial{

@@ -120,44 +120,3 @@ func Lookup(name string) (Model, error) {
 	}
 	return m, nil
 }
-
-// Device is a runtime instance of a model: it can serve one operation
-// at a time and remembers until when it is busy. This is the shared
-// resource the schedulers contend for.
-type Device struct {
-	Model
-	busyUntil slot.Time
-	opsServed int64
-	bytesOut  int64
-}
-
-// NewDevice returns an idle device of the given model.
-func NewDevice(m Model) *Device { return &Device{Model: m} }
-
-// Idle reports whether the device can accept an operation at now.
-func (d *Device) Idle(now slot.Time) bool { return now >= d.busyUntil }
-
-// Start begins an operation of payloadBytes at now and returns the
-// slot at which the device becomes idle again. Starting while busy
-// returns an error: hardware controllers cannot overlap transfers.
-func (d *Device) Start(now slot.Time, payloadBytes int) (slot.Time, error) {
-	if !d.Idle(now) {
-		return 0, fmt.Errorf("iodev: %s busy until %d (now %d)", d.Name, d.busyUntil, now)
-	}
-	d.busyUntil = now + d.ServiceSlots(payloadBytes)
-	d.opsServed++
-	d.bytesOut += int64(payloadBytes)
-	return d.busyUntil, nil
-}
-
-// BusyUntil returns the slot at which the current operation finishes.
-func (d *Device) BusyUntil() slot.Time { return d.busyUntil }
-
-// OpsServed returns the number of operations started so far.
-func (d *Device) OpsServed() int64 { return d.opsServed }
-
-// BytesServed returns the total payload bytes moved so far.
-func (d *Device) BytesServed() int64 { return d.bytesOut }
-
-// Reset returns the device to idle and clears its counters.
-func (d *Device) Reset() { d.busyUntil, d.opsServed, d.bytesOut = 0, 0, 0 }

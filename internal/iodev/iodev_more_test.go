@@ -34,24 +34,6 @@ func TestServiceSlotsExactValues(t *testing.T) {
 	}
 }
 
-func TestDeviceSequentialOps(t *testing.T) {
-	d := NewDevice(CAN)
-	var now slot.Time
-	for i := 0; i < 5; i++ {
-		done, err := d.Start(now, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = done
-	}
-	if d.OpsServed() != 5 || d.BytesServed() != 40 {
-		t.Errorf("counters = %d ops / %d bytes", d.OpsServed(), d.BytesServed())
-	}
-	if now != 5*CAN.ServiceSlots(8) {
-		t.Errorf("back-to-back ops took %d slots, want %d", now, 5*CAN.ServiceSlots(8))
-	}
-}
-
 func TestSlotsPerSecConstant(t *testing.T) {
 	if SlotsPerSec != 1_000_000 {
 		t.Errorf("SlotsPerSec = %d; the model is calibrated for 1 µs slots", SlotsPerSec)

@@ -3,8 +3,6 @@ package iodev
 import (
 	"testing"
 	"testing/quick"
-
-	"ioguard/internal/slot"
 )
 
 func TestStandardModelsValid(t *testing.T) {
@@ -105,44 +103,5 @@ func TestNames(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Errorf("Names not sorted: %v", names)
 		}
-	}
-}
-
-func TestDeviceLifecycle(t *testing.T) {
-	d := NewDevice(SPI)
-	if !d.Idle(0) {
-		t.Fatal("new device should be idle")
-	}
-	done, err := d.Start(10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done <= 10 {
-		t.Errorf("completion %d should be after start", done)
-	}
-	if d.Idle(done - 1) {
-		t.Error("device should be busy before completion")
-	}
-	if !d.Idle(done) {
-		t.Error("device should be idle at completion")
-	}
-	if _, err := d.Start(done-1, 8); err == nil {
-		t.Error("starting a busy device should fail")
-	}
-	if d.OpsServed() != 1 || d.BytesServed() != 64 {
-		t.Errorf("counters = %d ops / %d bytes", d.OpsServed(), d.BytesServed())
-	}
-	d.Reset()
-	if !d.Idle(0) || d.OpsServed() != 0 || d.BytesServed() != 0 {
-		t.Error("Reset should clear state")
-	}
-}
-
-func TestDeviceBusyUntilMatchesService(t *testing.T) {
-	d := NewDevice(FlexRay)
-	want := slot.Time(5) + FlexRay.ServiceSlots(32)
-	got, _ := d.Start(5, 32)
-	if got != want || d.BusyUntil() != want {
-		t.Errorf("busy until %d, want %d", got, want)
 	}
 }

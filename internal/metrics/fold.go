@@ -26,19 +26,6 @@ type DistFold struct {
 	merged *Streaming
 }
 
-// unwrapTee peels observation tees off a recorder: the collector
-// wraps its primary recorder in a metrics.Tee when trace sinks or
-// histograms attach, and the fold wants the primary.
-func unwrapTee(r Recorder) Recorder {
-	for {
-		t, ok := r.(*Tee)
-		if !ok {
-			return r
-		}
-		r = t.Recorder
-	}
-}
-
 // AddRecorder folds one trial's recorder. Call in trial order: the
 // merged sketch's state is a pure function of the fold sequence. Every
 // trial's collector builds its recorders at DefaultSketchEpsilon, so a
@@ -47,7 +34,7 @@ func (f *DistFold) AddRecorder(r Recorder) {
 	if r == nil {
 		return
 	}
-	switch p := unwrapTee(r).(type) {
+	switch p := r.(type) {
 	case *Sample:
 		if f.exact == nil {
 			f.exact = &Sample{}

@@ -49,13 +49,6 @@ func (h *Histogram) Add(v float64) {
 	}
 }
 
-// AddSample counts every observation of a sample.
-func (h *Histogram) AddSample(s *Sample) {
-	for _, v := range s.values {
-		h.Add(v)
-	}
-}
-
 // N returns the total observation count (including out-of-range).
 func (h *Histogram) N() int64 { return h.n }
 

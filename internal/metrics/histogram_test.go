@@ -41,18 +41,6 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
-func TestHistogramAddSample(t *testing.T) {
-	var s Sample
-	s.Add(1)
-	s.Add(2)
-	s.Add(3)
-	h, _ := NewHistogram(0, 4, 2)
-	h.AddSample(&s)
-	if h.N() != 3 {
-		t.Errorf("N = %d", h.N())
-	}
-}
-
 func TestHistogramRender(t *testing.T) {
 	h, _ := NewHistogram(0, 10, 2)
 	h.Add(1)

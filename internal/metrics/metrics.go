@@ -28,27 +28,15 @@ func (s *Sample) Add(v float64) {
 	s.sorted = false
 }
 
-// AddSample appends every observation of o in its current order, as
-// o.Each(s.Add) would, in one copy.
+// AddSample appends every observation of o in its current order, in
+// one copy — how DistFold folds exact per-trial samples into an exact
+// cross-trial reference.
 func (s *Sample) AddSample(o *Sample) {
 	if len(o.values) == 0 {
 		return
 	}
 	s.values = append(s.values, o.values...)
 	s.sorted = false
-}
-
-// AddTime appends a slot-valued observation.
-func (s *Sample) AddTime(t slot.Time) { s.Add(float64(t)) }
-
-// Each visits every buffered observation in insertion order (or
-// sorted order if a Percentile query sorted the buffer first) — the
-// iteration DistFold uses to fold exact per-trial samples into an
-// exact cross-trial reference.
-func (s *Sample) Each(visit func(v float64)) {
-	for _, v := range s.values {
-		visit(v)
-	}
 }
 
 // N returns the number of observations.

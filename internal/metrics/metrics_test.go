@@ -36,14 +36,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 }
 
-func TestSampleAddTime(t *testing.T) {
-	var s Sample
-	s.AddTime(42)
-	if s.Mean() != 42 {
-		t.Error("AddTime should add the slot value")
-	}
-}
-
 func TestSamplePercentile(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {

@@ -177,26 +177,6 @@ func TestStreamingSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestTeeDuplicatesToSinks(t *testing.T) {
-	h, err := NewHistogram(0, 100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tee := NewTee(&Sample{}, h)
-	for _, v := range []float64{10, 30, 60, 90, 250} {
-		tee.Add(v)
-	}
-	if tee.N() != 5 || tee.Mean() != 88 {
-		t.Errorf("tee stats wrong: n=%d mean=%v", tee.N(), tee.Mean())
-	}
-	if h.N() != 5 {
-		t.Errorf("histogram sink saw %d values, want 5", h.N())
-	}
-	if _, over := h.OutOfRange(); over != 1 {
-		t.Errorf("overflow = %d, want 1", over)
-	}
-}
-
 func TestStreamingStringMirrorsSampleFormat(t *testing.T) {
 	values := []float64{1, 2, 3, 4}
 	s, st := fill(values, DefaultSketchEpsilon)

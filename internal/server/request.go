@@ -67,6 +67,10 @@ type normalized struct {
 	trials int
 }
 
+// maxTrials caps a request's trial count before any cell is laid out:
+// 10× the paper's 1000 repetitions per configuration.
+const maxTrials = 10_000
+
 // normalize applies CLI defaults and validates the request into an
 // executable form. Validation errors are client errors (HTTP 400).
 func normalize(req TrialRequest) (*normalized, error) {
@@ -90,6 +94,9 @@ func normalize(req TrialRequest) (*normalized, error) {
 	}
 	if req.Trials < 0 {
 		return nil, fmt.Errorf("trials must be positive (got %d)", req.Trials)
+	}
+	if req.Trials > maxTrials {
+		return nil, fmt.Errorf("trials must be at most %d (got %d)", maxTrials, req.Trials)
 	}
 	plan := faults.Plan{
 		Seed:          req.FaultSeed,

@@ -139,10 +139,16 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*normali
 
 // handleTrials is the synchronous path: admit the request's cells
 // all-or-nothing, then stream one NDJSON line per trial, in trial
-// order, as results come back from the batcher.
+// order, as results come back from the batcher. A request larger than
+// the whole queue could never be admitted, so it is a client error
+// (400), not a retryable 429 — and is refused before its cells exist.
 func (s *Server) handleTrials(w http.ResponseWriter, r *http.Request) {
 	norm, ok := s.decodeRequest(w, r)
 	if !ok {
+		return
+	}
+	if depth := s.batcher.cfg.QueueDepth; norm.trials > depth {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("trials must be at most the queue depth %d (got %d)", depth, norm.trials)})
 		return
 	}
 	cells := norm.cells()

@@ -163,6 +163,39 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedTrialCountsRejected: a trial count the server could
+// never admit is a 400 before any cell is laid out — above maxTrials
+// on both endpoints, and above the queue depth on the synchronous one
+// (a retryable 429 would invite a retry that can never succeed).
+func TestOversizedTrialCountsRejected(t *testing.T) {
+	srv := New(Config{Batcher: BatcherConfig{QueueDepth: 8}})
+	defer srv.Close()
+	hts := httptest.NewServer(srv.Handler())
+	defer hts.Close()
+
+	for _, tc := range []struct {
+		path   string
+		trials int
+	}{
+		{"/v1/trials", maxTrials + 1},
+		{"/v1/sweeps", maxTrials + 1},
+		{"/v1/trials", 9},
+	} {
+		resp := postJSON(t, hts.URL+tc.path, lightRequest(tc.trials))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with %d trials: status %d, want 400", tc.path, tc.trials, resp.StatusCode)
+		}
+	}
+	if st := srv.Batcher().Stats(); st.RejectedRequests != 0 || st.AcceptedTrials != 0 {
+		t.Errorf("oversized requests reached admission: %+v", st)
+	}
+	// A request exactly at the queue depth is admitted whole.
+	if lines := readLines(t, postJSON(t, hts.URL+"/v1/trials", lightRequest(8))); len(lines) != 8 {
+		t.Errorf("trials at the queue depth: got %d lines, want 8", len(lines))
+	}
+}
+
 // TestFaultedTrialsRoundTrip: a request carrying a fault plan streams
 // fault-annotated renders, reproduces byte-identically on rerun, and
 // matches direct execution of the normalized cells — the server-side

@@ -33,26 +33,9 @@ func (st *TaskStat) observe(j *task.Job, at slot.Time) {
 	}
 }
 
-// ByTask returns per-task statistics keyed by task ID. When the
-// collector tracks tasks online (TrackByTask — required in streaming
-// mode, where there is no completion log), the incrementally built map
-// is returned; otherwise the exact mode's completion log is replayed.
-func (c *Collector) ByTask() map[int]*TaskStat {
-	if c.trackByTask {
-		return c.perTask
-	}
-	out := map[int]*TaskStat{}
-	for _, d := range c.done {
-		j := d.job
-		st, ok := out[j.Task.ID]
-		if !ok {
-			st = &TaskStat{Task: j.Task, Response: &metrics.Sample{}}
-			out[j.Task.ID] = st
-		}
-		st.observe(j, d.at)
-	}
-	return out
-}
+// ByTask returns per-task statistics keyed by task ID, accumulated
+// online since TrackByTask; nil if the collector does not track tasks.
+func (c *Collector) ByTask() map[int]*TaskStat { return c.perTask }
 
 // RenderByTask prints per-task statistics sorted by (misses desc,
 // id asc) — the misbehaving tasks surface first.

@@ -9,6 +9,7 @@ import (
 
 func TestByTask(t *testing.T) {
 	c := &Collector{}
+	c.TrackByTask()
 	a := &task.Sporadic{ID: 0, Name: "alpha", Period: 20, WCET: 1, Deadline: 10}
 	b := &task.Sporadic{ID: 1, Name: "beta", Period: 20, WCET: 1, Deadline: 10}
 	c.Complete(task.NewJob(a, 0, 0), 5)   // on time
@@ -32,6 +33,7 @@ func TestByTask(t *testing.T) {
 
 func TestRenderByTaskOrdersByMisses(t *testing.T) {
 	c := &Collector{}
+	c.TrackByTask()
 	good := &task.Sporadic{ID: 0, Name: "good", Period: 20, WCET: 1, Deadline: 10}
 	bad := &task.Sporadic{ID: 1, Name: "bad", Period: 20, WCET: 1, Deadline: 1}
 	c.Complete(task.NewJob(good, 0, 0), 1)

@@ -2,23 +2,23 @@
 // Complete from their response paths; the collector folds every
 // observation into its recorders *as it arrives* (deadline
 // classification, byte accounting, response/tardiness distributions,
-// optional per-task stats and completion observers), so Result is a
-// cheap snapshot plus the pending-job censoring sweep. Two metrics
-// modes choose the recorder implementation:
+// optional per-task stats) and hands it to every Observe sink, so
+// Result is a cheap snapshot plus the pending-job censoring sweep.
+// Observe is the one way a consumer sees completions: trace export,
+// histograms and any per-layer attribution register a sink before the
+// run. Two metrics modes choose the recorder implementation:
 //
 //   - MetricsExact (default, the zero value): buffered metrics.Sample
-//     recorders plus the full completion log, so percentiles are
-//     exact, Each/ByTask can replay, and rendered output is
+//     recorders, so percentiles are exact and rendered output is
 //     byte-identical to the pre-streaming collector. Memory grows
 //     O(completions) with the horizon.
 //   - MetricsStream: bounded-memory metrics.Streaming recorders
 //     (Welford moments, exact min/max, mergeable KLL percentile
-//     sketch seeded from the trial seed) and no completion log —
-//     collector memory is independent of the horizon, and the
-//     per-trial recorders fold into cross-trial sweep aggregates
-//     without degrading ε. Counts, misses, bytes and throughput stay
-//     exact; only percentile queries carry the sketch's documented
-//     ε rank error.
+//     sketch seeded from the trial seed) — collector memory is
+//     independent of the horizon, and the per-trial recorders fold
+//     into cross-trial sweep aggregates without degrading ε. Counts,
+//     misses, bytes and throughput stay exact; only percentile
+//     queries carry the sketch's documented ε rank error.
 package system
 
 import (
@@ -63,15 +63,9 @@ func ParseMetricsMode(s string) (MetricsMode, error) {
 	}
 }
 
-// completion pairs a finished job with its observed completion slot.
-type completion struct {
-	job *task.Job
-	at  slot.Time
-}
-
 // Collector records observed completions. The zero value is a usable
 // exact-mode collector; NewCollector pre-sizes the exact mode's
-// completion log so a trial's hot path never regrows it, and
+// samples so a trial's hot path never regrows them, and
 // NewStreamCollector selects the bounded-memory mode.
 type Collector struct {
 	mode MetricsMode
@@ -80,9 +74,6 @@ type Collector struct {
 	// (response, tardiness, per-task) within that identity.
 	seed      uint64
 	sketchSeq uint64
-	// done is the exact mode's completion log, retained for Each and
-	// the ByTask replay; streaming mode keeps no per-completion state.
-	done []completion
 
 	// Incremental state, updated by Complete in both modes.
 	completed      int64
@@ -103,25 +94,22 @@ type Collector struct {
 	dupDelivered int64
 	faultedMiss  int64
 
-	// perTask accumulates per-task statistics online when enabled via
-	// TrackByTask (the streaming replacement for the ByTask replay).
-	perTask     map[int]*TaskStat
-	trackByTask bool
+	// perTask accumulates per-task statistics online; nil until
+	// TrackByTask enables it.
+	perTask map[int]*TaskStat
 
-	// observers receive every completion as it is recorded — the tee
-	// that drives trace sinks online instead of replaying Each
-	// afterwards.
+	// observers receive every completion as it is recorded.
 	observers []func(j *task.Job, at slot.Time)
 
 	// presize is the exact mode's expected completion count (capped):
-	// the capacity of the completion log and of the trial-level
-	// response, tardiness and accuracy samples.
+	// the capacity of the trial-level response, tardiness and accuracy
+	// samples.
 	presize int
 }
 
 // maxCollectorPresize caps the pre-allocation of NewCollector: a
 // degenerate horizon/period combination must not reserve unbounded
-// memory up front (the slice still grows on demand past the cap).
+// memory up front (the samples still grow on demand past the cap).
 const maxCollectorPresize = 1 << 16
 
 // NewCollector returns an exact-mode collector with room for about n
@@ -132,7 +120,7 @@ func NewCollector(n int) *Collector { return NewCollectorFor(MetricsExact, n) }
 func NewStreamCollector() *Collector { return NewCollectorFor(MetricsStream, 0) }
 
 // NewCollectorFor returns a collector in the given mode; n sizes the
-// exact mode's completion log and is ignored in streaming mode.
+// exact mode's samples and is ignored in streaming mode.
 func NewCollectorFor(mode MetricsMode, n int) *Collector {
 	return NewSeededCollectorFor(mode, n, 0)
 }
@@ -152,15 +140,11 @@ func NewSeededCollectorFor(mode MetricsMode, n int, seed int64) *Collector {
 		if n > maxCollectorPresize {
 			n = maxCollectorPresize
 		}
-		c.done = make([]completion, 0, n)
 		c.presize = n
 	}
 	c.ensure()
 	return c
 }
-
-// Mode returns the collector's metrics mode.
-func (c *Collector) Mode() MetricsMode { return c.mode }
 
 // newRecorder builds one scalar recorder for the collector's mode; an
 // exact sample gets room for n observations.
@@ -187,33 +171,10 @@ func (c *Collector) ensure() {
 }
 
 // Observe registers fn to receive every subsequent completion as it
-// is recorded — an online sink (e.g. trace.Recorder.OnComplete or
-// trace.CSVSink.OnComplete) that replaces post-hoc Each replays.
+// is recorded (e.g. trace.CSVSink.OnComplete, or a closure filling a
+// metrics.Histogram). Register before the run: nothing is replayed.
 func (c *Collector) Observe(fn func(j *task.Job, at slot.Time)) {
 	c.observers = append(c.observers, fn)
-}
-
-// ObserveResponse tees every subsequent response-time observation
-// into o (e.g. a metrics.Histogram), building distribution views
-// online.
-func (c *Collector) ObserveResponse(o metrics.Observer) {
-	c.ensure()
-	c.response = teeInto(c.response, o)
-}
-
-// ObserveTardiness tees every subsequent tardiness observation into o.
-func (c *Collector) ObserveTardiness(o metrics.Observer) {
-	c.ensure()
-	c.tardiness = teeInto(c.tardiness, o)
-}
-
-// teeInto attaches o as a sink of r, reusing an existing Tee.
-func teeInto(r metrics.Recorder, o metrics.Observer) metrics.Recorder {
-	if t, ok := r.(*metrics.Tee); ok {
-		t.Sinks = append(t.Sinks, o)
-		return t
-	}
-	return metrics.NewTee(r, o)
 }
 
 // TrackAccuracy opts the collector into the ROTA-I/O timing-accuracy
@@ -234,14 +195,12 @@ func (c *Collector) TrackAccuracy() {
 // misses). Run threads the stream here for faulted trials.
 func (c *Collector) SetFaultStream(fs *faults.Stream) { c.fs = fs }
 
-// TrackByTask switches ByTask to online accumulation: per-task stats
-// are updated on every completion, which is the only way to get them
-// in streaming mode (there is no buffer to replay).
+// TrackByTask opts the collector into per-task stats, updated on
+// every subsequent completion; ByTask returns them.
 func (c *Collector) TrackByTask() {
 	if c.perTask == nil {
 		c.perTask = map[int]*TaskStat{}
 	}
-	c.trackByTask = true
 }
 
 // critical reports whether a task's deadline misses fail the trial
@@ -258,15 +217,12 @@ func (c *Collector) Complete(j *task.Job, at slot.Time) {
 	c.ensure()
 	if c.fs != nil && faults.IsDup(j) {
 		// An injected duplicate completing is a phantom actuation: count
-		// it, but keep it out of the completion log, the distributions
-		// and the miss classification — its observable cost is the
+		// it, but keep it out of the distributions, the observers and
+		// the miss classification — its observable cost is the
 		// device bandwidth it consumed, which the real jobs' response
 		// times already reflect.
 		c.dupDelivered++
 		return
-	}
-	if c.mode == MetricsExact {
-		c.done = append(c.done, completion{job: j, at: at})
 	}
 	c.completed++
 	c.bytesServed += int64(j.Task.OpBytes)
@@ -294,7 +250,7 @@ func (c *Collector) Complete(j *task.Job, at slot.Time) {
 			c.faultedMiss++
 		}
 	}
-	if c.trackByTask {
+	if c.perTask != nil {
 		st, ok := c.perTask[j.Task.ID]
 		if !ok {
 			st = &TaskStat{Task: j.Task, Response: c.newRecorder(0)}
@@ -309,15 +265,6 @@ func (c *Collector) Complete(j *task.Job, at slot.Time) {
 
 // Completed returns the number of recorded completions.
 func (c *Collector) Completed() int { return int(c.completed) }
-
-// Each visits the recorded completions in order. Only the exact mode
-// retains them; in streaming mode Each visits nothing — attach an
-// Observe sink before the run instead.
-func (c *Collector) Each(visit func(j *task.Job, at slot.Time)) {
-	for _, d := range c.done {
-		visit(d.job, d.at)
-	}
-}
 
 // Result scores a finished trial: a snapshot of the incrementally
 // maintained state (completed jobs were classified against their

@@ -129,23 +129,26 @@ func TestStreamCollectorMatchesExact(t *testing.T) {
 }
 
 // TestStreamCollectorRetainsNoBuffer is the memory claim at the
-// collector level: streaming mode must not keep per-completion state.
+// collector level: streaming mode's recorders keep a bounded sketch,
+// not one value per completion.
 func TestStreamCollectorRetainsNoBuffer(t *testing.T) {
 	c := NewStreamCollector()
 	tk := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 10, WCET: 1, Deadline: 10}
-	for i := 0; i < 5000; i++ {
-		c.Complete(task.NewJob(tk, i, slot.Time(i)), slot.Time(i+3))
+	const n = 5000
+	for i := 0; i < n; i++ {
+		c.Complete(task.NewJob(tk, i, slot.Time(i)), slot.Time(i+3+i%17))
 	}
-	if len(c.done) != 0 || cap(c.done) != 0 {
-		t.Errorf("stream collector buffered %d completions (cap %d), want none", len(c.done), cap(c.done))
+	if c.Completed() != n {
+		t.Errorf("Completed = %d, want %d", c.Completed(), n)
 	}
-	if c.Completed() != 5000 {
-		t.Errorf("Completed = %d, want 5000", c.Completed())
-	}
-	visited := 0
-	c.Each(func(*task.Job, slot.Time) { visited++ })
-	if visited != 0 {
-		t.Errorf("Each visited %d completions in stream mode, want 0", visited)
+	for name, r := range map[string]metrics.Recorder{"response": c.response, "tardiness": c.tardiness} {
+		st, ok := r.(*metrics.Streaming)
+		if !ok {
+			t.Fatalf("%s recorder is %T, want *metrics.Streaming", name, r)
+		}
+		if st.N() != n || st.SketchTuples() >= n/2 {
+			t.Errorf("%s recorder: n=%d, %d sketch tuples; want n=%d in < %d tuples", name, st.N(), st.SketchTuples(), n, n/2)
+		}
 	}
 }
 
@@ -171,101 +174,35 @@ func TestObserveSeesCompletionsOnline(t *testing.T) {
 	}
 }
 
-// TestObserveResponseFeedsHistogramOnline: the online histogram sink
-// matches a post-hoc replay of the exact buffer.
-func TestObserveResponseFeedsHistogramOnline(t *testing.T) {
-	online, err := metrics.NewHistogram(0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := metrics.NewHistogram(0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCollector(0)
-	c.ObserveResponse(online)
-	tk := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 10, WCET: 1, Deadline: 10}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		rel := slot.Time(i)
-		c.Complete(task.NewJob(tk, i, rel), rel+slot.Time(rng.Intn(120)))
-	}
-	c.Each(func(j *task.Job, at slot.Time) { replay.Add(float64(at - j.Release)) })
-	if online.N() != replay.N() {
-		t.Fatalf("online n=%d, replay n=%d", online.N(), replay.N())
-	}
-	for i := 0; i < 10; i++ {
-		if online.Bucket(i) != replay.Bucket(i) {
-			t.Errorf("bucket %d: online %d, replay %d", i, online.Bucket(i), replay.Bucket(i))
-		}
-	}
-	// Result's recorder view still answers through the tee.
-	res := c.Result(&fakeSystem{}, 1<<30)
-	if res.Response.N() != 500 {
-		t.Errorf("teed recorder lost observations: n=%d", res.Response.N())
-	}
-}
-
-// TestTrackByTaskMatchesReplay: online per-task stats equal the exact
-// mode's replay-derived ones.
-func TestTrackByTaskMatchesReplay(t *testing.T) {
-	tracked := NewStreamCollector()
-	tracked.TrackByTask()
-	replayed := NewCollector(0)
-	t0 := &task.Sporadic{ID: 0, Name: "a", Kind: task.Safety, Period: 10, WCET: 1, Deadline: 5}
-	t1 := &task.Sporadic{ID: 1, Name: "b", Kind: task.Synthetic, Period: 10, WCET: 1, Deadline: 5}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 2000; i++ {
-		tk := t0
-		if i%2 == 1 {
-			tk = t1
-		}
-		rel := slot.Time(i)
-		at := rel + slot.Time(rng.Intn(12))
-		tracked.Complete(task.NewJob(tk, i, rel), at)
-		replayed.Complete(task.NewJob(tk, i, rel), at)
-	}
-	on, off := tracked.ByTask(), replayed.ByTask()
-	if len(on) != len(off) {
-		t.Fatalf("tracked %d tasks, replay %d", len(on), len(off))
-	}
-	for id, want := range off {
-		got := on[id]
-		if got == nil {
-			t.Fatalf("task %d missing from tracked stats", id)
-		}
-		if got.Completed != want.Completed || got.Misses != want.Misses {
-			t.Errorf("task %d: tracked %d/%d, replay %d/%d",
-				id, got.Completed, got.Misses, want.Completed, want.Misses)
-		}
-		if math.Abs(got.Response.Mean()-want.Response.Mean()) > 1e-9*(1+want.Response.Mean()) {
-			t.Errorf("task %d mean: %v vs %v", id, got.Response.Mean(), want.Response.Mean())
-		}
-	}
-}
-
-// TestStreamCompleteSteadyStateAllocs: after warm-up, the streaming
-// collector's Complete must not allocate — its recorders are
-// bounded-memory and there is no completion log to grow.
+// TestStreamCompleteSteadyStateAllocs: after warm-up, Complete must
+// not allocate — the streaming recorders are bounded-memory, and a
+// presized exact collector has room for every observation.
 func TestStreamCompleteSteadyStateAllocs(t *testing.T) {
-	c := NewStreamCollector()
-	tk := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 10, WCET: 1, Deadline: 10, OpBytes: 8}
-	j := task.NewJob(tk, 0, 0)
-	var x uint64 = 99
-	for i := 0; i < 100_000; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		j.Release = slot.Time(x % 1024)
-		j.Deadline = j.Release + 10
-		c.Complete(j, j.Release+slot.Time(x%32))
-	}
-	allocs := testing.AllocsPerRun(50_000, func() {
-		x = x*6364136223846793005 + 1442695040888963407
-		j.Release = slot.Time(x % 1024)
-		j.Deadline = j.Release + 10
-		c.Complete(j, j.Release+slot.Time(x%32))
-	})
-	if allocs > 0.001 {
-		t.Errorf("steady-state stream Complete allocates %.4f/op, want ~0", allocs)
+	for _, tc := range []struct {
+		name       string
+		c          *Collector
+		warm, runs int
+	}{
+		{"stream", NewStreamCollector(), 100_000, 50_000},
+		// Warm-up plus measured runs stay inside the presize.
+		{"exact", NewCollector(maxCollectorPresize), 1_000, 20_000},
+	} {
+		c := tc.c
+		tk := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 10, WCET: 1, Deadline: 10, OpBytes: 8}
+		j := task.NewJob(tk, 0, 0)
+		var x uint64 = 99
+		complete := func() {
+			x = x*6364136223846793005 + 1442695040888963407
+			j.Release = slot.Time(x % 1024)
+			j.Deadline = j.Release + 10
+			c.Complete(j, j.Release+slot.Time(x%32))
+		}
+		for i := 0; i < tc.warm; i++ {
+			complete()
+		}
+		if allocs := testing.AllocsPerRun(tc.runs, complete); allocs > 0.001 {
+			t.Errorf("%s: steady-state Complete allocates %.4f/op, want ~0", tc.name, allocs)
+		}
 	}
 }
 

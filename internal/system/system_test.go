@@ -66,19 +66,19 @@ func TestCollectorRecords(t *testing.T) {
 	c := &Collector{}
 	tk := &task.Sporadic{ID: 0, Period: 10, WCET: 1, Deadline: 10}
 	j := task.NewJob(tk, 0, 0)
+	seen := 0
+	c.Observe(func(jj *task.Job, at slot.Time) {
+		seen++
+		if jj != j || at != 5 {
+			t.Error("observed completion wrong")
+		}
+	})
 	c.Complete(j, 5)
 	if c.Completed() != 1 {
 		t.Fatal("Completed != 1")
 	}
-	seen := 0
-	c.Each(func(jj *task.Job, at slot.Time) {
-		seen++
-		if jj != j || at != 5 {
-			t.Error("Each content wrong")
-		}
-	})
 	if seen != 1 {
-		t.Error("Each visited wrong count")
+		t.Error("observer saw wrong count")
 	}
 }
 

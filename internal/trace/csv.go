@@ -1,18 +1,15 @@
 // CSV export of execution traces, for offline analysis of schedules
-// in spreadsheet/plotting tools. The row format is shared with the
-// streaming CSVSink so a buffered export and an online one are
-// byte-identical for the same events.
+// in spreadsheet/plotting tools: the row format CSVSink writes.
 package trace
 
 import (
-	"io"
 	"strconv"
 
 	"ioguard/internal/slot"
 	"ioguard/internal/task"
 )
 
-// csvHeader is the column layout shared by WriteCSV and CSVSink.
+// csvHeader is the column layout of CSVSink.
 var csvHeader = []string{"slot", "event", "task", "vm", "job", "deadline"}
 
 // csvRecord formats one event into row, which must have
@@ -25,18 +22,4 @@ func csvRecord(row []string, at slot.Time, kind EventKind, j *task.Job) {
 	row[3] = strconv.Itoa(j.Task.VM)
 	row[4] = strconv.Itoa(j.Seq)
 	row[5] = strconv.FormatInt(int64(j.Deadline), 10)
-}
-
-// WriteCSV streams the recorded events as CSV with the header
-// slot,event,task,vm,job,deadline — the buffered equivalent of
-// feeding every event through a CSVSink.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	sink, err := NewCSVSink(w)
-	if err != nil {
-		return err
-	}
-	for _, e := range r.events {
-		sink.event(e.At, e.Kind, e.Job)
-	}
-	return sink.Flush()
 }

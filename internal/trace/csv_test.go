@@ -10,33 +10,37 @@ import (
 	"ioguard/internal/task"
 )
 
-func TestWriteCSV(t *testing.T) {
-	var r Recorder
+func TestCSVSinkRows(t *testing.T) {
 	tk := &task.Sporadic{ID: 0, Name: "crc", VM: 2, Period: 10, WCET: 2, Deadline: 8}
 	j := task.NewJob(tk, 3, 0)
-	r.OnRelease(0, j)
-	r.OnExecute(1, j)
-	r.OnComplete(j, 4)
-
 	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
+	sink, err := NewCSVSink(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.OnExecute(1, j)
+	sink.OnComplete(j, 4)
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 { // header + 3 events
+	if len(rows) != 3 { // header + 2 events
 		t.Fatalf("rows = %d", len(rows))
 	}
 	if strings.Join(rows[0], ",") != "slot,event,task,vm,job,deadline" {
 		t.Errorf("header = %v", rows[0])
 	}
-	if rows[1][1] != "release" || rows[2][1] != "execute" || rows[3][1] != "complete" {
+	if rows[1][1] != "execute" || rows[2][1] != "complete" {
 		t.Errorf("event column wrong: %v", rows)
 	}
-	if rows[2][0] != "1" || rows[2][2] != "crc" || rows[2][3] != "2" || rows[2][4] != "3" || rows[2][5] != "8" {
-		t.Errorf("execute row = %v", rows[2])
+	if rows[1][0] != "1" || rows[1][2] != "crc" || rows[1][3] != "2" || rows[1][4] != "3" || rows[1][5] != "8" {
+		t.Errorf("execute row = %v", rows[1])
+	}
+	if rows[2][0] != "4" {
+		t.Errorf("complete row = %v, want slot 4", rows[2])
 	}
 }
 
@@ -49,15 +53,4 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 	}
 	f.left -= len(p)
 	return len(p), nil
-}
-
-func TestWriteCSVPropagatesErrors(t *testing.T) {
-	var r Recorder
-	tk := &task.Sporadic{ID: 0, Name: "x", VM: 0, Period: 10, WCET: 1, Deadline: 10}
-	for i := 0; i < 100; i++ {
-		r.OnExecute(0, task.NewJob(tk, i, 0))
-	}
-	if err := r.WriteCSV(&failingWriter{left: 64}); err == nil {
-		t.Error("write error swallowed")
-	}
 }

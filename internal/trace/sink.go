@@ -1,9 +1,8 @@
-// CSVSink: the streaming counterpart of Recorder.WriteCSV. Instead of
-// buffering every event and exporting after the run, the sink writes
-// each event's CSV row the moment it is recorded — wire its On*
-// methods to the same hooks as Recorder's (hypervisor.Manager.OnExecute,
-// system.Collector.Observe) and trace export works in bounded memory,
-// matching the streaming metrics mode.
+// CSVSink: the trace export. The sink writes each event's CSV row the
+// moment it is recorded — wire OnExecute to
+// hypervisor.Manager.OnExecute and OnComplete to
+// system.Collector.Observe — so export works in bounded memory in
+// either metrics mode.
 package trace
 
 import (
@@ -43,9 +42,6 @@ func (s *CSVSink) event(at slot.Time, kind EventKind, j *task.Job) {
 	csvRecord(s.row, at, kind, j)
 	s.err = s.cw.Write(s.row)
 }
-
-// OnRelease records a job release.
-func (s *CSVSink) OnRelease(now slot.Time, j *task.Job) { s.event(now, Release, j) }
 
 // OnExecute records one executed slot; wire it to
 // hypervisor.Manager.OnExecute.

@@ -1,42 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"ioguard/internal/task"
 )
-
-// TestCSVSinkMatchesWriteCSV: the online sink and the buffered export
-// produce byte-identical output for the same event stream.
-func TestCSVSinkMatchesWriteCSV(t *testing.T) {
-	tk := &task.Sporadic{ID: 0, Name: "crc", VM: 2, Period: 10, WCET: 2, Deadline: 8}
-	var r Recorder
-	var online bytes.Buffer
-	sink, err := NewCSVSink(&online)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		j := task.NewJob(tk, i, 0)
-		r.OnRelease(0, j)
-		sink.OnRelease(0, j)
-		r.OnExecute(1, j)
-		sink.OnExecute(1, j)
-		r.OnComplete(j, 4)
-		sink.OnComplete(j, 4)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var buffered bytes.Buffer
-	if err := r.WriteCSV(&buffered); err != nil {
-		t.Fatal(err)
-	}
-	if online.String() != buffered.String() {
-		t.Error("online sink and buffered WriteCSV diverge")
-	}
-}
 
 func TestCSVSinkStickyError(t *testing.T) {
 	tk := &task.Sporadic{ID: 0, Name: "x", VM: 0, Period: 10, WCET: 1, Deadline: 10}

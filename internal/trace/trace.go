@@ -1,6 +1,7 @@
 // Package trace records slot-level execution traces of the
-// hypervisor (which job ran in which slot, when jobs were released
-// and retired) and renders them as ASCII Gantt charts. The paper's
+// hypervisor (which job ran in which slot, when jobs completed). The
+// Recorder keeps executed slots and renders them as ASCII Gantt
+// charts; CSVSink streams every event as a CSV row. The paper's
 // predictability claims are about *when* operations run; the trace
 // makes that visible for the examples and for debugging schedules.
 package trace
@@ -26,16 +27,13 @@ type EventKind uint8
 
 // Trace event kinds.
 const (
-	Release EventKind = iota
-	Execute
+	Execute EventKind = iota
 	Complete
 )
 
 // String returns the event-kind name.
 func (k EventKind) String() string {
 	switch k {
-	case Release:
-		return "release"
 	case Execute:
 		return "execute"
 	case Complete:
@@ -45,25 +43,16 @@ func (k EventKind) String() string {
 	}
 }
 
-// Recorder accumulates events. The zero value is ready to use.
+// Recorder accumulates execution events for Gantt rendering. The zero
+// value is ready to use.
 type Recorder struct {
 	events []Event
-}
-
-// OnRelease records a job release.
-func (r *Recorder) OnRelease(now slot.Time, j *task.Job) {
-	r.events = append(r.events, Event{At: now, Kind: Release, Job: j})
 }
 
 // OnExecute records one executed slot; wire it to
 // hypervisor.Manager.OnExecute.
 func (r *Recorder) OnExecute(now slot.Time, j *task.Job) {
 	r.events = append(r.events, Event{At: now, Kind: Execute, Job: j})
-}
-
-// OnComplete records an observed completion.
-func (r *Recorder) OnComplete(j *task.Job, at slot.Time) {
-	r.events = append(r.events, Event{At: at, Kind: Complete, Job: j})
 }
 
 // Len returns the number of recorded events.

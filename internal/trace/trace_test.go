@@ -10,7 +10,7 @@ import (
 )
 
 func TestEventKindString(t *testing.T) {
-	if Release.String() != "release" || Execute.String() != "execute" || Complete.String() != "complete" {
+	if Execute.String() != "execute" || Complete.String() != "complete" {
 		t.Error("event kind names wrong")
 	}
 	if !strings.Contains(EventKind(9).String(), "9") {
@@ -22,15 +22,13 @@ func TestRecorderAccumulates(t *testing.T) {
 	var r Recorder
 	tk := &task.Sporadic{ID: 0, Name: "crc", VM: 0, Period: 10, WCET: 2, Deadline: 10}
 	j := task.NewJob(tk, 0, 0)
-	r.OnRelease(0, j)
 	r.OnExecute(1, j)
 	r.OnExecute(2, j)
-	r.OnComplete(j, 3)
-	if r.Len() != 4 {
+	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
 	evs := r.Events()
-	if evs[0].Kind != Release || evs[3].Kind != Complete {
+	if evs[0].At != 1 || evs[1].At != 2 || evs[1].Kind != Execute {
 		t.Error("event order wrong")
 	}
 	slots := r.ExecutedSlots()["crc"]
@@ -73,7 +71,6 @@ func TestRecorderWiresIntoManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.OnExecute = r.OnExecute
-	m.OnComplete = r.OnComplete
 	tk := &task.Sporadic{ID: 0, Name: "op", VM: 0, Period: 100, WCET: 3, Deadline: 100}
 	m.Submit(0, task.NewJob(tk, 0, 0))
 	for now := slot.Time(0); now < 10; now++ {
@@ -81,14 +78,5 @@ func TestRecorderWiresIntoManager(t *testing.T) {
 	}
 	if len(r.ExecutedSlots()["op"]) != 3 {
 		t.Errorf("executed slots = %v", r.ExecutedSlots())
-	}
-	found := false
-	for _, e := range r.Events() {
-		if e.Kind == Complete {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no completion recorded")
 	}
 }
