@@ -329,9 +329,9 @@ func BenchmarkSlotFreeIn(b *testing.B)   { benchSuite(b, "SlotFreeIn") }
 func BenchmarkRunSkewed(b *testing.B) { benchSuite(b, "RunSkewed") }
 
 // BenchmarkRunSkewedLegacy and BenchmarkRunSkewedRTXen measure the
-// same skew cell on the mesh-coupled baselines, whose transports run
-// as two boundary-horizon regions (processor band / device row): only
-// the device row steps densely while the processor band skips.
+// same skew cell on the mesh-coupled baselines, each one shard that
+// skips between request injections, mesh hops and station service
+// ends.
 func BenchmarkRunSkewedLegacy(b *testing.B) { benchSuite(b, "RunSkewedLegacy") }
 
 func BenchmarkRunSkewedRTXen(b *testing.B) { benchSuite(b, "RunSkewedRTXen") }

@@ -125,7 +125,7 @@ func TestBaselineStatsNonNegative(t *testing.T) {
 	for now := slot.Time(0); now < 3000; now++ {
 		l.Step(now)
 	}
-	st := l.MeshStats()
+	st := l.t.mesh.Stats()
 	if st.Injected <= 0 || st.Delivered <= 0 || st.Forwarded < st.Delivered {
 		t.Errorf("mesh stats inconsistent: %+v", st)
 	}

@@ -68,20 +68,18 @@ func (s *bvShard) complete(j *task.Job, finished slot.Time) {
 }
 
 // NextWork implements the sim.Quiescer protocol on the shard's local
-// clock: now while the station holds work, otherwise the earliest
+// clock: the station's next service start or end, or the earliest
 // pool-arrival slot.
 func (s *bvShard) NextWork(now slot.Time) slot.Time {
-	if s.st.busy() {
-		return now
-	}
+	next := s.st.nextWork(now)
 	if _, at, _, ok := s.pending.Min(); ok {
-		if at <= now {
-			return now
-		}
-		return at
+		next = min(next, at)
 	}
-	return slot.Never
+	return next
 }
+
+// SkipTo implements sim.Skipper over a span NextWork proved idle.
+func (s *bvShard) SkipTo(from, to slot.Time) { s.st.skipTo(from, to) }
 
 // pendingJobs visits jobs on the hardware path or queued at the
 // controller.

@@ -8,9 +8,9 @@ package baseline
 import (
 	"sort"
 
-	"ioguard/internal/noc"
 	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
+	"ioguard/internal/sim"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/task"
@@ -25,7 +25,11 @@ type Legacy struct {
 	pending *queue.PQ[*task.Job] // keyed by injection slot
 }
 
-var _ system.System = (*Legacy)(nil)
+var (
+	_ system.ShardedSystem = (*Legacy)(nil)
+	_ system.Shard         = (*Legacy)(nil)
+	_ sim.Skipper          = (*Legacy)(nil)
+)
 
 // devicesOf returns the sorted device names used by a workload.
 func devicesOf(ts task.Set) []string {
@@ -72,8 +76,7 @@ func (l *Legacy) Submit(now slot.Time, j *task.Job) {
 }
 
 // injectDue injects every pending request whose kernel path has
-// completed — the guest-side half of Step, shared with the processor
-// region shard (guestPipe).
+// completed.
 func (l *Legacy) injectDue(now slot.Time) {
 	for {
 		_, at, j, ok := l.pending.Min()
@@ -85,39 +88,31 @@ func (l *Legacy) injectDue(now slot.Time) {
 	}
 }
 
-// pipeNextWork implements guestPipe: the earliest scheduled request
-// injection, or slot.Never.
-func (l *Legacy) pipeNextWork(now slot.Time) slot.Time {
-	if _, at, _, ok := l.pending.Min(); ok {
-		return at
-	}
-	return slot.Never
-}
-
-// nextEmit implements guestPipe: the head of the kernel-path queue is
-// the earliest scheduled injection; a job not yet submitted arrives
-// at slot ≥ pub and pays the request path, so pub+Request bounds it.
-func (l *Legacy) nextEmit(pub slot.Time) slot.Time {
-	e := pub + l.path.Request
-	if _, at, _, ok := l.pending.Min(); ok && at < e {
-		e = at
-	}
-	return e
-}
-
 // Step injects due requests and advances the mesh and controllers.
 func (l *Legacy) Step(now slot.Time) {
 	l.injectDue(now)
 	l.t.step(now)
 }
 
-// Shards implements system.ShardedSystem with two region shards: the
-// processor band (kernel path + request injection + response ejection)
-// and the device row (stations), coupled only through the mesh's
-// boundary-flit horizons.
-func (l *Legacy) Shards() []system.Shard {
-	return l.t.regionShards(l, l.devices, l.Submit)
+// Shards implements system.ShardedSystem: the whole system is one
+// shard on one clock, stepped by the dense Step.
+func (l *Legacy) Shards() []system.Shard { return []system.Shard{l} }
+
+// Devices implements system.Shard: the one shard owns every device.
+func (l *Legacy) Devices() []string { return l.devices }
+
+// NextWork implements system.Shard: the earliest scheduled request
+// injection, or the transport's next pull, hop or service event.
+func (l *Legacy) NextWork(now slot.Time) slot.Time {
+	next := l.t.nextWork(now)
+	if _, at, _, ok := l.pending.Min(); ok {
+		next = min(next, at)
+	}
+	return next
 }
+
+// SkipTo implements sim.Skipper over a span NextWork proved idle.
+func (l *Legacy) SkipTo(from, to slot.Time) { l.t.skipTo(from, to) }
 
 // Pending visits jobs still inside the system.
 func (l *Legacy) Pending(visit func(j *task.Job)) {
@@ -126,9 +121,4 @@ func (l *Legacy) Pending(visit func(j *task.Job)) {
 }
 
 // Dropped returns jobs lost in transport.
-func (l *Legacy) Dropped() int64 { return l.t.dropped.Load() }
-
-// MeshStats exposes the NoC delivery statistics for inspection:
-// monolithic mesh counters merged with the region shards' (which are
-// individually atomic, so a concurrent snapshot is safe mid-run).
-func (l *Legacy) MeshStats() noc.Stats { return l.t.meshStats() }
+func (l *Legacy) Dropped() int64 { return l.t.dropped }

@@ -13,6 +13,7 @@ import (
 
 	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
+	"ioguard/internal/sim"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/task"
@@ -37,7 +38,11 @@ type RTXen struct {
 	vmmBusyAt slot.Time // slot at which the VMM finishes the current op
 }
 
-var _ system.System = (*RTXen)(nil)
+var (
+	_ system.ShardedSystem = (*RTXen)(nil)
+	_ system.Shard         = (*RTXen)(nil)
+	_ sim.Skipper          = (*RTXen)(nil)
+)
 
 // NewRTXen builds the RT-Xen baseline. quantum ≤ 0 selects
 // DefaultVCPUQuantum.
@@ -105,8 +110,7 @@ func (x *RTXen) Submit(now slot.Time, j *task.Job) {
 	x.pending.Push(at, j)
 }
 
-// injectDue advances the VMM pipeline at slot now — the guest-side
-// half of Step, shared with the processor region shard (guestPipe).
+// injectDue advances the VMM pipeline at slot now.
 func (x *RTXen) injectDue(now slot.Time) {
 	// Trapped requests reach their VM's backend queue.
 	for {
@@ -142,9 +146,29 @@ func (x *RTXen) injectDue(now slot.Time) {
 	}
 }
 
-// pipeNextWork implements guestPipe: now while any backend queue
-// holds work, vmmBusyAt for an operation inside the serialized
-// backend, the head arrival slot for guest-side requests.
+// Step advances the VMM pipeline, then the mesh and controllers.
+func (x *RTXen) Step(now slot.Time) {
+	x.injectDue(now)
+	x.t.step(now)
+}
+
+// Shards implements system.ShardedSystem: the whole system is one
+// shard on one clock, stepped by the dense Step.
+func (x *RTXen) Shards() []system.Shard { return []system.Shard{x} }
+
+// Devices implements system.Shard: the one shard owns every device.
+func (x *RTXen) Devices() []string { return x.devices }
+
+// NextWork implements system.Shard: the VMM pipeline's next event or
+// the transport's next pull, hop or service event.
+func (x *RTXen) NextWork(now slot.Time) slot.Time {
+	return min(x.pipeNextWork(now), x.t.nextWork(now))
+}
+
+// pipeNextWork returns the VMM pipeline's next event: vmmBusyAt for
+// the operation inside the serialized backend, now when the idle
+// backend must pick from a non-empty queue, and the head arrival slot
+// of the guest-side path.
 func (x *RTXen) pipeNextWork(now slot.Time) slot.Time {
 	next := slot.Never
 	if x.vmmJob != nil {
@@ -152,65 +176,21 @@ func (x *RTXen) pipeNextWork(now slot.Time) slot.Time {
 			return now
 		}
 		next = x.vmmBusyAt
-	}
-	for _, q := range x.vmmQueues {
-		if q.Len() > 0 {
-			return now
-		}
-	}
-	if _, at, _, ok := x.pending.Min(); ok && at < next {
-		next = at
-	}
-	return next
-}
-
-// nextEmit implements guestPipe, lower-bounding the next request
-// injection: the backend's current operation injects when it
-// completes (vmmBusyAt, clamped to pub); a queued operation first
-// pays the backend service; a guest-side request additionally waits
-// for its VMM arrival slot; a job not yet submitted arrives at slot
-// ≥ pub and pays the full software path.
-func (x *RTXen) nextEmit(pub slot.Time) slot.Time {
-	e := pub + x.path.Request + x.path.VMMRequest
-	if x.vmmJob != nil {
-		c := x.vmmBusyAt
-		if c < pub {
-			c = pub
-		}
-		if c < e {
-			e = c
-		}
 	} else {
 		for _, q := range x.vmmQueues {
 			if q.Len() > 0 {
-				if c := pub + x.path.VMMRequest; c < e {
-					e = c
-				}
-				break
+				return now
 			}
 		}
 	}
 	if _, at, _, ok := x.pending.Min(); ok {
-		if c := at + x.path.VMMRequest; c < e {
-			e = c
-		}
+		next = min(next, at)
 	}
-	return e
+	return next
 }
 
-// Step advances the VMM pipeline, then the mesh and controllers.
-func (x *RTXen) Step(now slot.Time) {
-	x.injectDue(now)
-	x.t.step(now)
-}
-
-// Shards implements system.ShardedSystem with two region shards: the
-// guest path and serialized VMM backend ride on the processor band,
-// the stations on the device row, coupled only through the mesh's
-// boundary-flit horizons.
-func (x *RTXen) Shards() []system.Shard {
-	return x.t.regionShards(x, x.devices, x.Submit)
-}
+// SkipTo implements sim.Skipper over a span NextWork proved idle.
+func (x *RTXen) SkipTo(from, to slot.Time) { x.t.skipTo(from, to) }
 
 // Pending visits jobs anywhere in the software or transport pipeline.
 func (x *RTXen) Pending(visit func(j *task.Job)) {
@@ -225,4 +205,4 @@ func (x *RTXen) Pending(visit func(j *task.Job)) {
 }
 
 // Dropped returns jobs lost in transport.
-func (x *RTXen) Dropped() int64 { return x.t.dropped.Load() }
+func (x *RTXen) Dropped() int64 { return x.t.dropped }

@@ -129,6 +129,28 @@ func (st *station) step(now slot.Time) {
 	}
 }
 
+// nextWork is the station's next state change at or after now: the
+// slot its in-service operation completes (service is non-preemptive,
+// so the end is known), now when it must pull from a backlog, and
+// slot.Never when drained.
+func (st *station) nextWork(now slot.Time) slot.Time {
+	switch {
+	case st.current != nil:
+		return now + st.current.Remaining - 1
+	case st.backlog() > 0:
+		return now
+	}
+	return slot.Never
+}
+
+// skipTo serves the in-service operation across [from, to), a span
+// nextWork(from) proved ends before its completion slot.
+func (st *station) skipTo(from, to slot.Time) {
+	if st.current != nil {
+		st.current.Remaining -= to - from
+	}
+}
+
 // pendingJobs visits queued and in-service operations.
 func (st *station) pendingJobs(visit func(j *task.Job)) {
 	if st.current != nil {
@@ -143,11 +165,6 @@ func (st *station) pendingJobs(visit func(j *task.Job)) {
 		}
 	}
 }
-
-// busy reports whether the controller has an operation in service or
-// waiting; a busy station needs every slot (non-preemptive service
-// progresses one slot at a time).
-func (st *station) busy() bool { return st.current != nil || st.backlog() > 0 }
 
 // backlog returns the number of waiting (not in-service) operations.
 func (st *station) backlog() int {

@@ -7,8 +7,6 @@ package baseline
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ioguard/internal/noc"
 	"ioguard/internal/packet"
@@ -30,42 +28,18 @@ const maxPacketPayload = 64
 
 // meshTransport carries jobs to per-device stations over a mesh NoC.
 type meshTransport struct {
-	mesh     *noc.Mesh
-	vms      int
-	col      *system.Collector
-	stations map[string]*station
+	mesh *noc.Mesh
+	col  *system.Collector
+	// stations holds one controller per device in tile order: station
+	// i sits on tile devRow+i, the i-th tile of the bottom row.
+	stations []*station
+	devRow   packet.NodeID
 	devTile  map[string]packet.NodeID
-	tileDev  map[packet.NodeID]string
-	// inflight is touched from both region shards (the processor band
-	// inserts on request injection, the device row looks jobs up on
-	// request delivery); the mutex is uncontended in monolithic runs.
-	inflightMu sync.Mutex
-	inflight   map[jobKey]*task.Job
-	respCost   slot.Time // software response-path cost at the processor
-
-	// regions partition the mesh into the processor band (rows
-	// 0..H-2) and the device row (row H-1), each advancing on its own
-	// virtual clock with boundary-flit horizons; regionShards engages
-	// them. The injector indirection lets sendRequest/sendResponse
-	// target whichever view of the mesh is live; dense runs keep
-	// mesh.Inject.
-	regions    []*noc.Region
-	shards     []system.Shard
-	reqInject  func(now slot.Time, p *packet.Packet) bool
-	respInject func(now slot.Time, p *packet.Packet) bool
-	// respond routes a station's completion toward the NoC. Monolithic
-	// runs inject immediately (the mesh step for this slot already
-	// ran); the device shard instead stages the response and injects
-	// it after the next slot's boundary arrivals are applied, keeping
-	// the FIFO order of same-queue pushes identical to a dense run.
-	respond func(dev string, j *task.Job, finished slot.Time)
+	inflight map[jobKey]*task.Job
+	respCost slot.Time // software response-path cost at the processor
 	// dropped counts jobs lost in transport (unknown device, full
-	// injection queue, unmatched delivery). Atomic: it may be
-	// snapshotted from another goroutine while a trial runs.
-	dropped atomic.Int64
-	// observe optionally post-processes the observed completion time
-	// (RT-Xen delays it to the VM's next VCPU window).
-	observe func(vmID int, at slot.Time) slot.Time
+	// injection queue, unmatched delivery).
+	dropped int64
 }
 
 // newMeshTransport wires a transport over a fresh default mesh for
@@ -81,43 +55,24 @@ func newMeshTransport(vms int, devices []string, col *system.Collector, respCost
 	}
 	t := &meshTransport{
 		mesh:     mesh,
-		vms:      vms,
 		col:      col,
-		stations: make(map[string]*station),
+		devRow:   mesh.NodeAt(noc.Coord{X: 0, Y: cfg.Height - 1}),
 		devTile:  make(map[string]packet.NodeID),
-		tileDev:  make(map[packet.NodeID]string),
 		inflight: make(map[jobKey]*task.Job),
 		respCost: respCost,
 	}
 	for i, dev := range devices {
 		tile := mesh.NodeAt(noc.Coord{X: i, Y: cfg.Height - 1})
 		t.devTile[dev] = tile
-		t.tileDev[tile] = dev
-		devName := dev
 		st, err := newStation(dev, globalFIFO, vms, controllerSetupSlots, func(j *task.Job, finished slot.Time) {
-			t.respond(devName, j, finished)
+			t.sendResponse(tile, j, finished)
 		})
 		if err != nil {
 			return nil, err
 		}
-		t.stations[dev] = st
+		t.stations = append(t.stations, st)
 	}
-	regions, err := noc.Regions(cfg, []int{cfg.Height - 1, 1})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range regions {
-		r.OnDeliver = t.onDeliver
-	}
-	// The device row consumes delivered requests and its stations emit
-	// responses back toward the processor band: same-side feedback the
-	// region's horizon accounting must know about.
-	regions[1].Loopback = true
-	t.regions = regions
 	mesh.OnDeliver = t.onDeliver
-	t.reqInject = mesh.Inject
-	t.respInject = mesh.Inject
-	t.respond = t.sendResponse
 	return t, nil
 }
 
@@ -138,7 +93,7 @@ func key(j *task.Job) jobKey {
 func (t *meshTransport) sendRequest(now slot.Time, j *task.Job) {
 	tile, ok := t.devTile[j.Task.Device]
 	if !ok {
-		t.dropped.Add(1)
+		t.dropped++
 		return
 	}
 	payload := j.Task.OpBytes
@@ -155,25 +110,22 @@ func (t *meshTransport) sendRequest(now slot.Time, j *task.Job) {
 		Seq:      uint32(j.Seq),
 		Deadline: j.Deadline,
 	}, make([]byte, payload))
-	t.inflightMu.Lock()
 	t.inflight[key(j)] = j
-	t.inflightMu.Unlock()
-	if !t.reqInject(now, p) {
-		t.inflightMu.Lock()
+	if !t.mesh.Inject(now, p) {
 		delete(t.inflight, key(j))
-		t.inflightMu.Unlock()
-		t.dropped.Add(1)
+		t.dropped++
 	}
 }
 
-// sendResponse injects the completion notification back to the VM.
-func (t *meshTransport) sendResponse(dev string, j *task.Job, finished slot.Time) {
+// sendResponse injects the completion notification from a device tile
+// back to the VM.
+func (t *meshTransport) sendResponse(tile packet.NodeID, j *task.Job, finished slot.Time) {
 	payload := j.Task.OpBytes
 	if payload > maxPacketPayload {
 		payload = maxPacketPayload
 	}
 	p := packet.New(packet.Header{
-		Src:      t.devTile[dev],
+		Src:      tile,
 		Dst:      t.vmTile(j.Task.VM),
 		VM:       uint8(j.Task.VM),
 		Kind:     packet.Response,
@@ -182,115 +134,75 @@ func (t *meshTransport) sendResponse(dev string, j *task.Job, finished slot.Time
 		Seq:      uint32(j.Seq),
 		Deadline: j.Deadline,
 	}, make([]byte, payload))
-	if !t.respInject(finished, p) {
-		t.dropped.Add(1)
+	if !t.mesh.Inject(finished, p) {
+		t.dropped++
 	}
 }
 
-// onDeliver routes delivered packets: requests into the device
-// station, responses to the collector.
 // debugDeliver, when set, observes every packet delivery (test hook).
 var debugDeliver func(kind packet.Kind, task uint16, seq uint32, injected, now slot.Time)
 
+// onDeliver routes delivered packets: requests into the device
+// station, responses to the collector.
 func (t *meshTransport) onDeliver(p *packet.Packet, injected, now slot.Time) {
 	if debugDeliver != nil {
 		debugDeliver(p.Kind, p.Task, p.Seq, injected, now)
 	}
 	k := jobKey{task: p.Task, seq: p.Seq}
-	t.inflightMu.Lock()
 	j, ok := t.inflight[k]
-	if ok && p.Kind == packet.Response {
-		delete(t.inflight, k)
-	}
-	t.inflightMu.Unlock()
 	if !ok {
-		t.dropped.Add(1)
+		t.dropped++
 		return
 	}
 	switch p.Kind {
 	case packet.Request:
-		dev, ok := t.tileDev[p.Dst]
-		if !ok {
-			t.dropped.Add(1)
+		i := int(p.Dst) - int(t.devRow)
+		if i < 0 || i >= len(t.stations) {
+			t.dropped++
 			return
 		}
-		if err := t.stations[dev].enqueue(j); err != nil {
-			t.dropped.Add(1)
+		if err := t.stations[i].enqueue(j); err != nil {
+			t.dropped++
 		}
 	case packet.Response:
-		at := now + 1 + t.respCost
-		if t.observe != nil {
-			at = t.observe(j.Task.VM, at)
-		}
+		delete(t.inflight, k)
 		if t.col != nil {
-			t.col.Complete(j, at)
+			t.col.Complete(j, now+1+t.respCost)
 		}
 	}
 }
 
-// step advances the mesh and every station one slot.
+// step advances the mesh, then every station in tile order, one slot.
 func (t *meshTransport) step(now slot.Time) {
 	t.mesh.Step(now)
-	for _, dev := range t.deviceNames() {
-		t.stations[dev].step(now)
+	for _, st := range t.stations {
+		st.step(now)
 	}
 }
 
-// deviceNames returns the devices in deterministic (tile) order.
-func (t *meshTransport) deviceNames() []string {
-	cfg := t.mesh.Config()
-	out := make([]string, 0, len(t.devTile))
-	for i := 0; i < cfg.Width; i++ {
-		tile := t.mesh.NodeAt(noc.Coord{X: i, Y: cfg.Height - 1})
-		if dev, ok := t.tileDev[tile]; ok {
-			out = append(out, dev)
-		}
+// nextWork is the earliest slot ≥ now at which step changes more than
+// countdowns: the mesh's next pull or hop completion, or a station's
+// next service start or end; slot.Never when both are drained.
+func (t *meshTransport) nextWork(now slot.Time) slot.Time {
+	next := t.mesh.NextWork(now)
+	for _, st := range t.stations {
+		next = min(next, st.nextWork(now))
 	}
-	return out
+	return next
+}
+
+// skipTo fast-forwards the mesh links and the in-service operations
+// over [from, to), a span nextWork(from) proved idle.
+func (t *meshTransport) skipTo(from, to slot.Time) {
+	t.mesh.SkipTo(from, to)
+	for _, st := range t.stations {
+		st.skipTo(from, to)
+	}
 }
 
 // pendingJobs visits all in-flight jobs (in the mesh or at stations).
 func (t *meshTransport) pendingJobs(visit func(j *task.Job)) {
-	t.inflightMu.Lock()
-	defer t.inflightMu.Unlock()
 	for _, j := range t.inflight {
 		visit(j)
 	}
-}
-
-// meshStats merges the monolithic mesh counters with the per-region
-// ones. Exactly one view carries traffic per trial (dense runs use
-// the mesh, sharded runs the regions), so the merge is a plain sum.
-func (t *meshTransport) meshStats() noc.Stats {
-	s := t.mesh.Stats()
-	for _, r := range t.regions {
-		s = s.Merge(r.Stats())
-	}
-	return s
-}
-
-// regionShards partitions the transport for multi-shard execution:
-// the processor band (where requests originate and responses eject)
-// and the device row (stations included) each become one shard over
-// their noc.Region. Injectors are rebound to the regions — safe
-// because system.Run only calls Shards() on the non-dense path, and a
-// system instance drives exactly one trial.
-func (t *meshTransport) regionShards(pipe guestPipe, devices []string, submit func(now slot.Time, j *task.Job)) []system.Shard {
-	if t.shards != nil {
-		return t.shards
-	}
-	proc, dev := t.regions[0], t.regions[1]
-	t.reqInject = proc.Inject
-	t.respInject = dev.Inject
-	stations := make([]*station, 0, len(t.stations))
-	for _, name := range t.deviceNames() {
-		stations = append(stations, t.stations[name])
-	}
-	ds := &devShard{t: t, r: dev, stations: stations}
-	t.respond = ds.stageResponse
-	t.shards = []system.Shard{
-		&procShard{t: t, r: proc, pipe: pipe, devices: devices, submit: submit},
-		ds,
-	}
-	return t.shards
 }

@@ -157,10 +157,10 @@ func skewedIOGuard(tr system.Trial, col *system.Collector) (system.System, error
 }
 
 // runSkewedBaseline drives the skewed cell on a mesh-coupled baseline
-// (legacy | rtxen). Its fastforward variant runs the two region shards
-// (processor band, device row) on one thread: only the device row
-// steps densely behind the busy CAN station while the processor band
-// fast-forwards between its own injections.
+// (legacy | rtxen). Its fastforward variant runs the system as one
+// shard that jumps between request injections, mesh hops and the
+// busy CAN station's service starts and ends; the dense variant steps
+// every slot.
 func runSkewedBaseline(b *testing.B, sysName string, dense bool) {
 	build, err := experiments.BuilderFor(sysName)
 	if err != nil {

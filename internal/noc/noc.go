@@ -104,56 +104,6 @@ func (c Config) normalized() (Config, error) {
 	return c, nil
 }
 
-// newOutPort builds one router output with an empty FIFO of the
-// configured depth.
-func newOutPort(c Config) *outPort {
-	return &outPort{waiting: queue.NewFIFO[*flight](c.QueueDepth)}
-}
-
-// coordAt returns the tile coordinate of router index ri under c.
-func coordAt(c Config, ri int) Coord {
-	return Coord{X: ri % c.Width, Y: ri / c.Width}
-}
-
-// routeXY returns the XY dimension-ordered next port from cur toward
-// dst.
-func routeXY(cur, dst Coord) Port {
-	switch {
-	case dst.X > cur.X:
-		return East
-	case dst.X < cur.X:
-		return West
-	case dst.Y > cur.Y:
-		return South
-	case dst.Y < cur.Y:
-		return North
-	default:
-		return Local
-	}
-}
-
-// linkSlotsFor returns how long one hop occupies a link for pkt under
-// c: serialization of all flits plus the router pipeline latency.
-func linkSlotsFor(c Config, pkt *packet.Packet) slot.Time {
-	return slot.Time(pkt.Flits(c.FlitBytes)) + c.HopLatency
-}
-
-// neighborIdx returns the router index one hop from ri through port.
-func neighborIdx(c Config, ri int, port Port) int {
-	switch port {
-	case East:
-		return ri + 1
-	case West:
-		return ri - 1
-	case South:
-		return ri + c.Width
-	case North:
-		return ri - c.Width
-	default:
-		return ri
-	}
-}
-
 // Stats aggregates delivery statistics.
 type Stats struct {
 	Injected   int64
@@ -165,24 +115,6 @@ type Stats struct {
 	MaxDelay   slot.Time
 }
 
-// Merge folds another snapshot into s: counters add, maxima take the
-// larger observation. It combines per-region statistics into one
-// mesh-wide view.
-func (s Stats) Merge(o Stats) Stats {
-	s.Injected += o.Injected
-	s.Delivered += o.Delivered
-	s.Dropped += o.Dropped
-	s.Forwarded += o.Forwarded
-	s.TotalDelay += o.TotalDelay
-	if o.MaxQueued > s.MaxQueued {
-		s.MaxQueued = o.MaxQueued
-	}
-	if o.MaxDelay > s.MaxDelay {
-		s.MaxDelay = o.MaxDelay
-	}
-	return s
-}
-
 // AvgDelay returns the mean injection-to-delivery latency in slots.
 func (s Stats) AvgDelay() float64 {
 	if s.Delivered == 0 {
@@ -191,17 +123,30 @@ func (s Stats) AvgDelay() float64 {
 	return float64(s.TotalDelay) / float64(s.Delivered)
 }
 
-// Mesh is the simulated NoC as one unit, stepped once per slot: the
-// dense reference that the region shards (Regions) reproduce.
-// Delivered packets are handed to the OnDeliver callback.
+// Mesh is the simulated NoC. It is stepped once per executed slot and
+// fast-forwarded over idle spans with NextWork/SkipTo. Delivered
+// packets are handed to the OnDeliver callback.
 type Mesh struct {
 	cfg     Config
 	routers []*router
-	stats   Stats
+	// masks holds one active-port bitmask per router: bit p is set iff
+	// out[p] has a packet on its link or in its FIFO. Step, NextWork
+	// and SkipTo visit only active ports.
+	masks    []uint8
+	arrivals []arrival // phase-1 hop completions, reused across steps
+	stats    Stats
 
 	// OnDeliver is invoked when a packet reaches its destination's
 	// local port. It may be nil.
 	OnDeliver func(p *packet.Packet, injected, now slot.Time)
+}
+
+// arrival is one hop completed in phase 1 of a Step: the flight and
+// the router output it left.
+type arrival struct {
+	fl   *flight
+	at   int // router index
+	port Port
 }
 
 // New builds a mesh with the given configuration.
@@ -210,12 +155,12 @@ func New(cfg Config) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Mesh{cfg: cfg}
+	m := &Mesh{cfg: cfg, masks: make([]uint8, cfg.Width*cfg.Height)}
 	for y := 0; y < cfg.Height; y++ {
 		for x := 0; x < cfg.Width; x++ {
 			r := &router{at: Coord{x, y}}
 			for p := range r.out {
-				r.out[p] = newOutPort(cfg)
+				r.out[p] = &outPort{waiting: queue.NewFIFO[*flight](cfg.QueueDepth)}
 			}
 			m.routers = append(m.routers, r)
 		}
@@ -245,12 +190,25 @@ func (m *Mesh) valid(id packet.NodeID) bool {
 }
 
 // route returns the XY dimension-ordered next port from cur toward dst.
-func (m *Mesh) route(cur Coord, dst Coord) Port { return routeXY(cur, dst) }
+func (m *Mesh) route(cur Coord, dst Coord) Port {
+	switch {
+	case dst.X > cur.X:
+		return East
+	case dst.X < cur.X:
+		return West
+	case dst.Y > cur.Y:
+		return South
+	case dst.Y < cur.Y:
+		return North
+	default:
+		return Local
+	}
+}
 
 // linkSlots returns how long one hop occupies a link for pkt:
 // serialization of all flits plus the router pipeline latency.
 func (m *Mesh) linkSlots(pkt *packet.Packet) slot.Time {
-	return linkSlotsFor(m.cfg, pkt)
+	return slot.Time(pkt.Flits(m.cfg.FlitBytes)) + m.cfg.HopLatency
 }
 
 // Hops returns the XY route length between two nodes.
@@ -282,12 +240,23 @@ func (m *Mesh) Inject(now slot.Time, pkt *packet.Packet) bool {
 	r := m.routers[pkt.Src]
 	port := m.route(r.at, m.CoordOf(pkt.Dst))
 	fl := &flight{pkt: pkt, injected: now}
-	if !r.out[port].waiting.Push(fl) {
+	if !m.push(int(pkt.Src), port, fl) {
+		return false
+	}
+	m.stats.Injected++
+	return true
+}
+
+// push enqueues fl at router ri's output port, marking the port
+// active. A full FIFO counts a drop.
+func (m *Mesh) push(ri int, port Port, fl *flight) bool {
+	op := m.routers[ri].out[port]
+	if !op.waiting.Push(fl) {
 		m.stats.Dropped++
 		return false
 	}
-	m.noteDepth(r.out[port])
-	m.stats.Injected++
+	m.noteDepth(op)
+	m.masks[ri] |= 1 << port
 	return true
 }
 
@@ -303,33 +272,33 @@ func (m *Mesh) noteDepth(op *outPort) {
 // (or deliver it); idle links pull the next packet from their FIFO.
 func (m *Mesh) Step(now slot.Time) {
 	// Phase 1: progress links and collect hop completions.
-	type arrival struct {
-		fl   *flight
-		at   int // router index
-		port Port
-	}
-	var arrivals []arrival
-	for ri, r := range m.routers {
+	arrivals := m.arrivals[:0]
+	for ri, mask := range m.masks {
+		if mask == 0 {
+			continue
+		}
+		r := m.routers[ri]
 		for p := Port(0); p < numPorts; p++ {
+			if mask&(1<<p) == 0 {
+				continue
+			}
 			op := r.out[p]
 			if op.current == nil {
-				if fl, ok := op.waiting.Pop(); ok {
-					fl.left = m.linkSlots(fl.pkt)
-					op.current = fl
-				}
-			}
-			if op.current == nil {
-				continue
+				op.current, _ = op.waiting.Pop()
+				op.current.left = m.linkSlots(op.current.pkt)
 			}
 			op.current.left--
 			if op.current.left > 0 {
 				continue
 			}
-			fl := op.current
+			arrivals = append(arrivals, arrival{fl: op.current, at: ri, port: p})
 			op.current = nil
-			arrivals = append(arrivals, arrival{fl: fl, at: ri, port: p})
+			if op.waiting.Len() == 0 {
+				m.masks[ri] &^= 1 << p
+			}
 		}
 	}
+	m.arrivals = arrivals
 	// Phase 2: apply completions — deliver or enqueue at the next hop.
 	for _, a := range arrivals {
 		m.stats.Forwarded++
@@ -338,12 +307,48 @@ func (m *Mesh) Step(now slot.Time) {
 			continue
 		}
 		next := m.neighbor(a.at, a.port)
-		nr := m.routers[next]
-		port := m.route(nr.at, m.CoordOf(a.fl.pkt.Dst))
-		if !nr.out[port].waiting.Push(a.fl) {
-			m.stats.Dropped++ // bounded buffer overflow mid-route
-		} else {
-			m.noteDepth(nr.out[port])
+		m.push(next, m.route(m.routers[next].at, m.CoordOf(a.fl.pkt.Dst)), a.fl)
+	}
+}
+
+// NextWork returns the first slot ≥ now at which Step does more than
+// count down link timers: now when an idle link has a packet waiting
+// or a hop completes this slot, otherwise the earliest hop completion
+// (now+left-1), and slot.Never when the mesh is empty.
+func (m *Mesh) NextWork(now slot.Time) slot.Time {
+	next := slot.Never
+	for ri, mask := range m.masks {
+		if mask == 0 {
+			continue
+		}
+		for p := Port(0); p < numPorts; p++ {
+			if mask&(1<<p) == 0 {
+				continue
+			}
+			fl := m.routers[ri].out[p].current
+			if fl == nil || fl.left <= 1 {
+				return now
+			}
+			next = min(next, now+fl.left-1)
+		}
+	}
+	return next
+}
+
+// SkipTo fast-forwards the links over [from, to), a span NextWork(from)
+// proved free of pulls and hop completions: every packet on a link
+// loses to-from slots of serialization, exactly as stepping would.
+func (m *Mesh) SkipTo(from, to slot.Time) {
+	for ri, mask := range m.masks {
+		if mask == 0 {
+			continue
+		}
+		for p := Port(0); p < numPorts; p++ {
+			if mask&(1<<p) != 0 {
+				if fl := m.routers[ri].out[p].current; fl != nil {
+					fl.left -= to - from
+				}
+			}
 		}
 	}
 }
@@ -362,7 +367,18 @@ func (m *Mesh) deliver(fl *flight, now slot.Time) {
 
 // neighbor returns the router index one hop from ri through port.
 func (m *Mesh) neighbor(ri int, port Port) int {
-	return neighborIdx(m.cfg, ri, port)
+	switch port {
+	case East:
+		return ri + 1
+	case West:
+		return ri - 1
+	case South:
+		return ri + m.cfg.Width
+	case North:
+		return ri - m.cfg.Width
+	default:
+		return ri
+	}
 }
 
 // Pending returns the number of packets currently inside the NoC
