@@ -26,6 +26,18 @@ type jobKey struct {
 // path, so only the descriptor contends in the routers.
 const maxPacketPayload = 64
 
+// zeroPayload backs every packet's payload. Only its length matters
+// (it sets the flit count); nothing reads the bytes, so all packets
+// share this one array through capacity-capped slices.
+var zeroPayload [maxPacketPayload]byte
+
+// payloadFor returns j's packet payload: its operation size capped at
+// maxPacketPayload.
+func payloadFor(j *task.Job) []byte {
+	n := min(j.Task.OpBytes, maxPacketPayload)
+	return zeroPayload[:n:n]
+}
+
 // meshTransport carries jobs to per-device stations over a mesh NoC.
 type meshTransport struct {
 	mesh *noc.Mesh
@@ -96,10 +108,6 @@ func (t *meshTransport) sendRequest(now slot.Time, j *task.Job) {
 		t.dropped++
 		return
 	}
-	payload := j.Task.OpBytes
-	if payload > maxPacketPayload {
-		payload = maxPacketPayload
-	}
 	p := packet.New(packet.Header{
 		Src:      t.vmTile(j.Task.VM),
 		Dst:      tile,
@@ -109,7 +117,7 @@ func (t *meshTransport) sendRequest(now slot.Time, j *task.Job) {
 		Task:     uint16(j.Task.ID),
 		Seq:      uint32(j.Seq),
 		Deadline: j.Deadline,
-	}, make([]byte, payload))
+	}, payloadFor(j))
 	t.inflight[key(j)] = j
 	if !t.mesh.Inject(now, p) {
 		delete(t.inflight, key(j))
@@ -120,10 +128,6 @@ func (t *meshTransport) sendRequest(now slot.Time, j *task.Job) {
 // sendResponse injects the completion notification from a device tile
 // back to the VM.
 func (t *meshTransport) sendResponse(tile packet.NodeID, j *task.Job, finished slot.Time) {
-	payload := j.Task.OpBytes
-	if payload > maxPacketPayload {
-		payload = maxPacketPayload
-	}
 	p := packet.New(packet.Header{
 		Src:      tile,
 		Dst:      t.vmTile(j.Task.VM),
@@ -133,7 +137,7 @@ func (t *meshTransport) sendResponse(tile packet.NodeID, j *task.Job, finished s
 		Task:     uint16(j.Task.ID),
 		Seq:      uint32(j.Seq),
 		Deadline: j.Deadline,
-	}, make([]byte, payload))
+	}, payloadFor(j))
 	if !t.mesh.Inject(finished, p) {
 		t.dropped++
 	}
@@ -191,10 +195,10 @@ func (t *meshTransport) nextWork(now slot.Time) slot.Time {
 	return next
 }
 
-// skipTo fast-forwards the mesh links and the in-service operations
-// over [from, to), a span nextWork(from) proved idle.
+// skipTo fast-forwards the in-service operations over [from, to), a
+// span nextWork(from) proved idle. The mesh needs no fast-forward: its
+// hops complete at absolute slots.
 func (t *meshTransport) skipTo(from, to slot.Time) {
-	t.mesh.SkipTo(from, to)
 	for _, st := range t.stations {
 		st.skipTo(from, to)
 	}

@@ -3,9 +3,9 @@
 // order — RunCells returns results by input index) and fold by
 // recorder kind:
 //
-//   - exact *Sample recorders fold value-by-value into an exact
-//     cross-trial Sample — the reference the ε·n acceptance band is
-//     measured against;
+//   - exact *Sample recorders fold by reference and are concatenated
+//     into one exact cross-trial Sample on the first read — the
+//     reference the ε·n acceptance band is measured against;
 //   - *Streaming recorders Merge — counts, moments and extrema combine
 //     exactly, quantiles at the common ε (KLL's bound survives
 //     merging).
@@ -21,7 +21,22 @@ import (
 
 // DistFold accumulates one cross-trial distribution. The zero value
 // is an empty fold ready for AddRecorder.
+//
+// Exact samples fold by reference: a folded *Sample is final, and its
+// owner must not Add to it afterwards. The fold keeps the samples as
+// parts and, on the first read (N, Mean, Max, Quantile, String or a
+// Merge that reads it), concatenates them in fold order into one
+// buffer of exactly the folded length and drops them. Holding the
+// trials' own buffers avoids the per-fold copy and its growth slack,
+// so a fold that is never read costs no memory beyond the trials'.
+//
+// The lazy fold answers exactly as an eager value-by-value copy would,
+// even when a part's owner has sorted it in place before the first
+// read (a trial-level Percentile does): N, Max and Quantile do not
+// depend on value order, and every exact value is an integer slot
+// count, so Mean's float64 sum is exact in any order.
 type DistFold struct {
+	parts  []*Sample // exact samples folded since the last read
 	exact  *Sample
 	merged *Streaming
 }
@@ -36,10 +51,7 @@ func (f *DistFold) AddRecorder(r Recorder) {
 	}
 	switch p := r.(type) {
 	case *Sample:
-		if f.exact == nil {
-			f.exact = &Sample{}
-		}
-		f.exact.AddSample(p)
+		f.parts = append(f.parts, p)
 	case *Streaming:
 		if f.merged == nil {
 			f.merged = p.Clone()
@@ -56,11 +68,8 @@ func (f *DistFold) AddRecorder(r Recorder) {
 // Merge folds another DistFold into the receiver (aggregate-of-
 // aggregates: per-cell folds combine into a per-sweep fold).
 func (f *DistFold) Merge(o *DistFold) error {
-	if o.exact != nil {
-		if f.exact == nil {
-			f.exact = &Sample{}
-		}
-		f.exact.AddSample(o.exact)
+	if o.resolve(); o.exact != nil {
+		f.parts = append(f.parts, o.exact)
 	}
 	if o.merged != nil {
 		if f.merged == nil {
@@ -75,11 +84,36 @@ func (f *DistFold) Merge(o *DistFold) error {
 // Resolved reports whether the fold can answer distribution queries
 // (at least one recorder folded).
 func (f *DistFold) Resolved() bool {
-	return f.exact != nil || f.merged != nil
+	return len(f.parts) > 0 || f.exact != nil || f.merged != nil
+}
+
+// resolve concatenates the exact buffer and the pending parts, in fold
+// order, into one buffer of exactly their total length.
+func (f *DistFold) resolve() {
+	if len(f.parts) == 0 {
+		return
+	}
+	n := 0
+	if f.exact != nil {
+		n = f.exact.N()
+	}
+	for _, p := range f.parts {
+		n += p.N()
+	}
+	values := make([]float64, 0, n)
+	if f.exact != nil {
+		values = append(values, f.exact.values...)
+	}
+	for _, p := range f.parts {
+		values = append(values, p.values...)
+	}
+	f.exact = &Sample{values: values}
+	f.parts = nil
 }
 
 // recorder returns the backing recorder, preferring the exact fold.
 func (f *DistFold) recorder() Recorder {
+	f.resolve()
 	if f.exact != nil {
 		return f.exact
 	}
@@ -91,6 +125,7 @@ func (f *DistFold) recorder() Recorder {
 
 // N returns the total folded observation count.
 func (f *DistFold) N() int {
+	f.resolve()
 	n := 0
 	if f.exact != nil {
 		n += f.exact.N()
@@ -158,7 +193,7 @@ type distFoldJSON struct {
 // reference refuse: persisting megabytes of raw values is what the
 // sketch pipeline exists to avoid.
 func (f *DistFold) MarshalJSON() ([]byte, error) {
-	if f.exact != nil {
+	if len(f.parts) > 0 || f.exact != nil {
 		return nil, fmt.Errorf("metrics: DistFold with exact buffer does not serialize")
 	}
 	return json.Marshal(distFoldJSON{Merged: f.merged})
@@ -171,7 +206,7 @@ func (f *DistFold) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	f.exact = nil
+	f.parts, f.exact = nil, nil
 	f.merged = w.Merged
 	return nil
 }

@@ -28,15 +28,13 @@ func (s *Sample) Add(v float64) {
 	s.sorted = false
 }
 
-// AddSample appends every observation of o in its current order, in
-// one copy — how DistFold folds exact per-trial samples into an exact
-// cross-trial reference.
-func (s *Sample) AddSample(o *Sample) {
-	if len(o.values) == 0 {
-		return
+// Clip releases the spare capacity append growth left behind, moving
+// the observations into a buffer of exactly their count. Call it once
+// a sample is complete: a DistFold holds folded samples as they are.
+func (s *Sample) Clip() {
+	if cap(s.values) > len(s.values) {
+		s.values = append(make([]float64, 0, len(s.values)), s.values...)
 	}
-	s.values = append(s.values, o.values...)
-	s.sorted = false
 }
 
 // N returns the number of observations.

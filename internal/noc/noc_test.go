@@ -217,3 +217,33 @@ func TestContentionIncreasesLatency(t *testing.T) {
 		t.Errorf("contended latency %d should exceed MinLatency %d", probeLat, m.MinLatency(probe))
 	}
 }
+
+// TestMeshHopAllocs pins the hop path as allocation-free: once the
+// ports on a route have buffered a packet, forwarding a caller-built
+// packet corner to corner (8 hops plus the ejection) allocates
+// nothing inside the mesh.
+func TestMeshHopAllocs(t *testing.T) {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := mkPkt(m.NodeAt(Coord{0, 0}), m.NodeAt(Coord{4, 4}), 32)
+	if hops := m.Hops(pkt.Src, pkt.Dst); hops != 8 {
+		t.Fatalf("route has %d hops, want 8", hops)
+	}
+	delivered := false
+	m.OnDeliver = func(*packet.Packet, slot.Time, slot.Time) { delivered = true }
+	var now slot.Time
+	allocs := testing.AllocsPerRun(20, func() {
+		delivered = false
+		m.Inject(now, pkt)
+		for !delivered {
+			now = m.NextWork(now)
+			m.Step(now)
+			now++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("forwarding across 8 hops allocated %.1f times, want 0", allocs)
+	}
+}

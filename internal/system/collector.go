@@ -274,6 +274,14 @@ func (c *Collector) Completed() int { return int(c.completed) }
 // are censored.
 func (c *Collector) Result(sys System, horizon slot.Time) *metrics.TrialResult {
 	c.ensure()
+	// The distributions are complete: drop the presized and growth
+	// capacity of exact recorders, which a cross-trial DistFold would
+	// otherwise hold on to for as long as it keeps the trial's buffer.
+	for _, r := range []metrics.Recorder{c.response, c.tardiness, c.accuracy} {
+		if s, ok := r.(*metrics.Sample); ok {
+			s.Clip()
+		}
+	}
 	res := &metrics.TrialResult{
 		Horizon:        horizon,
 		Dropped:        sys.Dropped(),

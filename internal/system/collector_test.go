@@ -3,6 +3,7 @@ package system
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ioguard/internal/metrics"
@@ -234,5 +235,33 @@ func TestRunStreamingMatchesExact(t *testing.T) {
 	}
 	if _, ok := rs.Response.(*metrics.Streaming); !ok {
 		t.Errorf("stream mode recorder is %T, want *metrics.Streaming", rs.Response)
+	}
+}
+
+// TestCollectorResultClipsSamples: Result hands out exact recorders
+// with no spare capacity — neither the presize nor append growth — so
+// a cross-trial fold that keeps them by reference holds exactly the
+// observations.
+func TestCollectorResultClipsSamples(t *testing.T) {
+	c := NewCollector(1000)
+	c.TrackAccuracy()
+	tk := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 10, WCET: 2, Deadline: 10}
+	const n = 37
+	for i := 0; i < n; i++ {
+		c.Complete(task.NewJob(tk, i, slot.Time(10*i)), slot.Time(10*i+3+i%13))
+	}
+	res := c.Result(&fakeSystem{}, 10*n)
+	for name, r := range map[string]metrics.Recorder{"response": res.Response, "tardiness": res.Tardiness, "accuracy": res.Accuracy} {
+		s, ok := r.(*metrics.Sample)
+		if !ok {
+			t.Fatalf("%s recorder is %T, want *metrics.Sample", name, r)
+		}
+		values := reflect.ValueOf(s).Elem().FieldByName("values")
+		if values.Len() != n || values.Cap() != n {
+			t.Errorf("%s: len %d, cap %d; want both %d", name, values.Len(), values.Cap(), n)
+		}
+	}
+	if got, want := res.Response.Max(), float64(3+12); got != want {
+		t.Errorf("response max = %v, want %v", got, want)
 	}
 }
