@@ -324,7 +324,7 @@ func BenchmarkSlotFreeIn(b *testing.B)   { benchSuite(b, "SlotFreeIn") }
 // BenchmarkRunSkewed measures the one-busy-device skew cell (bursty
 // telemetry on four near-idle devices plus a 60%-utilized CAN
 // controller) as a dense/fastforward pair: the ratio is what the
-// per-device clocks of the sharded executor buy when a busy device no
+// per-shard fast-forward of the run loop buys when a busy device no
 // longer throttles idle peers.
 func BenchmarkRunSkewed(b *testing.B) { benchSuite(b, "RunSkewed") }
 

@@ -10,7 +10,6 @@ package baseline
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
@@ -29,9 +28,8 @@ type bvShard struct {
 	dev     string
 	st      *station
 	pending *queue.PQ[*task.Job] // keyed by pool-arrival slot
-	// dropped counts this shard's full-queue rejections. Kept per
-	// shard (summed by BlueVisor.Dropped) so shards never write a
-	// shared counter.
+	// dropped counts this shard's full-queue rejections (summed by
+	// BlueVisor.Dropped).
 	dropped int64
 }
 
@@ -95,11 +93,8 @@ type BlueVisor struct {
 	col    *system.Collector
 	shards []*bvShard
 	byDev  map[string]*bvShard
-	// dropped counts jobs for unknown devices. Atomic: Submit is the
-	// sharded executor's fallback path and may interleave with
-	// concurrent Dropped snapshots; per-shard full-queue drops stay in
-	// bvShard.dropped (shard-confined, summed below).
-	dropped atomic.Int64
+	// dropped counts jobs Submit got for unknown devices.
+	dropped int64
 }
 
 var _ system.System = (*BlueVisor)(nil)
@@ -149,14 +144,14 @@ func (b *BlueVisor) Residual() task.Set { return b.tasks }
 func (b *BlueVisor) Submit(now slot.Time, j *task.Job) {
 	sh, ok := b.byDev[j.Task.Device]
 	if !ok {
-		b.dropped.Add(1)
+		b.dropped++
 		return
 	}
 	sh.Submit(now, j)
 }
 
 // Step advances every shard one slot, in sorted device order (the
-// same order the decoupled scheduler preserves per slot).
+// order system.Run steps the shards in within a slot).
 func (b *BlueVisor) Step(now slot.Time) {
 	for _, sh := range b.shards {
 		sh.Step(now)
@@ -183,7 +178,7 @@ func (b *BlueVisor) Pending(visit func(j *task.Job)) {
 
 // Dropped returns jobs lost at unknown devices or full queues.
 func (b *BlueVisor) Dropped() int64 {
-	n := b.dropped.Load()
+	n := b.dropped
 	for _, sh := range b.shards {
 		n += sh.dropped
 	}

@@ -95,7 +95,7 @@ func (l *Legacy) Step(now slot.Time) {
 }
 
 // Shards implements system.ShardedSystem: the whole system is one
-// shard on one clock, stepped by the dense Step.
+// shard on one clock.
 func (l *Legacy) Shards() []system.Shard { return []system.Shard{l} }
 
 // Devices implements system.Shard: the one shard owns every device.

@@ -13,7 +13,6 @@ package baseline
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
@@ -179,10 +178,8 @@ type PartitionSystem struct {
 	col    *system.Collector
 	shards []*partShard
 	byDev  map[string]*partShard
-	// dropped counts jobs for unknown devices. Atomic for the same
-	// reason as BlueVisor's: Submit is the sharded executor's fallback
-	// path and may interleave with concurrent Dropped snapshots.
-	dropped atomic.Int64
+	// dropped counts jobs Submit got for unknown devices.
+	dropped int64
 }
 
 var _ system.System = (*PartitionSystem)(nil)
@@ -233,7 +230,7 @@ func (p *PartitionSystem) Residual() task.Set { return p.tasks }
 func (p *PartitionSystem) Submit(now slot.Time, j *task.Job) {
 	sh, ok := p.byDev[j.Task.Device]
 	if !ok {
-		p.dropped.Add(1)
+		p.dropped++
 		return
 	}
 	sh.Submit(now, j)
@@ -266,7 +263,7 @@ func (p *PartitionSystem) Pending(visit func(j *task.Job)) {
 
 // Dropped returns jobs lost at unknown devices or unconfigured VMs.
 func (p *PartitionSystem) Dropped() int64 {
-	n := p.dropped.Load()
+	n := p.dropped
 	for _, sh := range p.shards {
 		n += sh.dropped
 	}

@@ -153,7 +153,7 @@ func (x *RTXen) Step(now slot.Time) {
 }
 
 // Shards implements system.ShardedSystem: the whole system is one
-// shard on one clock, stepped by the dense Step.
+// shard on one clock.
 func (x *RTXen) Shards() []system.Shard { return []system.Shard{x} }
 
 // Devices implements system.Shard: the one shard owns every device.

@@ -7,8 +7,8 @@
 // The dense/fastforward pairs exist to quantify system.Run's idle-slot
 // fast-forward: both variants execute the identical trial — the
 // equivalence tests enforce bit-identical results — so their ratio is
-// pure scheduling-loop speedup. The dense variant is the reference
-// loop, the fastforward variant the sharded executor.
+// pure scheduling-loop speedup. The dense variant steps every shard in
+// every slot, the fastforward variant skips each shard's idle slots.
 package benchsuite
 
 import (
@@ -130,7 +130,7 @@ func skewedSlotsPerOp() int64 {
 }
 
 // runSkewed drives the skewed cell on one system: dense steps every
-// slot, fastforward runs the sharded executor.
+// slot, fastforward skips each shard's idle slots.
 func runSkewed(b *testing.B, build system.Builder, dense bool) {
 	tr, err := skewedWorkload()
 	if err != nil {

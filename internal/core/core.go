@@ -332,9 +332,7 @@ func (d *deviceShard) NextWork(now slot.Time) slot.Time { return d.mgr.NextWork(
 func (d *deviceShard) SkipTo(from, to slot.Time) { d.mgr.SkipTo(from, to) }
 
 // Shards implements system.ShardedSystem: one shard per device
-// manager, in sorted device order (the same order the monolithic Step
-// iterates, which keeps the decoupled completion interleaving
-// byte-identical to dense runs).
+// manager, in sorted device order (the order Step iterates).
 func (s *System) Shards() []system.Shard {
 	devs := s.hv.Devices()
 	out := make([]system.Shard, 0, len(devs))

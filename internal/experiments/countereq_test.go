@@ -1,12 +1,12 @@
 package experiments
 
-// Equality tests for the shard-reachable shared counters: pool drops
-// (full queue), admission rejections and transport drops. These tests
-// drive the two regimes that actually increment those counters (a
-// drop-heavy bounded-pool trial and an admission-enabled ServerEDF
-// trial) and require dense and sharded execution to agree
-// byte-for-byte, counters included. Run under -race in CI, they also
-// prove the counters' atomic increments are clean.
+// Dense-vs-fast-forward equality of the drop counters: pool drops
+// (full queue) and admission rejections. These tests drive the two
+// regimes that actually increment those counters (a drop-heavy
+// bounded-pool trial and an admission-enabled ServerEDF trial) and
+// require dense and fast-forward execution to agree byte-for-byte,
+// counters included: a skipped slot must never be one a job would have
+// been dropped or refused in.
 
 import (
 	"testing"
@@ -21,7 +21,7 @@ import (
 
 // TestDropHeavyCounterEquivalence overloads depth-1 I/O pools at full
 // utilization so Pool.Admit's drop counter fires constantly, then pins
-// dense/sharded equality.
+// dense/fast-forward equality.
 func TestDropHeavyCounterEquivalence(t *testing.T) {
 	ts, err := workload.Generate(workload.Config{VMs: 4, TargetUtil: 1.0, Seed: 5})
 	if err != nil {
@@ -37,11 +37,11 @@ func TestDropHeavyCounterEquivalence(t *testing.T) {
 	}
 	tr := system.Trial{VMs: 4, Tasks: ts, Horizon: ts.Hyperperiod(), Seed: 5}
 
-	sequential, err := system.Run(build, tr)
+	ff, err := system.Run(build, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sequential.Dropped == 0 {
+	if ff.Dropped == 0 {
 		t.Fatal("depth-1 pools dropped nothing: the test lost its trigger")
 	}
 
@@ -51,7 +51,7 @@ func TestDropHeavyCounterEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireEqual(t, sequential, dense)
+	requireEqual(t, ff, dense)
 }
 
 // admissionTasks spreads four run-time tasks across two devices and
@@ -113,25 +113,24 @@ func runAdmission(t *testing.T, tr system.Trial) (*metrics.TrialResult, int64) {
 }
 
 // TestAdmissionCounterEquivalence pins the admission-rejection
-// counter across dense and sharded execution: the same jobs must be
-// refused, in the same quantity — and under -race the atomic increment
-// must be clean.
+// counter across dense and fast-forward execution: the same jobs must
+// be refused, in the same quantity.
 func TestAdmissionCounterEquivalence(t *testing.T) {
 	base := system.Trial{VMs: 2, Tasks: admissionTasks(), Horizon: 8192, Seed: 3}
 
-	sequential, rejSeq := runAdmission(t, base)
-	if rejSeq == 0 {
+	ff, rejFF := runAdmission(t, base)
+	if rejFF == 0 {
 		t.Fatal("admission control rejected nothing: the test lost its trigger")
 	}
-	if sequential.Dropped == 0 {
+	if ff.Dropped == 0 {
 		t.Fatal("rejected jobs did not surface as drops in the trial result")
 	}
 
 	dtr := base
 	dtr.Dense = true
 	dense, rejDense := runAdmission(t, dtr)
-	requireEqual(t, sequential, dense)
-	if rejDense != rejSeq {
-		t.Fatalf("dense rejected %d, sharded %d", rejDense, rejSeq)
+	requireEqual(t, ff, dense)
+	if rejDense != rejFF {
+		t.Fatalf("dense rejected %d, fast-forward %d", rejDense, rejFF)
 	}
 }

@@ -22,10 +22,10 @@ func stormPlan(seed int64) faults.Plan {
 	}
 }
 
-// TestFaultedEquivalence extends the dense/sharded equivalence
+// TestFaultedEquivalence extends the dense/fast-forward equivalence
 // contract to faulted trials: the fault realization is a pure per-job
-// hash, so for every system and fault plan the dense loop and the
-// sharded executor must produce identical TrialResults — including
+// hash, so for every system and fault plan dense and fast-forward runs
+// must produce identical TrialResults — including
 // the fault summary and the timing-accuracy distribution.
 func TestFaultedEquivalence(t *testing.T) {
 	ts, err := workload.Generate(workload.Config{VMs: 4, TargetUtil: 0.7, Seed: 31})

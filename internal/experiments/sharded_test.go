@@ -24,8 +24,8 @@ func workerCounts() []int {
 }
 
 // idleGapTasks releases rarely enough that the gaps between releases
-// run far past the sharded executor's 4096-slot epoch span, so whole
-// epochs stretch over idle time.
+// run to tens of thousands of slots, so every shard skips long idle
+// spans and the run loop jumps straight from release to release.
 func idleGapTasks() task.Set {
 	return task.Set{
 		{ID: 0, VM: 0, Kind: task.Safety, Device: "can", Period: 50_000, WCET: 40, Deadline: 50_000, OpBytes: 64},
@@ -34,13 +34,15 @@ func idleGapTasks() task.Set {
 	}
 }
 
-// TestShardedEquivalence is the sharded executor's enforcement point:
-// for every system, dense stepping and the epoch-drained shard clocks
-// must produce byte-identical TrialResults — the same completions,
-// misses, drops and bytes, and the same response/tardiness samples in
-// the same order. The delay row's transport delays run past the epoch
-// span, so delayed jobs wait in their mailboxes across epoch
-// boundaries; the idle-gap row stretches epochs over idle time.
+// TestShardedEquivalence is the run loop's enforcement point: for
+// every system, dense stepping and per-shard fast-forward must produce
+// byte-identical TrialResults — the same completions, misses, drops
+// and bytes, and the same response/tardiness samples in the same
+// order. The delay-past-epoch row (named for the 4096-slot windows
+// an earlier executor ran in) delays jobs by up to 10,000 slots, so
+// delayed jobs wait in the loop's due-ordered queue across many
+// releases and wake idle shards on their own; the idle-gap row makes
+// every shard skip long idle spans.
 func TestShardedEquivalence(t *testing.T) {
 	caseTS, err := workload.Generate(workload.Config{VMs: 4, TargetUtil: 0.7, Seed: 101})
 	if err != nil {
@@ -81,8 +83,7 @@ func TestShardedEquivalence(t *testing.T) {
 
 // TestShardedEquivalenceStream repeats the contract in streaming
 // metrics mode: the sketches are order-sensitive, so they only agree
-// if the sharded executor delivers completions in exactly the dense
-// order.
+// if the run loop delivers completions in exactly the dense order.
 func TestShardedEquivalenceStream(t *testing.T) {
 	ts, err := workload.GenerateTelemetry(workload.TelemetryConfig{VMs: 4, Sensors: 2, Seed: 5})
 	if err != nil {

@@ -134,9 +134,8 @@ func splitmix64(z uint64) uint64 {
 
 // Stream is one trial's fault realization. All methods are pure in the
 // decision they return; the mutation is limited to the summary
-// counters, which every caller touches from the single-threaded
-// release/submission contexts of the runner (the sharded executor's
-// drain phase, or the dense loop).
+// counters, which every caller touches from the runner's one trial
+// goroutine, in global release order.
 type Stream struct {
 	plan Plan
 	base uint64

@@ -10,7 +10,6 @@ package hypervisor
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ioguard/internal/analysis"
 	"ioguard/internal/task"
@@ -20,10 +19,8 @@ import (
 // by EnableAdmission and consulted by Submit.
 type admission struct {
 	registered map[int]task.Set // vm → admitted task specs
-	// rejected counts jobs refused at submit time. Atomic: counter
-	// snapshots (RejectedAtAdmission, the server's stats endpoint) may
-	// read it from another goroutine while a trial runs.
-	rejected atomic.Int64
+	// rejected counts jobs refused at submit time.
+	rejected int64
 }
 
 // EnableAdmission switches the manager to admission-controlled
@@ -64,7 +61,7 @@ func (m *Manager) RejectedAtAdmission() int64 {
 	if m.adm == nil {
 		return 0
 	}
-	return m.adm.rejected.Load()
+	return m.adm.rejected
 }
 
 // RegisterTask runs the Theorem 3/4 test for the task's VM with the
@@ -135,6 +132,6 @@ func (m *Manager) admitted(j *task.Job) bool {
 			return true
 		}
 	}
-	m.adm.rejected.Add(1)
+	m.adm.rejected++
 	return false
 }

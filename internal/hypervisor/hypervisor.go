@@ -6,7 +6,6 @@ package hypervisor
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"ioguard/internal/slot"
 	"ioguard/internal/task"
@@ -18,10 +17,8 @@ type Hypervisor struct {
 	managers map[string]*Manager
 	drivers  map[string]Driver
 	names    []string // deterministic step order
-	// dropped counts jobs for unknown devices. Atomic: Submit is the
-	// fallback path of the sharded executor and may interleave with
-	// concurrent Dropped snapshots (the server's stats endpoint).
-	dropped atomic.Int64
+	// dropped counts jobs for unknown devices.
+	dropped int64
 }
 
 // NewHypervisor returns an empty hypervisor.
@@ -80,14 +77,14 @@ func (h *Hypervisor) Devices() []string {
 func (h *Hypervisor) Submit(now slot.Time, j *task.Job) {
 	m, ok := h.managers[j.Task.Device]
 	if !ok {
-		h.dropped.Add(1)
+		h.dropped++
 		return
 	}
 	m.Submit(now, j)
 }
 
 // Dropped returns the number of jobs rejected for unknown devices.
-func (h *Hypervisor) Dropped() int64 { return h.dropped.Load() }
+func (h *Hypervisor) Dropped() int64 { return h.dropped }
 
 // Step advances every manager one slot, in device-name order.
 func (h *Hypervisor) Step(now slot.Time) {

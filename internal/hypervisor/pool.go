@@ -9,7 +9,6 @@ package hypervisor
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ioguard/internal/queue"
 	"ioguard/internal/slot"
@@ -27,10 +26,8 @@ type Pool struct {
 	// the executor can remove a completed job in place.
 	handles map[*task.Job]queue.Handle
 
-	// dropped counts jobs rejected because the queue was full. Atomic:
-	// Dropped may be read from another goroutine while a trial runs
-	// (counter snapshots, the server's stats endpoint).
-	dropped atomic.Int64
+	// dropped counts jobs rejected because the queue was full.
+	dropped int64
 }
 
 // NewPool returns an empty pool for the given VM. capacity bounds the
@@ -51,7 +48,7 @@ func (p *Pool) VM() int { return p.vm }
 func (p *Pool) Len() int { return p.pq.Len() }
 
 // Dropped returns how many jobs were rejected on a full queue.
-func (p *Pool) Dropped() int64 { return p.dropped.Load() }
+func (p *Pool) Dropped() int64 { return p.dropped }
 
 // Admit buffers a run-time job, keyed by its absolute deadline. It
 // reports false (and counts a drop) when the pool is full. The shadow
@@ -60,7 +57,7 @@ func (p *Pool) Dropped() int64 { return p.dropped.Load() }
 func (p *Pool) Admit(j *task.Job) bool {
 	h, err := p.pq.Push(j.Deadline, j)
 	if err != nil {
-		p.dropped.Add(1)
+		p.dropped++
 		return false
 	}
 	p.handles[j] = h

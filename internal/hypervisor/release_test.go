@@ -126,7 +126,7 @@ func relScenario(rng *rand.Rand, horizon slot.Time) (reqs []slot.Requirement, op
 
 // relRun drives one manager through the scenario, densely or by
 // NextWork/SkipTo skipping (with the scripted op slots as horizon, the
-// way system.Run bounds a shard by its mailbox), checking every
+// way system.Run wakes a shard at each submission), checking every
 // released job against the scan oracle and the manager's internal
 // invariants after every call. It returns the completion log and final
 // stats for the dense-vs-skip comparison.

@@ -41,8 +41,6 @@ type TrialRequest struct {
 	// (default 1). POST /v1/trials streams every trial's result;
 	// POST /v1/sweeps folds them into an aggregate.
 	Trials int `json:"trials,omitempty"`
-	// Dense disables the fast-forward (output is identical either way).
-	Dense bool `json:"dense,omitempty"`
 	// Metrics selects the collector mode: "exact" (default, buffered
 	// exact percentiles) or "stream" (bounded memory, mergeable KLL —
 	// sweep aggregates carry true cross-trial quantiles).
@@ -133,7 +131,6 @@ func normalize(req TrialRequest) (*normalized, error) {
 			Tasks:   ts,
 			Horizon: horizon,
 			Seed:    req.Seed,
-			Dense:   req.Dense,
 			Metrics: mode,
 			Faults:  plan,
 		},

@@ -146,6 +146,7 @@ func TestBadRequestsRejected(t *testing.T) {
 		{"shard_workers": 2},
 		{"drain_min": 64},
 		{"drain_max": 65536},
+		{"dense": true},
 		{"metrics": "stream-" + "gk"},
 		{"fault_drop": 2.0},
 		{"fault_delay": 0.5}, // delay probability without fault_delay_max

@@ -1,10 +1,9 @@
-// Package sim provides the deterministic slot-stepped clock that
-// stands in for the VC709 FPGA platform of the paper's evaluation.
-// All system elements synchronize to a single global timer
-// (assumption (iii) of Sec. II); ShardSet models that timer as one
-// local virtual clock per independent component and is the only
-// fast-forward engine in the simulator. The dense reference loop
-// (system.Run with Trial.Dense) steps every slot instead.
+// Package sim holds the clock protocol that stands in for the global
+// timer of the VC709 FPGA platform of the paper's evaluation. All
+// system elements synchronize to a single global timer (assumption
+// (iii) of Sec. II); system.Run models that timer as one loop over a
+// system's shards, each stepped only in the slots it has work or input
+// in. The interfaces here are what a component offers that loop.
 //
 // Determinism matters: the paper re-runs each configuration 1000
 // times with identical inputs across systems, so "the data input to
@@ -35,17 +34,6 @@
 // Components that account per-slot statistics over idle spans (e.g.
 // table-idle counters) additionally implement Skipper; SkipTo observes
 // the skipped span [from, to) in bulk.
-//
-// # Per-component clocks
-//
-// A single global min over every component's NextWork would let one
-// busy component force dense stepping of all the others. ShardSet
-// instead gives each shard a local virtual clock that advances through
-// its own busy/idle regions, with cross-shard couplings expressed as
-// explicit conservative horizons (HorizonFunc) instead of implicit
-// lockstep. Executing the laggard shard first keeps the global
-// execution order identical to dense stepping, so the determinism
-// contract above holds per component.
 package sim
 
 import "ioguard/internal/slot"

@@ -1,8 +1,9 @@
 // Package system defines the common harness under which all four
 // architectures of the evaluation (Sec. V) execute identical
-// workloads: a System accepts released I/O jobs and is stepped by the
-// global timer; a Collector records observed completions; Run drives
-// one trial and scores it with the paper's metrics.
+// workloads: a ShardedSystem's shards accept released I/O jobs and
+// are stepped by the global timer; a Collector records observed
+// completions; Run drives one trial and scores it with the paper's
+// metrics.
 package system
 
 import (
@@ -11,14 +12,15 @@ import (
 
 	"ioguard/internal/faults"
 	"ioguard/internal/metrics"
-	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
 	"ioguard/internal/slot"
 	"ioguard/internal/task"
 	"ioguard/internal/vm"
 )
 
-// System is one complete architecture under test.
+// System is one complete architecture under test. Run executes
+// systems that also implement ShardedSystem and drives only their
+// shards; Submit and Step drive the whole system by hand.
 type System interface {
 	// Name identifies the system (and its configuration) in reports.
 	Name() string
@@ -44,9 +46,9 @@ type Trial struct {
 	Tasks   task.Set
 	Horizon slot.Time
 	Seed    int64
-	// Dense forces slot-by-slot stepping even when the system under
-	// test is a ShardedSystem. The zero value lets Run fast-forward
-	// each shard over its idle regions; both modes produce
+	// Dense steps every shard in every slot, the reference the
+	// fast-forward is checked against. The zero value lets Run
+	// fast-forward each shard over its idle regions; both modes produce
 	// byte-identical results — an invariant enforced by the equivalence
 	// tests and the CI cmp job.
 	Dense bool
@@ -89,17 +91,14 @@ func expectedCompletions(ts task.Set, horizon slot.Time) int {
 }
 
 // Run executes one trial: a deterministic VM fleet releases the
-// system's residual tasks while the system steps, then the collector
-// scores the outcome.
-//
-// A ShardedSystem runs on the sharded executor (runSharded): every
-// shard owns a local virtual clock and fast-forwards independently
-// through its own idle regions, so one busy device never throttles
-// idle peers. Any other system — and every system when tr.Dense is set
-// — runs the dense reference loop, stepping every slot. A skipped slot
-// is one nothing observable happens in, so both loops produce
-// byte-identical results — an invariant enforced by the equivalence
-// tests and the CI cmp.
+// system's residual tasks while the run loop steps the system's
+// shards on one global clock, then the collector scores the outcome.
+// Each shard fast-forwards through its own idle regions, so one busy
+// device never throttles idle peers; tr.Dense steps every slot
+// instead. A skipped slot is one nothing observable happens in, so
+// both modes produce byte-identical results — an invariant enforced by
+// the equivalence tests and the CI cmp. The system must be a
+// ShardedSystem whose shards own every residual task's device.
 func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 	if tr.Horizon <= 0 {
 		return nil, fmt.Errorf("system: non-positive horizon %d", tr.Horizon)
@@ -122,6 +121,22 @@ func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	ss, ok := sys.(ShardedSystem)
+	if !ok {
+		return nil, fmt.Errorf("system: %s has no shards to run", sys.Name())
+	}
+	shards := ss.Shards()
+	route := make(map[string]int, len(shards))
+	for i, sh := range shards {
+		for _, d := range sh.Devices() {
+			route[d] = i
+		}
+	}
+	for _, t := range sys.Residual() {
+		if _, ok := route[t.Device]; !ok {
+			return nil, fmt.Errorf("system: %s: no shard owns device %q of task %d", sys.Name(), t.Device, t.ID)
+		}
+	}
 	rng := rand.New(rand.NewSource(tr.Seed))
 	fleet, err := vm.NewFleet(tr.VMs, sys.Residual(), rng)
 	if err != nil {
@@ -130,59 +145,10 @@ func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 	if fs != nil {
 		fleet.SetReleaseJitter(fs.ReleaseJitter)
 	}
-	var shards []Shard
-	if ss, ok := sys.(ShardedSystem); ok && !tr.Dense {
-		shards = ss.Shards()
-	}
-	if len(shards) > 0 {
-		runSharded(shards, fleet, tr.Horizon, fs, func(j *task.Job) { sys.Submit(j.Release, j) })
-	} else {
-		runDense(sys, fleet, tr.Horizon, fs)
-	}
+	run(shards, route, fleet, tr.Horizon, fs, tr.Dense)
 	res := col.Result(sys, tr.Horizon)
 	res.Released = fleet.Released()
 	return res, nil
-}
-
-// runDense is the reference loop: every slot, due delayed requests
-// and then the slot's releases are submitted, and the system steps.
-func runDense(sys System, fleet *vm.Fleet, horizon slot.Time, fs *faults.Stream) {
-	// One closure for the whole trial: a per-slot closure would
-	// allocate on every iteration of the hot loop.
-	var now slot.Time
-	submit := func(j *task.Job) { sys.Submit(now, j) }
-	// Faulted trials route releases through the transport layer:
-	// delayed requests park in a due-ordered queue until their
-	// delivery slot.
-	var delayed *queue.PQ[*task.Job]
-	if fs != nil {
-		delayed = queue.NewPQ[*task.Job](0)
-		submit = faultedEmit(fs, func(due slot.Time, j *task.Job) {
-			if due > now {
-				delayed.Push(due, j)
-				return
-			}
-			sys.Submit(now, j)
-		})
-	}
-	for now = 0; now < horizon; now++ {
-		if delayed != nil {
-			// Deliver delayed requests first: a sharded run's mailboxes
-			// order same-slot submissions by due then emission, which
-			// puts earlier-released (delayed) jobs ahead of this slot's
-			// fresh releases.
-			for {
-				_, due, dj, ok := delayed.Min()
-				if !ok || due > now {
-					break
-				}
-				delayed.PopMin()
-				sys.Submit(now, dj)
-			}
-		}
-		fleet.Release(now, submit)
-		sys.Step(now)
-	}
 }
 
 // Sweep runs `trials` independent seeds of one configuration and

@@ -2,6 +2,7 @@ package system
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"ioguard/internal/rtos"
@@ -9,8 +10,11 @@ import (
 	"ioguard/internal/task"
 )
 
-// fakeSystem completes every job a fixed delay after submission.
+// fakeSystem completes every job a fixed delay after submission. It
+// is its own single shard; when owns is set, that shard owns only the
+// listed devices.
 type fakeSystem struct {
+	owns    []string
 	tasks   task.Set
 	col     *Collector
 	delay   slot.Time
@@ -47,6 +51,24 @@ func (f *fakeSystem) Pending(visit func(*task.Job)) {
 	for _, j := range f.queue {
 		visit(j)
 	}
+}
+func (f *fakeSystem) Shards() []Shard { return []Shard{f} }
+func (f *fakeSystem) Devices() []string {
+	if f.owns != nil {
+		return f.owns
+	}
+	var devs []string
+	for _, t := range f.tasks {
+		devs = append(devs, t.Device)
+	}
+	return devs
+}
+func (f *fakeSystem) NextWork(now slot.Time) slot.Time {
+	next := slot.Never
+	for _, at := range f.at {
+		next = min(next, max(at, now))
+	}
+	return next
 }
 
 func workload() task.Set {
@@ -132,6 +154,23 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(failing, Trial{VMs: 1, Tasks: workload(), Horizon: 10}); err == nil {
 		t.Error("builder error swallowed")
+	}
+}
+
+// TestRunRejectsUnownedDevice: a residual task whose device no shard
+// owns has nowhere to go, so Run refuses the system instead of
+// dropping the task's jobs.
+func TestRunRejectsUnownedDevice(t *testing.T) {
+	ts := task.Set{
+		{ID: 0, VM: 0, Kind: task.Safety, Device: "spi", Period: 20, WCET: 1, Deadline: 10},
+		{ID: 1, VM: 0, Kind: task.Safety, Device: "can", Period: 20, WCET: 1, Deadline: 10},
+	}
+	build := func(tr Trial, col *Collector) (System, error) {
+		return &fakeSystem{tasks: tr.Tasks, col: col, delay: 1, owns: []string{"spi"}}, nil
+	}
+	_, err := Run(build, Trial{VMs: 1, Tasks: ts, Horizon: 100, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), `"can"`) {
+		t.Fatalf("Run = %v, want an error naming the unowned device", err)
 	}
 }
 
