@@ -259,6 +259,62 @@ func TestRunLoop(t *testing.T) {
 		}
 	})
 
+	// A shard idle after slot 0 is skipped in one span that ends
+	// exactly at the horizon, while a peer keeps working up to the last
+	// slot.
+	t.Run("skip-exactly-to-horizon", func(t *testing.T) {
+		const horizon = 1000
+		var log []call
+		early := &probe{t: t, device: "early", work: []slot.Time{0}, log: &log}
+		late := &probe{t: t, device: "late", work: []slot.Time{0, 500, 999}, log: &log}
+		loopRun([]*probe{early, late}, idleFleet(t), horizon, false)
+		if early.steps != 1 || early.skips != horizon-1 {
+			t.Errorf("early shard stepped %d, skipped %d; want 1, %d", early.steps, early.skips, horizon-1)
+		}
+		var earlyCalls []call
+		for _, c := range log {
+			if c.shard == 0 {
+				earlyCalls = append(earlyCalls, c)
+			}
+		}
+		want := []call{{kind: "step", at: 0}, {kind: "skip", at: 1, to: horizon}}
+		if !reflect.DeepEqual(earlyCalls, want) {
+			t.Errorf("early shard calls %v, want %v", earlyCalls, want)
+		}
+		if late.wi != len(late.work) {
+			t.Errorf("late shard finished %d/%d work items", late.wi, len(late.work))
+		}
+		requireTiling(t, log, 2, horizon)
+	})
+
+	// Every shard's clock ends exactly at the horizon, whether its last
+	// call is a step or a skip and whatever work lies past the horizon;
+	// a zero horizon moves no shard at all.
+	t.Run("advances-time", func(t *testing.T) {
+		for _, horizon := range []slot.Time{0, 1, 3, 4, 10} {
+			var log []call
+			probes := []*probe{
+				{t: t, device: "at-3", work: []slot.Time{3}, log: &log},
+				{t: t, device: "past", work: []slot.Time{0, 15}, log: &log},
+				{t: t, device: "none", log: &log},
+			}
+			loopRun(probes, idleFleet(t), horizon, false)
+			if horizon == 0 {
+				if len(log) != 0 {
+					t.Errorf("horizon 0: calls %v, want none", log)
+				}
+				continue
+			}
+			requireTiling(t, log, len(probes), horizon)
+			if p := probes[0]; (p.wi == 1) != (horizon > 3) {
+				t.Errorf("horizon %d: work at 3 done = %v", horizon, p.wi == 1)
+			}
+			if p := probes[1]; p.wi != 1 {
+				t.Errorf("horizon %d: shard with work past the horizon did %d items, want 1", horizon, p.wi)
+			}
+		}
+	})
+
 	// Every release reaches its shard in its release slot. A
 	// submission to an idle shard first skips the shard's clock up to
 	// the slot, then submits, then steps it in that slot.
