@@ -11,7 +11,6 @@ package baseline
 import (
 	"fmt"
 
-	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
@@ -19,7 +18,7 @@ import (
 )
 
 // bvShard is one device's controller pipeline: the bounded hardware
-// path (a delay queue keyed by pool-arrival slot) in front of the
+// path (a delay line toward the pools) in front of the
 // device's round-robin station. Devices never touch each other's
 // state — there is no shared mesh in BlueVisor — so each shard may
 // advance on its own virtual clock.
@@ -27,7 +26,7 @@ type bvShard struct {
 	owner   *BlueVisor
 	dev     string
 	st      *station
-	pending *queue.PQ[*task.Job] // keyed by pool-arrival slot
+	pending delayLine // hardware path, toward the pools
 	// dropped counts this shard's full-queue rejections (summed by
 	// BlueVisor.Dropped).
 	dropped int64
@@ -39,17 +38,12 @@ func (s *bvShard) Devices() []string { return []string{s.dev} }
 // Submit forwards the job over the bounded hardware path into its
 // VM's FIFO pool at the device.
 func (s *bvShard) Submit(now slot.Time, j *task.Job) {
-	s.pending.Push(now+s.owner.path.Request, j)
+	s.pending.push(now+s.owner.path.Request, j)
 }
 
 // Step admits due jobs to their pools and services the controller.
 func (s *bvShard) Step(now slot.Time) {
-	for {
-		_, at, j, ok := s.pending.Min()
-		if !ok || at > now {
-			break
-		}
-		s.pending.PopMin()
+	for j, ok := s.pending.popDue(now); ok; j, ok = s.pending.popDue(now) {
 		if err := s.st.enqueue(j); err != nil {
 			s.dropped++
 		}
@@ -69,11 +63,7 @@ func (s *bvShard) complete(j *task.Job, finished slot.Time) {
 // clock: the station's next service start or end, or the earliest
 // pool-arrival slot.
 func (s *bvShard) NextWork(now slot.Time) slot.Time {
-	next := s.st.nextWork(now)
-	if _, at, _, ok := s.pending.Min(); ok {
-		next = min(next, at)
-	}
-	return next
+	return min(s.st.nextWork(now), s.pending.next())
 }
 
 // SkipTo implements sim.Skipper over a span NextWork proved idle.
@@ -82,7 +72,7 @@ func (s *bvShard) SkipTo(from, to slot.Time) { s.st.skipTo(from, to) }
 // pendingJobs visits jobs on the hardware path or queued at the
 // controller.
 func (s *bvShard) pendingJobs(visit func(j *task.Job)) {
-	s.pending.Each(func(_ queue.Handle, _ slot.Time, j *task.Job) { visit(j) })
+	s.pending.each(visit)
 	s.st.pendingJobs(visit)
 }
 
@@ -118,7 +108,7 @@ func NewBlueVisor(vms int, ts task.Set, col *system.Collector) (*BlueVisor, erro
 	// than a software driver but still occupy it per operation.
 	const bvSetupSlots = 2
 	for _, dev := range devicesOf(ts) {
-		sh := &bvShard{owner: b, dev: dev, pending: queue.NewPQ[*task.Job](0)}
+		sh := &bvShard{owner: b, dev: dev}
 		st, err := newStation(dev, perVMRoundRobin, vms, bvSetupSlots, sh.complete)
 		if err != nil {
 			return nil, err

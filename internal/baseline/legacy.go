@@ -22,7 +22,7 @@ type Legacy struct {
 	tasks   task.Set
 	path    rtos.PathCost
 	devices []string
-	pending *queue.PQ[*task.Job] // keyed by injection slot
+	pending delayLine // kernel path, toward mesh injection
 }
 
 var (
@@ -45,6 +45,44 @@ func devicesOf(ts task.Set) []string {
 	return out
 }
 
+// arrival is a job on a constant-latency request path, due at slot at.
+type arrival struct {
+	at  slot.Time
+	job *task.Job
+}
+
+// delayLine is a bounded request path with one constant latency.
+// Precondition: jobs are pushed at non-decreasing submission slots, as
+// the run loop submits them. With a constant latency they then fall
+// due in push order, so a FIFO is already ordered by (due slot,
+// submission). The zero value is an empty path.
+type delayLine struct{ q queue.FIFO[arrival] }
+
+// push puts j on the path, due at slot at.
+func (d *delayLine) push(at slot.Time, j *task.Job) { d.q.Push(arrival{at: at, job: j}) }
+
+// popDue removes and returns the head job if it is due by now.
+func (d *delayLine) popDue(now slot.Time) (*task.Job, bool) {
+	if a, ok := d.q.Peek(); !ok || a.at > now {
+		return nil, false
+	}
+	a, _ := d.q.Pop()
+	return a.job, true
+}
+
+// next returns the head job's due slot, or slot.Never when empty.
+func (d *delayLine) next() slot.Time {
+	if a, ok := d.q.Peek(); ok {
+		return a.at
+	}
+	return slot.Never
+}
+
+// each visits the jobs on the path.
+func (d *delayLine) each(visit func(j *task.Job)) {
+	d.q.Each(func(a arrival) { visit(a.job) })
+}
+
 // NewLegacy builds the legacy baseline for the workload.
 func NewLegacy(vms int, ts task.Set, col *system.Collector) (*Legacy, error) {
 	if err := ts.Validate(); err != nil {
@@ -56,7 +94,7 @@ func NewLegacy(vms int, ts task.Set, col *system.Collector) (*Legacy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Legacy{t: t, tasks: ts, path: path, devices: devices, pending: queue.NewPQ[*task.Job](0)}, nil
+	return &Legacy{t: t, tasks: ts, path: path, devices: devices}, nil
 }
 
 // Name returns "BS|Legacy".
@@ -72,18 +110,13 @@ func (l *Legacy) Residual() task.Set { return l.tasks }
 // Submit runs the kernel I/O path and schedules the request packet's
 // injection into the mesh.
 func (l *Legacy) Submit(now slot.Time, j *task.Job) {
-	l.pending.Push(now+l.path.Request, j)
+	l.pending.push(now+l.path.Request, j)
 }
 
 // injectDue injects every pending request whose kernel path has
 // completed.
 func (l *Legacy) injectDue(now slot.Time) {
-	for {
-		_, at, j, ok := l.pending.Min()
-		if !ok || at > now {
-			break
-		}
-		l.pending.PopMin()
+	for j, ok := l.pending.popDue(now); ok; j, ok = l.pending.popDue(now) {
 		l.t.sendRequest(now, j)
 	}
 }
@@ -104,11 +137,7 @@ func (l *Legacy) Devices() []string { return l.devices }
 // NextWork implements system.Shard: the earliest scheduled request
 // injection, or the transport's next pull, hop or service event.
 func (l *Legacy) NextWork(now slot.Time) slot.Time {
-	next := l.t.nextWork(now)
-	if _, at, _, ok := l.pending.Min(); ok {
-		next = min(next, at)
-	}
-	return next
+	return min(l.t.nextWork(now), l.pending.next())
 }
 
 // SkipTo implements sim.Skipper over a span NextWork proved idle.
@@ -116,7 +145,7 @@ func (l *Legacy) SkipTo(from, to slot.Time) { l.t.skipTo(from, to) }
 
 // Pending visits jobs still inside the system.
 func (l *Legacy) Pending(visit func(j *task.Job)) {
-	l.pending.Each(func(_ queue.Handle, _ slot.Time, j *task.Job) { visit(j) })
+	l.pending.each(visit)
 	l.t.pendingJobs(visit)
 }
 

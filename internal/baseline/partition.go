@@ -33,14 +33,14 @@ const partitionWindowSlots slot.Time = 32
 const partSetupSlots slot.Time = 2
 
 // partShard is one device under static partitioning: the bounded
-// partition-trap path (a delay queue keyed by arrival slot) in front
+// partition-trap path (a delay line toward the queues) in front
 // of per-VM queues that are only served inside the owning VM's
 // windows. Devices share nothing, so each shard may advance on its
 // own virtual clock.
 type partShard struct {
 	owner   *PartitionSystem
 	dev     string
-	pending *queue.PQ[*task.Job] // keyed by queue-arrival slot
+	pending delayLine // partition trap, toward the per-VM queues
 	perVM   []*queue.FIFO[*task.Job]
 	// inProg[vm] is the operation VM vm has started but not finished.
 	// It survives window switches frozen — the partitioned controller
@@ -59,7 +59,7 @@ func (s *partShard) Devices() []string { return []string{s.dev} }
 // Submit forwards the job over the partition trap into the device's
 // arrival queue.
 func (s *partShard) Submit(now slot.Time, j *task.Job) {
-	s.pending.Push(now+s.owner.path.Request, j)
+	s.pending.push(now+s.owner.path.Request, j)
 }
 
 // ownerAt returns the VM owning slot t of the static cycle.
@@ -88,12 +88,7 @@ func (s *partShard) nextOwnedSlot(vm int, now slot.Time) slot.Time {
 // due ≤ now, so skipped idle slots admit in the same (arrival,
 // submission) order a dense run would.
 func (s *partShard) Step(now slot.Time) {
-	for {
-		_, at, j, ok := s.pending.Min()
-		if !ok || at > now {
-			break
-		}
-		s.pending.PopMin()
+	for j, ok := s.pending.popDue(now); ok; j, ok = s.pending.popDue(now) {
 		vm := j.Task.VM
 		if vm < 0 || vm >= len(s.perVM) {
 			s.dropped++
@@ -147,21 +142,17 @@ func (s *partShard) NextWork(now slot.Time) slot.Time {
 			next = t
 		}
 	}
-	if _, at, _, ok := s.pending.Min(); ok {
-		if at <= now {
-			return now
-		}
-		if at < next {
-			next = at
-		}
+	at := s.pending.next()
+	if at <= now {
+		return now
 	}
-	return next
+	return min(next, at)
 }
 
 // pendingJobs visits jobs on the trap path, queued, or frozen
 // mid-service.
 func (s *partShard) pendingJobs(visit func(j *task.Job)) {
-	s.pending.Each(func(_ queue.Handle, _ slot.Time, j *task.Job) { visit(j) })
+	s.pending.each(visit)
 	for vm, q := range s.perVM {
 		if s.inProg[vm] != nil {
 			visit(s.inProg[vm])
@@ -202,10 +193,9 @@ func NewPartition(vms int, ts task.Set, col *system.Collector) (*PartitionSystem
 	}
 	for _, dev := range devicesOf(ts) {
 		sh := &partShard{
-			owner:   p,
-			dev:     dev,
-			pending: queue.NewPQ[*task.Job](0),
-			inProg:  make([]*task.Job, vms),
+			owner:  p,
+			dev:    dev,
+			inProg: make([]*task.Job, vms),
 		}
 		for i := 0; i < vms; i++ {
 			sh.perVM = append(sh.perVM, queue.NewFIFO[*task.Job](0))

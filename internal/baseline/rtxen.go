@@ -32,7 +32,7 @@ type RTXen struct {
 	vms     int
 	quantum slot.Time
 
-	pending   *queue.PQ[*task.Job] // guest-side path, keyed by VMM-arrival slot
+	pending   queue.PQ[*task.Job] // guest-side path, keyed by VMM-arrival slot
 	vmmQueues []*queue.FIFO[*task.Job]
 	vmmJob    *task.Job
 	vmmBusyAt slot.Time // slot at which the VMM finishes the current op
@@ -69,7 +69,6 @@ func NewRTXen(vms int, ts task.Set, col *system.Collector, quantum slot.Time) (*
 		devices: devices,
 		vms:     vms,
 		quantum: quantum,
-		pending: queue.NewPQ[*task.Job](0),
 	}
 	for i := 0; i < vms; i++ {
 		x.vmmQueues = append(x.vmmQueues, queue.NewFIFO[*task.Job](0))
@@ -114,7 +113,7 @@ func (x *RTXen) Submit(now slot.Time, j *task.Job) {
 func (x *RTXen) injectDue(now slot.Time) {
 	// Trapped requests reach their VM's backend queue.
 	for {
-		_, at, j, ok := x.pending.Min()
+		at, j, ok := x.pending.Min()
 		if !ok || at > now {
 			break
 		}
@@ -183,7 +182,7 @@ func (x *RTXen) pipeNextWork(now slot.Time) slot.Time {
 			}
 		}
 	}
-	if _, at, _, ok := x.pending.Min(); ok {
+	if at, _, ok := x.pending.Min(); ok {
 		next = min(next, at)
 	}
 	return next
@@ -194,7 +193,7 @@ func (x *RTXen) SkipTo(from, to slot.Time) { x.t.skipTo(from, to) }
 
 // Pending visits jobs anywhere in the software or transport pipeline.
 func (x *RTXen) Pending(visit func(j *task.Job)) {
-	x.pending.Each(func(_ queue.Handle, _ slot.Time, j *task.Job) { visit(j) })
+	x.pending.Each(func(_ slot.Time, j *task.Job) { visit(j) })
 	for _, q := range x.vmmQueues {
 		q.Each(visit)
 	}

@@ -173,7 +173,7 @@ func runSkewedBaseline(b *testing.B, sysName string, dense bool) {
 // at steady state: one warmed job folded in repeatedly, mirroring how
 // every system's response path drives Complete each slot. The stream
 // variant must run allocation-free (bounded recorders, no completion
-// log — the same guarantee the PQ-freelist and FIFO benchmarks pin
+// log — the same guarantee the PQ and FIFO churn benchmarks pin
 // for their hot paths); exact mode amortizes its log's append.
 func collectorComplete(b *testing.B, mode system.MetricsMode) {
 	col := system.NewCollectorFor(mode, 1<<16)
@@ -204,23 +204,20 @@ func collectorComplete(b *testing.B, mode system.MetricsMode) {
 }
 
 // pqChurn measures the steady-state cost of the R-channel pool's
-// priority queue: push/pop cycles at a fixed resident depth. With the
-// node freelist this must run allocation-free.
+// priority queue: push/pop cycles at a fixed resident depth. Entries
+// live by value in the heap's backing array, so this must run
+// allocation-free.
 func pqChurn(b *testing.B) {
 	const depth = 64
-	q := queue.NewPQ[int](0)
+	var q queue.PQ[int]
 	for i := 0; i < depth; i++ {
-		if _, err := q.Push(slot.Time(i), i); err != nil {
-			b.Fatal(err)
-		}
+		q.Push(slot.Time(i), i)
 	}
 	key := slot.Time(depth)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Push(key, i); err != nil {
-			b.Fatal(err)
-		}
+		q.Push(key, i)
 		key++
 		q.PopMin()
 	}

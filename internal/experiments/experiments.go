@@ -535,11 +535,12 @@ type AblationPoint struct {
 	Agg    *metrics.Aggregate
 }
 
-// SchedulerAblation compares DirectEDF, ServerEDF (strict periodic
-// servers synthesized per VM is out of scope here — it uses equal
-// shares), and work-conserving DirectEDF at a given utilization. The
-// trials of each configuration run on `workers` goroutines (≤0 =
-// GOMAXPROCS).
+// SchedulerAblation compares three DirectEDF configurations of
+// I/O-GUARD at a given utilization: "direct-edf" (40% of the tasks
+// pre-loaded into the slot table), "direct-edf+reclaim" (the same,
+// plus the R-channel reclaiming idle table slots) and "no-preload"
+// (every task on the R-channel). The trials of each configuration run
+// on `workers` goroutines (≤0 = GOMAXPROCS).
 func SchedulerAblation(vms int, util float64, trials int, seed int64, workers int) ([]AblationPoint, error) {
 	ts, err := workload.Generate(workload.Config{VMs: vms, TargetUtil: util, Seed: seed})
 	if err != nil {

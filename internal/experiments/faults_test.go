@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"ioguard/internal/faults"
+	"ioguard/internal/metrics"
 	"ioguard/internal/system"
+	"ioguard/internal/task"
 	"ioguard/internal/workload"
 )
 
@@ -139,5 +141,40 @@ func TestFaultPlanValidationSurfacesInRun(t *testing.T) {
 		Faults: faults.Plan{DropProb: 2}}
 	if _, err := system.Run(Builders()["BS|Legacy"], tr); err == nil {
 		t.Fatal("invalid fault plan accepted")
+	}
+}
+
+// TestDelayedPastHorizonIsScored: a request the fault layer still
+// holds in transport when the trial ends is unfinished work like any
+// other — censored, or a (fault-conditioned) miss once its deadline
+// has passed — never silently absent from the score. With every
+// request delayed by up to 5000 slots, some trials end with both jobs
+// of the one safety task still in transit.
+func TestDelayedPastHorizonIsScored(t *testing.T) {
+	ts := task.Set{{ID: 0, Name: "brake", Kind: task.Safety, Period: 1000, WCET: 2, Deadline: 50, Device: "can0", OpBytes: 8}}
+	plan := faults.Plan{Seed: 3, DelayProb: 1, DelayMax: 5000}
+	build := Builders()["BS|BV"]
+	stranded := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		tr := system.Trial{VMs: 1, Tasks: ts, Horizon: 2000, Seed: seed, Faults: plan}
+		dense, ff := runBoth(t, build, tr)
+		requireEqual(t, dense, ff)
+		for _, res := range []*metrics.TrialResult{dense, ff} {
+			if res.Completed+res.Unfinished != res.Released {
+				t.Fatalf("seed %d: released %d = completed %d + unfinished %d does not hold", seed, res.Released, res.Completed, res.Unfinished)
+			}
+			if res.Faults.FaultedMisses != res.CriticalMisses {
+				t.Errorf("seed %d: %d faulted misses, %d critical misses (every request was delayed)", seed, res.Faults.FaultedMisses, res.CriticalMisses)
+			}
+		}
+		if dense.Completed == 0 {
+			stranded++
+			if dense.Success() {
+				t.Errorf("seed %d: no job completed, yet the trial succeeded", seed)
+			}
+		}
+	}
+	if stranded == 0 {
+		t.Fatal("no seed left every request in transit; the scenario tests nothing")
 	}
 }

@@ -423,16 +423,14 @@ func (m *Manager) PendingJobs(visit func(j *task.Job)) {
 }
 
 // Step advances the manager one slot:
-//  1. deliver due request-path jobs into their pools, refreshing each
-//     admitting pool's shadow register (L-Sched),
+//  1. deliver due request-path jobs into their pools,
 //  2. release due jobs of pre-defined tasks,
 //  3. replenish server budgets at period boundaries,
 //  4. run the executor for this slot (P-channel owner or G-Sched pick).
 //
 // Pools and pre-defined tasks with nothing due this slot are not
-// touched: a shadow register changes only when its pool's queue does
-// (here on admission, in Pool.Remove on completion), and the release
-// heap yields only the tasks whose release is due.
+// touched: a pool's shadow register is its heap minimum, and the
+// release heap yields only the tasks whose release is due.
 func (m *Manager) Step(now slot.Time) {
 	for {
 		d, ok := m.inbox.Peek()
@@ -442,7 +440,6 @@ func (m *Manager) Step(now slot.Time) {
 		m.inbox.Pop()
 		p := m.pools[d.job.Task.VM]
 		if p.Admit(d.job) {
-			p.Schedule()
 			m.vmStats[d.job.Task.VM].Admitted++
 		} else {
 			m.stats.Dropped++
@@ -568,9 +565,7 @@ func (m *Manager) runRChannel(now slot.Time) bool {
 	m.stats.RSlotsUsed++
 	m.vmStats[pick.VM()].SlotsUsed++
 	if j.Done() {
-		if err := pick.Remove(j); err != nil {
-			panic(err) // invariant: shadow job is always pool-resident
-		}
+		pick.Pop()
 		m.vmStats[pick.VM()].Completed++
 		m.complete(j)
 	}

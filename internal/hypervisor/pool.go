@@ -1,44 +1,35 @@
 // Pool: the per-VM I/O pool of the R-channel (Sec. III-A).
 //
 // Each pool buffers the run-time I/O tasks of one VM in a
-// random-access priority queue whose extra parameter slots hold the
-// jobs' deadlines, and exposes the earliest-deadline operation to the
-// global scheduler through a shadow register. Partitioning the pools
-// per VM provides inter-VM isolation at the hardware I/O level.
+// deadline-ordered heap and exposes the earliest-deadline operation to
+// the global scheduler as its shadow register. A buffered job's
+// deadline never changes, so the register is simply the heap minimum:
+// there is no refresh step to keep in sync. Partitioning the pools per
+// VM provides inter-VM isolation at the hardware I/O level.
 package hypervisor
 
 import (
-	"fmt"
-
 	"ioguard/internal/queue"
 	"ioguard/internal/slot"
 	"ioguard/internal/task"
 )
 
-// Pool is one VM's I/O pool: priority queue + control logic + shadow
-// register + local scheduler.
+// Pool is one VM's I/O pool: a bounded register file of jobs ordered
+// by deadline, whose minimum is the shadow register.
 type Pool struct {
-	vm     int
-	pq     *queue.PQ[*task.Job]
-	shadow queue.Shadow[*task.Job]
+	vm       int
+	capacity int // register-file size; ≤0 = unbounded
+	pq       queue.PQ[*task.Job]
 
-	// handles maps the buffered jobs back to their queue handles so
-	// the executor can remove a completed job in place.
-	handles map[*task.Job]queue.Handle
-
-	// dropped counts jobs rejected because the queue was full.
+	// dropped counts jobs rejected because the pool was full.
 	dropped int64
 }
 
 // NewPool returns an empty pool for the given VM. capacity bounds the
-// priority queue (the hardware register file); capacity ≤ 0 means
+// buffered jobs (the hardware register file); capacity ≤ 0 means
 // unbounded.
 func NewPool(vm, capacity int) *Pool {
-	return &Pool{
-		vm:      vm,
-		pq:      queue.NewPQ[*task.Job](capacity),
-		handles: make(map[*task.Job]queue.Handle),
-	}
+	return &Pool{vm: vm, capacity: capacity}
 }
 
 // VM returns the pool's VM index.
@@ -47,61 +38,31 @@ func (p *Pool) VM() int { return p.vm }
 // Len returns the number of buffered jobs.
 func (p *Pool) Len() int { return p.pq.Len() }
 
-// Dropped returns how many jobs were rejected on a full queue.
+// Dropped returns how many jobs were rejected on a full pool.
 func (p *Pool) Dropped() int64 { return p.dropped }
 
 // Admit buffers a run-time job, keyed by its absolute deadline. It
-// reports false (and counts a drop) when the pool is full. The shadow
-// register is left as is; the manager runs Schedule after each
-// admission.
+// reports false (and counts a drop) when the pool is full.
 func (p *Pool) Admit(j *task.Job) bool {
-	h, err := p.pq.Push(j.Deadline, j)
-	if err != nil {
+	if p.capacity > 0 && p.pq.Len() >= p.capacity {
 		p.dropped++
 		return false
 	}
-	p.handles[j] = h
+	p.pq.Push(j.Deadline, j)
 	return true
 }
 
-// Schedule runs the local scheduler (L-Sched): it finds the buffered
-// job with the earliest deadline and maps it into the shadow register
-// for the global scheduler to consider. An empty pool clears the
-// register. Running it after every change to the queue (Admit,
-// Remove) keeps the register equal to a per-slot refresh: a queued
-// job's key never changes, so neither does the minimum between
-// changes.
-func (p *Pool) Schedule() {
-	_, key, j, ok := p.pq.Min()
-	if !ok {
-		p.shadow.Clear()
-		return
-	}
-	p.shadow.Load(key, j)
-}
-
-// Shadow returns the job currently visible to the global scheduler
-// (the content of the shadow register) and its deadline.
+// Shadow returns the job visible to the global scheduler — the
+// pool's earliest-deadline job, ties in admission order — and its
+// deadline (the local scheduler's pick, L-Sched).
 func (p *Pool) Shadow() (deadline slot.Time, j *task.Job, ok bool) {
-	return p.shadow.Peek()
+	return p.pq.Min()
 }
 
-// Remove deletes a job from the pool (the executor finished it or the
-// system retired it).
-func (p *Pool) Remove(j *task.Job) error {
-	h, ok := p.handles[j]
-	if !ok {
-		return fmt.Errorf("hypervisor: job %v not in pool %d", j, p.vm)
-	}
-	if _, ok := p.pq.Remove(h); !ok {
-		return fmt.Errorf("hypervisor: handle for %v stale in pool %d", j, p.vm)
-	}
-	delete(p.handles, j)
-	p.Schedule() // refresh the shadow register
-	return nil
-}
+// Pop removes the shadow job (the executor finished it).
+func (p *Pool) Pop() { p.pq.PopMin() }
 
 // Each visits every buffered job.
 func (p *Pool) Each(visit func(j *task.Job)) {
-	p.pq.Each(func(_ queue.Handle, _ slot.Time, j *task.Job) { visit(j) })
+	p.pq.Each(func(_ slot.Time, j *task.Job) { visit(j) })
 }

@@ -300,13 +300,6 @@ func checkRelInvariants(t *testing.T, name string, m *Manager) {
 	if busy != len(m.busy) {
 		t.Fatalf("%s: busy list holds %d tasks, %d have pending jobs", name, len(m.busy), busy)
 	}
-	for _, p := range m.pools {
-		_, key, j, ok := p.pq.Min()
-		d, sj, sok := p.Shadow()
-		if ok != sok || j != sj || (ok && key != d) {
-			t.Fatalf("%s: pool %d shadow (%d, %v, %v), queue min (%d, %v, %v)", name, p.VM(), d, sj, sok, key, j, ok)
-		}
-	}
 }
 
 // TestReleaseHeapVsScan: across random tables and scripts of

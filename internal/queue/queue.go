@@ -1,229 +1,97 @@
-// Package queue implements the hardware queueing structures of the
-// I/O-GUARD hypervisor micro-architecture (Sec. III-A of Jiang et al.,
-// DAC'21) and of the baseline systems:
+// Package queue implements the queueing structures of the I/O-GUARD
+// hypervisor (Sec. III-A of Jiang et al., DAC'21) and of the baseline
+// systems:
 //
-//   - PQ is the random-access priority queue used inside each
-//     R-channel I/O pool. Unlike a FIFO, every entry carries an extra
-//     register slot holding its scheduling parameters, and the queue
-//     supports random access so the local scheduler can re-prioritize
-//     and remove entries in place.
+//   - PQ is the deadline-ordered binary min-heap behind each
+//     R-channel I/O pool. The paper's pool is a random-access priority
+//     queue whose local scheduler maps the earliest-deadline entry
+//     into a shadow register; a queued key never changes, so the
+//     register is always the heap minimum and the heap is all the
+//     simulator needs.
 //   - FIFO is the conventional bounded first-in/first-out queue found
 //     in traditional I/O controllers and the baseline systems; it
 //     forbids context switches at the hardware level.
-//   - Shadow is the one-entry shadow register that each I/O pool
-//     exposes to the global scheduler.
 package queue
 
-import (
-	"fmt"
+import "ioguard/internal/slot"
 
-	"ioguard/internal/slot"
-)
-
-// Handle identifies an entry inside a PQ for random access. Handles
-// are never reused within one queue's lifetime.
-type Handle int64
-
-// node is one priority-queue entry together with its "additional slot"
-// of parameters (the deadline key used for EDF ordering).
-type node[T any] struct {
-	key    slot.Time // absolute deadline (EDF priority)
-	seq    int64     // insertion sequence, breaks ties FIFO
-	handle Handle
-	value  T
-	pos    int // index in the heap array
+// entry is one buffered value with its deadline key.
+type entry[T any] struct {
+	key   slot.Time // absolute deadline (EDF priority)
+	seq   int64     // insertion sequence, breaks ties FIFO
+	value T
 }
 
-// PQ is a deadline-ordered random-access priority queue. The zero
-// value is not usable; call NewPQ. Min returns the entry with the
-// earliest deadline, ties broken by insertion order (matching the
-// deterministic hardware comparator tree).
+// PQ is an unbounded binary min-heap ordered by (key, insertion
+// order): Min returns the entry with the earliest deadline, ties
+// broken FIFO (matching the deterministic hardware comparator tree).
+// The zero value is an empty queue.
 //
-// Removed entries drop their value references immediately and their
-// nodes are recycled through a freelist, so steady-state push/pop
-// traffic is allocation-free and popped values (e.g. *task.Job) become
-// collectable at removal, not at queue growth. Handles and insertion
-// sequence numbers stay monotone across recycling: node reuse never
-// resurrects a stale handle or reorders FIFO tie-breaks.
+// Entries are stored by value and a pop zeroes the vacated slot, so
+// steady-state push/pop traffic is allocation-free and popped values
+// (e.g. *task.Job) become collectable at once.
 type PQ[T any] struct {
-	heap    []*node[T]
-	byH     map[Handle]*node[T]
-	free    []*node[T] // recycled nodes, values zeroed
-	nextH   Handle
+	heap    []entry[T]
 	nextSeq int64
-	cap     int // 0 = unbounded
-}
-
-// NewPQ returns an empty priority queue. capacity limits the number of
-// buffered entries, modeling the finite register file of the I/O pool;
-// capacity ≤ 0 means unbounded.
-func NewPQ[T any](capacity int) *PQ[T] {
-	return &PQ[T]{byH: make(map[Handle]*node[T]), cap: capacity}
 }
 
 // Len returns the number of buffered entries.
 func (q *PQ[T]) Len() int { return len(q.heap) }
 
-// Cap returns the configured capacity (0 = unbounded).
-func (q *PQ[T]) Cap() int { return q.cap }
-
-// Full reports whether a bounded queue has no free entry registers.
-func (q *PQ[T]) Full() bool { return q.cap > 0 && len(q.heap) >= q.cap }
-
-// Push inserts value with the given deadline key and returns its
-// handle. It fails when the queue is full.
-func (q *PQ[T]) Push(key slot.Time, value T) (Handle, error) {
-	if q.Full() {
-		return 0, fmt.Errorf("queue: priority queue full (cap %d)", q.cap)
-	}
-	var n *node[T]
-	if k := len(q.free) - 1; k >= 0 {
-		n = q.free[k]
-		q.free[k] = nil
-		q.free = q.free[:k]
-		n.key, n.seq, n.handle, n.value, n.pos = key, q.nextSeq, q.nextH, value, len(q.heap)
-	} else {
-		n = &node[T]{key: key, seq: q.nextSeq, handle: q.nextH, value: value, pos: len(q.heap)}
-	}
+// Push inserts value with the given deadline key.
+func (q *PQ[T]) Push(key slot.Time, value T) {
+	q.heap = append(q.heap, entry[T]{key: key, seq: q.nextSeq, value: value})
 	q.nextSeq++
-	q.nextH++
-	q.heap = append(q.heap, n)
-	q.byH[n.handle] = n
-	q.up(n.pos)
-	return n.handle, nil
+	q.up(len(q.heap) - 1)
 }
 
-// Min returns the handle, key and value of the earliest-deadline
-// entry without removing it. ok is false when the queue is empty.
-func (q *PQ[T]) Min() (h Handle, key slot.Time, value T, ok bool) {
+// Min returns the key and value of the earliest-deadline entry without
+// removing it. ok is false when the queue is empty.
+func (q *PQ[T]) Min() (key slot.Time, value T, ok bool) {
 	if len(q.heap) == 0 {
-		var zero T
-		return 0, 0, zero, false
+		return 0, value, false
 	}
-	n := q.heap[0]
-	return n.handle, n.key, n.value, true
+	return q.heap[0].key, q.heap[0].value, true
 }
 
-// PopMin removes and returns the earliest-deadline entry.
+// PopMin removes and returns the earliest-deadline entry: the last
+// entry moves to the root and sifts down.
 func (q *PQ[T]) PopMin() (key slot.Time, value T, ok bool) {
 	if len(q.heap) == 0 {
-		var zero T
-		return 0, zero, false
+		return 0, value, false
 	}
-	n := q.heap[0]
-	key = n.key
-	value = q.removeNode(n)
+	key, value = q.heap[0].key, q.heap[0].value
+	last := len(q.heap) - 1
+	q.heap[0] = q.heap[last]
+	q.heap[last] = entry[T]{}
+	q.heap = q.heap[:last]
+	q.down(0)
 	return key, value, true
 }
 
-// Get returns the value stored under h.
-func (q *PQ[T]) Get(h Handle) (value T, ok bool) {
-	n, ok := q.byH[h]
-	if !ok {
-		var zero T
-		return zero, false
+// Each visits every buffered entry in heap-array order.
+func (q *PQ[T]) Each(visit func(key slot.Time, value T)) {
+	for _, e := range q.heap {
+		visit(e.key, e.value)
 	}
-	return n.value, true
-}
-
-// Key returns the deadline key stored under h.
-func (q *PQ[T]) Key(h Handle) (slot.Time, bool) {
-	n, ok := q.byH[h]
-	if !ok {
-		return 0, false
-	}
-	return n.key, true
-}
-
-// Update rewrites the value stored under h in place (the schedulers'
-// timely read/write access to the parameter slots).
-func (q *PQ[T]) Update(h Handle, value T) bool {
-	n, ok := q.byH[h]
-	if !ok {
-		return false
-	}
-	n.value = value
-	return true
-}
-
-// Reprioritize changes the deadline key of entry h and restores the
-// heap order.
-func (q *PQ[T]) Reprioritize(h Handle, key slot.Time) bool {
-	n, ok := q.byH[h]
-	if !ok {
-		return false
-	}
-	old := n.key
-	n.key = key
-	if key < old {
-		q.up(n.pos)
-	} else if key > old {
-		q.down(n.pos)
-	}
-	return true
-}
-
-// Remove deletes entry h (random access removal).
-func (q *PQ[T]) Remove(h Handle) (value T, ok bool) {
-	n, ok := q.byH[h]
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	return q.removeNode(n), true
-}
-
-// Each visits every buffered entry in unspecified order.
-func (q *PQ[T]) Each(visit func(h Handle, key slot.Time, value T)) {
-	for _, n := range q.heap {
-		visit(n.handle, n.key, n.value)
-	}
-}
-
-// removeNode unlinks n from the heap and returns its value. The node's
-// value is zeroed (releasing the reference) and the node recycled via
-// the freelist; the vacated backing-array slot is nil'd so the array
-// never pins removed nodes.
-func (q *PQ[T]) removeNode(n *node[T]) T {
-	i := n.pos
-	last := len(q.heap) - 1
-	q.swap(i, last)
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	delete(q.byH, n.handle)
-	if i < last {
-		q.down(i)
-		q.up(i)
-	}
-	v := n.value
-	var zero T
-	n.value = zero
-	q.free = append(q.free, n)
-	return v
 }
 
 // less orders by (key, seq): earliest deadline first, FIFO on ties.
 func (q *PQ[T]) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
+	a, b := &q.heap[i], &q.heap[j]
 	if a.key != b.key {
 		return a.key < b.key
 	}
 	return a.seq < b.seq
 }
 
-func (q *PQ[T]) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].pos = i
-	q.heap[j].pos = j
-}
-
 func (q *PQ[T]) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if !q.less(i, p) {
-			break
+			return
 		}
-		q.swap(i, p)
+		q.heap[i], q.heap[p] = q.heap[p], q.heap[i]
 		i = p
 	}
 }
@@ -241,26 +109,9 @@ func (q *PQ[T]) down(i int) {
 		if m == i {
 			return
 		}
-		q.swap(i, m)
+		q.heap[i], q.heap[m] = q.heap[m], q.heap[i]
 		i = m
 	}
-}
-
-// checkHeap validates the heap invariant; used by tests.
-func (q *PQ[T]) checkHeap() error {
-	for i := range q.heap {
-		if q.heap[i].pos != i {
-			return fmt.Errorf("queue: node at %d has pos %d", i, q.heap[i].pos)
-		}
-		l, r := 2*i+1, 2*i+2
-		if l < len(q.heap) && q.less(l, i) {
-			return fmt.Errorf("queue: heap violated at %d/%d", i, l)
-		}
-		if r < len(q.heap) && q.less(r, i) {
-			return fmt.Errorf("queue: heap violated at %d/%d", i, r)
-		}
-	}
-	return nil
 }
 
 // FIFO is a bounded first-in/first-out queue, the structure of
@@ -338,47 +189,4 @@ func (f *FIFO[T]) Each(visit func(v T)) {
 	for _, v := range f.items[f.head:] {
 		visit(v)
 	}
-}
-
-// Shadow is the one-entry shadow register of an I/O pool: the local
-// scheduler loads the head operation of its pool into it, and the
-// global scheduler compares deadlines across all shadow registers.
-// The zero value is an empty register.
-type Shadow[T any] struct {
-	value T
-	key   slot.Time
-	valid bool
-}
-
-// Valid reports whether the register holds an operation.
-func (s *Shadow[T]) Valid() bool { return s.valid }
-
-// Load stores an operation and its deadline, overwriting any previous
-// content (the local scheduler refreshed its choice).
-func (s *Shadow[T]) Load(key slot.Time, v T) {
-	s.key, s.value, s.valid = key, v, true
-}
-
-// Peek returns the registered operation without consuming it.
-func (s *Shadow[T]) Peek() (key slot.Time, v T, ok bool) {
-	if !s.valid {
-		var zero T
-		return 0, zero, false
-	}
-	return s.key, s.value, true
-}
-
-// Take consumes the registered operation (the executor accepted it).
-func (s *Shadow[T]) Take() (key slot.Time, v T, ok bool) {
-	key, v, ok = s.Peek()
-	if ok {
-		s.Clear()
-	}
-	return key, v, ok
-}
-
-// Clear empties the register.
-func (s *Shadow[T]) Clear() {
-	var zero T
-	s.value, s.key, s.valid = zero, 0, false
 }

@@ -9,9 +9,20 @@ import (
 	"ioguard/internal/slot"
 )
 
+// checkHeap validates the heap invariant: no child orders before its
+// parent.
+func (q *PQ[T]) checkHeap() bool {
+	for i := 1; i < len(q.heap); i++ {
+		if q.less(i, (i-1)/2) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPQPushMin(t *testing.T) {
-	q := NewPQ[string](0)
-	if _, _, _, ok := q.Min(); ok {
+	var q PQ[string]
+	if _, _, ok := q.Min(); ok {
 		t.Fatal("Min on empty queue should report !ok")
 	}
 	q.Push(30, "c")
@@ -20,14 +31,14 @@ func TestPQPushMin(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
-	_, key, v, ok := q.Min()
+	key, v, ok := q.Min()
 	if !ok || key != 10 || v != "a" {
 		t.Errorf("Min = %d/%q, want 10/a", key, v)
 	}
 }
 
 func TestPQPopOrder(t *testing.T) {
-	q := NewPQ[int](0)
+	var q PQ[int]
 	keys := []slot.Time{5, 3, 9, 1, 7, 3, 2}
 	for i, k := range keys {
 		q.Push(k, i)
@@ -50,126 +61,52 @@ func TestPQPopOrder(t *testing.T) {
 }
 
 func TestPQFIFOTieBreak(t *testing.T) {
-	q := NewPQ[string](0)
+	var q PQ[string]
 	q.Push(5, "first")
 	q.Push(5, "second")
+	q.Push(9, "later")
 	q.Push(5, "third")
-	_, v, _ := q.PopMin()
-	if v != "first" {
-		t.Errorf("tie broken to %q, want insertion order", v)
-	}
-	_, v, _ = q.PopMin()
-	if v != "second" {
-		t.Errorf("second pop = %q", v)
-	}
-}
-
-func TestPQCapacity(t *testing.T) {
-	q := NewPQ[int](2)
-	if q.Cap() != 2 {
-		t.Errorf("Cap = %d", q.Cap())
-	}
-	if _, err := q.Push(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Push(2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !q.Full() {
-		t.Error("queue with cap 2 holding 2 should be full")
-	}
-	if _, err := q.Push(3, 3); err == nil {
-		t.Error("push beyond capacity should fail")
-	}
-	q.PopMin()
-	if q.Full() {
-		t.Error("queue should have room after pop")
-	}
-}
-
-func TestPQRandomAccess(t *testing.T) {
-	q := NewPQ[string](0)
-	h1, _ := q.Push(10, "a")
-	h2, _ := q.Push(20, "b")
-	if v, ok := q.Get(h2); !ok || v != "b" {
-		t.Errorf("Get(h2) = %q/%v", v, ok)
-	}
-	if k, ok := q.Key(h1); !ok || k != 10 {
-		t.Errorf("Key(h1) = %d/%v", k, ok)
-	}
-	if !q.Update(h2, "B") {
-		t.Error("Update failed")
-	}
-	if v, _ := q.Get(h2); v != "B" {
-		t.Errorf("after Update Get = %q", v)
-	}
-	if v, ok := q.Remove(h1); !ok || v != "a" {
-		t.Errorf("Remove(h1) = %q/%v", v, ok)
-	}
-	if _, ok := q.Get(h1); ok {
-		t.Error("removed handle still resolvable")
-	}
-	if _, _, _, ok := q.Min(); !ok {
-		t.Error("queue should still hold h2")
-	}
-	if !q.Reprioritize(h2, 1) {
-		t.Error("Reprioritize failed")
-	}
-	if k, _ := q.Key(h2); k != 1 {
-		t.Errorf("key after Reprioritize = %d", k)
-	}
-	if q.Update(12345, "x") || q.Reprioritize(12345, 1) {
-		t.Error("operations on unknown handle should report false")
-	}
-	if _, ok := q.Remove(12345); ok {
-		t.Error("Remove unknown handle should report false")
-	}
-	if _, ok := q.Key(12345); ok {
-		t.Error("Key unknown handle should report false")
+	for _, want := range []string{"first", "second", "third", "later"} {
+		if _, v, _ := q.PopMin(); v != want {
+			t.Fatalf("pop = %q, want %q (ties in insertion order)", v, want)
+		}
 	}
 }
 
 func TestPQEach(t *testing.T) {
-	q := NewPQ[int](0)
+	var q PQ[int]
 	q.Push(3, 30)
 	q.Push(1, 10)
 	sum := 0
-	q.Each(func(h Handle, k slot.Time, v int) { sum += v })
+	q.Each(func(k slot.Time, v int) { sum += v })
 	if sum != 40 {
 		t.Errorf("Each visited sum %d, want 40", sum)
 	}
 }
 
 func TestPQPopEmpty(t *testing.T) {
-	q := NewPQ[int](0)
+	var q PQ[int]
 	if _, _, ok := q.PopMin(); ok {
 		t.Error("PopMin on empty should report !ok")
+	}
+	q.Push(1, 1)
+	q.PopMin()
+	if _, _, ok := q.PopMin(); ok || q.Len() != 0 {
+		t.Error("PopMin after draining should report !ok")
 	}
 }
 
 func TestPQHeapInvariantUnderRandomOps(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := NewPQ[int](0)
-		var handles []Handle
+		var q PQ[int]
 		for op := 0; op < 200; op++ {
-			switch rng.Intn(4) {
-			case 0, 1:
-				h, _ := q.Push(slot.Time(rng.Intn(100)), op)
-				handles = append(handles, h)
-			case 2:
-				if len(handles) > 0 {
-					h := handles[rng.Intn(len(handles))]
-					q.Reprioritize(h, slot.Time(rng.Intn(100)))
-				}
-			case 3:
-				if len(handles) > 0 {
-					i := rng.Intn(len(handles))
-					q.Remove(handles[i])
-					handles = append(handles[:i], handles[i+1:]...)
-				}
+			if rng.Intn(3) > 0 {
+				q.Push(slot.Time(rng.Intn(100)), op)
+			} else {
+				q.PopMin()
 			}
-			if err := q.checkHeap(); err != nil {
+			if !q.checkHeap() {
 				return false
 			}
 		}
@@ -180,22 +117,39 @@ func TestPQHeapInvariantUnderRandomOps(t *testing.T) {
 	}
 }
 
+// TestPQMinAlwaysSmallest drives the heap and a sorted-slice oracle
+// through the same random pushes and pops: every Min and PopMin must
+// return the oracle's head, FIFO among equal keys.
 func TestPQMinAlwaysSmallest(t *testing.T) {
-	f := func(keys []uint8) bool {
-		q := NewPQ[int](0)
-		min := slot.Never
-		for i, k := range keys {
-			q.Push(slot.Time(k), i)
-			if slot.Time(k) < min {
-				min = slot.Time(k)
+	type kv struct {
+		key slot.Time
+		v   int
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var q PQ[int]
+		var ref []kv // sorted by key, insertion order among ties
+		for op := 0; op < 300; op++ {
+			if rng.Intn(3) > 0 {
+				e := kv{slot.Time(rng.Intn(20)), op}
+				i := sort.Search(len(ref), func(i int) bool { return ref[i].key > e.key })
+				ref = append(ref[:i], append([]kv{e}, ref[i:]...)...)
+				q.Push(e.key, e.v)
+			} else {
+				k, v, ok := q.PopMin()
+				if ok != (len(ref) > 0) || (ok && (k != ref[0].key || v != ref[0].v)) {
+					return false
+				}
+				if ok {
+					ref = ref[1:]
+				}
+			}
+			k, v, ok := q.Min()
+			if ok != (len(ref) > 0) || (ok && (k != ref[0].key || v != ref[0].v)) || q.Len() != len(ref) {
+				return false
 			}
 		}
-		if len(keys) == 0 {
-			_, _, _, ok := q.Min()
-			return !ok
-		}
-		_, key, _, ok := q.Min()
-		return ok && key == min
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -358,37 +312,8 @@ func TestFIFOCompactionKeepsSemantics(t *testing.T) {
 	}
 }
 
-func TestShadow(t *testing.T) {
-	var s Shadow[string]
-	if s.Valid() {
-		t.Error("zero shadow register should be empty")
-	}
-	if _, _, ok := s.Peek(); ok {
-		t.Error("Peek on empty shadow should report !ok")
-	}
-	if _, _, ok := s.Take(); ok {
-		t.Error("Take on empty shadow should report !ok")
-	}
-	s.Load(42, "op")
-	if !s.Valid() {
-		t.Error("shadow should be valid after Load")
-	}
-	k, v, ok := s.Peek()
-	if !ok || k != 42 || v != "op" {
-		t.Errorf("Peek = %d/%q/%v", k, v, ok)
-	}
-	s.Load(7, "op2") // overwrite
-	k, v, _ = s.Take()
-	if k != 7 || v != "op2" {
-		t.Errorf("Take = %d/%q", k, v)
-	}
-	if s.Valid() {
-		t.Error("shadow should be empty after Take")
-	}
-}
-
 func BenchmarkPQPushPop(b *testing.B) {
-	q := NewPQ[int](0)
+	var q PQ[int]
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -401,61 +326,38 @@ func BenchmarkPQPushPop(b *testing.B) {
 
 // TestPQMemoryBounded mirrors TestFIFOMemoryBounded for the R-channel
 // pool's priority queue: steady-state push/pop at a fixed resident
-// depth must be allocation-free (nodes recycle through the freelist)
-// and must not let removed entries pin their values — each pop zeroes
-// the node's value and nils the vacated heap slot.
+// depth must be allocation-free (entries live by value in the reused
+// backing array) and must not let popped entries pin their values —
+// each pop zeroes the vacated slot.
 func TestPQMemoryBounded(t *testing.T) {
 	const depth, cycles = 8, 100000
-	q := NewPQ[*int](0)
+	var q PQ[*int]
 	for i := 0; i < depth; i++ {
 		v := i
-		if _, err := q.Push(slot.Time(i), &v); err != nil {
-			t.Fatal(err)
-		}
+		q.Push(slot.Time(i), &v)
 	}
-	key := slot.Time(depth)
+	key, shared := slot.Time(depth), new(int)
 	allocs := testing.AllocsPerRun(cycles, func() {
 		q.PopMin()
-		if _, err := q.Push(key, nil); err != nil {
-			t.Fatal(err)
-		}
+		q.Push(key, shared)
 		key++
 	})
 	if allocs > 0.001 {
-		t.Errorf("steady-state pop/push allocates %.4f/op, want ~0 (freelist should recycle nodes)", allocs)
+		t.Errorf("steady-state pop/push allocates %.4f/op, want ~0 (the backing array should be reused)", allocs)
 	}
 	if q.Len() != depth {
 		t.Fatalf("Len = %d, want %d", q.Len(), depth)
 	}
-	// The freelist holds only the transiently popped node, never an
-	// unbounded backlog.
-	if len(q.free) > depth {
-		t.Errorf("freelist holds %d nodes at depth %d", len(q.free), depth)
+	if c := cap(q.heap); c > 4*depth {
+		t.Errorf("backing array grew to cap %d for depth-%d queue", c, depth)
 	}
-	// Freed nodes must not retain value references, and the heap's
-	// backing array must not pin removed nodes.
-	for i, n := range q.free {
-		if n.value != nil {
-			t.Errorf("freelist node %d retains value %v", i, n.value)
+	// Drain: no vacated slot of the backing array may still pin a value.
+	for q.Len() > 0 {
+		q.PopMin()
+	}
+	for i, e := range q.heap[:cap(q.heap)] {
+		if e.value != nil {
+			t.Errorf("vacated slot %d still holds value %v", i, *e.value)
 		}
-	}
-	for i := q.Len(); i < cap(q.heap) && i < q.Len()+depth; i++ {
-		if q.heap[:cap(q.heap)][i] != nil {
-			t.Errorf("vacated heap slot %d still pins a node", i)
-		}
-	}
-	// Handles stay monotone across node recycling: a recycled node must
-	// never resurrect a stale handle.
-	h1, err := q.Push(900, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.PopMin()
-	h2, err := q.Push(901, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2 <= h1 {
-		t.Errorf("handle went backwards across recycling: %d then %d", h1, h2)
 	}
 }

@@ -48,10 +48,11 @@ type BatcherConfig struct {
 	// Workers is the RunCells goroutine count per batch (≤ 0 =
 	// GOMAXPROCS).
 	Workers int
-	// StreamEps is the ε of the timing recorders' percentile sketch
-	// (default 0.01).
-	StreamEps float64
 }
+
+// timingEps is the ε of the batcher's timing recorders' percentile
+// sketch.
+const timingEps = 0.01
 
 func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.BatchSize <= 0 {
@@ -62,9 +63,6 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.StreamEps <= 0 {
-		c.StreamEps = 0.01
 	}
 	return c
 }
@@ -123,9 +121,9 @@ func NewBatcher(cfg BatcherConfig) *Batcher {
 		cfg:       cfg,
 		in:        make(chan *Unit, cfg.QueueDepth),
 		drained:   make(chan struct{}),
-		queueWait: metrics.NewStreaming(cfg.StreamEps, 1),
-		execTime:  metrics.NewStreaming(cfg.StreamEps, 2),
-		batchSize: metrics.NewStreaming(cfg.StreamEps, 3),
+		queueWait: metrics.NewStreaming(timingEps, 1),
+		execTime:  metrics.NewStreaming(timingEps, 2),
+		batchSize: metrics.NewStreaming(timingEps, 3),
 	}
 	go b.collect()
 	return b

@@ -33,25 +33,22 @@ const (
 type JobStoreConfig struct {
 	// MaxJobs bounds queued-but-unstarted jobs (default 64).
 	MaxJobs int
-	// ChunkSize is how many trials the runner executes per RunCells
-	// call (default 64) — progress granularity, not a semantic knob.
-	ChunkSize int
 	// Workers is the RunCells goroutine count (≤ 0 = GOMAXPROCS).
 	Workers int
-	// MaxHistory bounds finished jobs retained for retrieval; the
-	// oldest finished jobs are evicted beyond it (default 256).
-	MaxHistory int
 }
+
+const (
+	// chunkSize is how many trials the runner executes per RunCells
+	// call — progress granularity, not a semantic knob.
+	chunkSize = 64
+	// maxHistory bounds finished jobs retained for retrieval; the
+	// oldest finished jobs are evicted beyond it.
+	maxHistory = 256
+)
 
 func (c JobStoreConfig) withDefaults() JobStoreConfig {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 64
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 64
-	}
-	if c.MaxHistory <= 0 {
-		c.MaxHistory = 256
 	}
 	return c
 }
@@ -179,15 +176,15 @@ func (s *JobStore) Submit(norm *normalized) (*Job, error) {
 	return j, nil
 }
 
-// evictLocked drops the oldest *finished* jobs beyond MaxHistory.
+// evictLocked drops the oldest *finished* jobs beyond maxHistory.
 // Queued and running jobs are never evicted (an accepted job is never
 // dropped).
 func (s *JobStore) evictLocked() {
-	if len(s.order) <= s.cfg.MaxHistory {
+	if len(s.order) <= maxHistory {
 		return
 	}
 	kept := s.order[:0]
-	excess := len(s.order) - s.cfg.MaxHistory
+	excess := len(s.order) - maxHistory
 	for _, id := range s.order {
 		j := s.jobs[id]
 		j.mu.Lock()
@@ -236,7 +233,7 @@ func (s *JobStore) run() {
 	}
 }
 
-// runJob executes one sweep in ChunkSize slices, folding the
+// runJob executes one sweep in chunkSize slices, folding the
 // aggregate in trial order — exactly ParallelSweep's fold — and
 // appending per-trial responses as chunks finish so partial results
 // are visible while the job runs.
@@ -248,11 +245,8 @@ func (s *JobStore) runJob(j *Job) {
 	cells := j.norm.cells()
 	agg := &metrics.Aggregate{}
 	sys := j.norm.req.System
-	for off := 0; off < len(cells); off += s.cfg.ChunkSize {
-		end := off + s.cfg.ChunkSize
-		if end > len(cells) {
-			end = len(cells)
-		}
+	for off := 0; off < len(cells); off += chunkSize {
+		end := min(off+chunkSize, len(cells))
 		chunk := cells[off:end]
 		start := time.Now()
 		results, err := system.RunCells(chunk, s.cfg.Workers)

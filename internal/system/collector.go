@@ -269,9 +269,10 @@ func (c *Collector) Completed() int { return int(c.completed) }
 // Result scores a finished trial: a snapshot of the incrementally
 // maintained state (completed jobs were classified against their
 // deadlines at the *observed* completion time), plus the censoring
-// sweep — jobs still pending whose deadline has passed count as
-// misses; pending jobs whose deadline lies at or beyond the horizon
-// are censored.
+// sweep over sys.Pending — jobs still pending whose deadline has
+// passed count as misses; pending jobs whose deadline lies at or
+// beyond the horizon are censored. Run includes the jobs a fault delay
+// still holds in transit.
 func (c *Collector) Result(sys System, horizon slot.Time) *metrics.TrialResult {
 	c.ensure()
 	// The distributions are complete: drop the presized and growth

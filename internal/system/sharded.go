@@ -83,7 +83,8 @@ func (c *clocked) catchUp(now slot.Time) {
 // then steps, in registration order, every shard whose wake slot has
 // come. A submission wakes its shard in the current slot. The next
 // visited slot is the earliest of the shards' wake slots, the fleet's
-// next release and the earliest delayed job.
+// next release and the earliest delayed job. It returns the delayed
+// jobs still in transit at the horizon.
 //
 // After a step at now a shard wakes at NextWork(now+1), clamped so a
 // stale answer degrades to stepping and never rewinds; a dense run
@@ -92,7 +93,7 @@ func (c *clocked) catchUp(now slot.Time) {
 // shards step in registration order, the order each system's own Step
 // iterates them, so both modes reach the collector in the same
 // sequence and produce byte-identical results.
-func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Time, fs *faults.Stream, dense bool) {
+func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Time, fs *faults.Stream, dense bool) *queue.PQ[*task.Job] {
 	cs := make([]clocked, len(shards))
 	for i, sh := range shards {
 		cs[i].sh = sh
@@ -110,9 +111,8 @@ func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Tim
 	emit := submit
 	// Delayed jobs wait in one due-ordered queue. They are delivered
 	// before the slot's fresh releases, in due then emission order.
-	var delayed *queue.PQ[*task.Job]
+	var delayed queue.PQ[*task.Job]
 	if fs != nil {
-		delayed = queue.NewPQ[*task.Job](0)
 		emit = faultedEmit(fs, func(due slot.Time, j *task.Job) {
 			if due > now {
 				delayed.Push(due, j)
@@ -122,15 +122,13 @@ func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Tim
 		})
 	}
 	for now < horizon {
-		if delayed != nil {
-			for {
-				_, due, j, ok := delayed.Min()
-				if !ok || due > now {
-					break
-				}
-				delayed.PopMin()
-				submit(j)
+		for {
+			due, j, ok := delayed.Min()
+			if !ok || due > now {
+				break
 			}
+			delayed.PopMin()
+			submit(j)
 		}
 		fleet.Release(now, emit)
 		next := fleet.NextRelease()
@@ -147,14 +145,13 @@ func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Tim
 			}
 			next = min(next, c.wake)
 		}
-		if delayed != nil {
-			if _, due, _, ok := delayed.Min(); ok {
-				next = min(next, due)
-			}
+		if due, _, ok := delayed.Min(); ok {
+			next = min(next, due)
 		}
 		now = next
 	}
 	for i := range cs {
 		cs[i].catchUp(horizon)
 	}
+	return &delayed
 }

@@ -12,6 +12,7 @@ import (
 
 	"ioguard/internal/faults"
 	"ioguard/internal/metrics"
+	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
 	"ioguard/internal/slot"
 	"ioguard/internal/task"
@@ -145,10 +146,24 @@ func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 	if fs != nil {
 		fleet.SetReleaseJitter(fs.ReleaseJitter)
 	}
-	run(shards, route, fleet, tr.Horizon, fs, tr.Dense)
-	res := col.Result(sys, tr.Horizon)
+	delayed := run(shards, route, fleet, tr.Horizon, fs, tr.Dense)
+	res := col.Result(inTransit{sys, delayed}, tr.Horizon)
 	res.Released = fleet.Released()
 	return res, nil
+}
+
+// inTransit adds the jobs a fault delay still holds at the horizon to
+// a system's pending jobs, so the censoring sweep scores them like any
+// other unfinished request.
+type inTransit struct {
+	System
+	delayed *queue.PQ[*task.Job]
+}
+
+// Pending visits the system's pending jobs, then the in-transit ones.
+func (t inTransit) Pending(visit func(j *task.Job)) {
+	t.System.Pending(visit)
+	t.delayed.Each(func(_ slot.Time, j *task.Job) { visit(j) })
 }
 
 // Sweep runs `trials` independent seeds of one configuration and
