@@ -32,7 +32,6 @@ func main() {
 		maxEta  = flag.Int("maxeta", 4, "maximum scaling factor η for fig8")
 		utilArg = flag.Float64("util", 0.8, "target utilization for the ablation")
 		seed    = flag.Int64("seed", 1, "base random seed")
-		dense   = flag.Bool("dense", false, "step every slot instead of fast-forwarding idle regions (disables the decoupled per-device clocks; output is identical either way)")
 		quants  = flag.Bool("quantiles", false, "after each case-study table, print the merged cross-trial response/tardiness quantiles per (system, util) cell (exact in -metrics exact, ε-bounded in -metrics stream)")
 	)
 	execFlags := cliflags.RegisterDefault()
@@ -42,13 +41,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ioguard-experiments:", err)
 		os.Exit(1)
 	}
-	if err := run(*exp, *trials, *hps, *maxEta, *utilArg, *seed, *dense, *quants, r); err != nil {
+	if err := run(*exp, *trials, *hps, *maxEta, *utilArg, *seed, *quants, r); err != nil {
 		fmt.Fprintln(os.Stderr, "ioguard-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, trials, hps, maxEta int, util float64, seed int64, dense, quants bool, ec cliflags.Resolved) error {
+func run(exp string, trials, hps, maxEta int, util float64, seed int64, quants bool, ec cliflags.Resolved) error {
+	if trials < 1 {
+		return fmt.Errorf("-trials %d: need at least one trial", trials)
+	}
 	workers := ec.Workers
 	switch exp {
 	case "fig6":
@@ -56,15 +58,15 @@ func run(exp string, trials, hps, maxEta int, util float64, seed int64, dense, q
 	case "table1":
 		return table1()
 	case "fig7a":
-		return fig7(4, trials, hps, seed, dense, quants, ec)
+		return fig7(4, trials, hps, seed, quants, ec)
 	case "fig7b":
-		return fig7(8, trials, hps, seed, dense, quants, ec)
+		return fig7(8, trials, hps, seed, quants, ec)
 	case "fig7c":
 		// Fig. 7(c) shares the sweep; print both VM groups' throughput.
-		if err := fig7(4, trials, hps, seed, dense, quants, ec); err != nil {
+		if err := fig7(4, trials, hps, seed, quants, ec); err != nil {
 			return err
 		}
-		return fig7(8, trials, hps, seed, dense, quants, ec)
+		return fig7(8, trials, hps, seed, quants, ec)
 	case "fig8":
 		return fig8(maxEta)
 	case "ablation":
@@ -74,7 +76,7 @@ func run(exp string, trials, hps, maxEta int, util float64, seed int64, dense, q
 	case "response":
 		return response(util, seed)
 	case "robust":
-		return robust(util, trials, hps, seed, dense, ec)
+		return robust(util, trials, hps, seed, ec)
 	case "all":
 		if err := fig6(); err != nil {
 			return err
@@ -82,10 +84,10 @@ func run(exp string, trials, hps, maxEta int, util float64, seed int64, dense, q
 		if err := table1(); err != nil {
 			return err
 		}
-		if err := fig7(4, trials, hps, seed, dense, quants, ec); err != nil {
+		if err := fig7(4, trials, hps, seed, quants, ec); err != nil {
 			return err
 		}
-		if err := fig7(8, trials, hps, seed, dense, quants, ec); err != nil {
+		if err := fig7(8, trials, hps, seed, quants, ec); err != nil {
 			return err
 		}
 		return fig8(maxEta)
@@ -115,14 +117,13 @@ func table1() error {
 	return nil
 }
 
-func fig7(vms, trials, hps int, seed int64, dense, quants bool, ec cliflags.Resolved) error {
+func fig7(vms, trials, hps int, seed int64, quants bool, ec cliflags.Resolved) error {
 	points, err := experiments.CaseStudy(experiments.CaseStudyConfig{
 		VMs:          vms,
 		Trials:       trials,
 		HyperPeriods: hps,
 		Seed:         seed,
 		Workers:      ec.Workers,
-		Dense:        dense,
 		Metrics:      ec.Metrics,
 	})
 	if err != nil {
@@ -169,7 +170,7 @@ func response(util float64, seed int64) error {
 // robust runs the fault-scenario sweep across every buildable system
 // (including BS|PART). Deliberately not part of -exp all: the
 // committed experiments_output.txt pins the clean reproduction.
-func robust(util float64, trials, hps int, seed int64, dense bool, ec cliflags.Resolved) error {
+func robust(util float64, trials, hps int, seed int64, ec cliflags.Resolved) error {
 	points, err := experiments.Robustness(experiments.RobustnessConfig{
 		VMs:          4,
 		Util:         util,
@@ -178,7 +179,6 @@ func robust(util float64, trials, hps int, seed int64, dense bool, ec cliflags.R
 		Seed:         seed,
 		Workers:      ec.Workers,
 		Metrics:      ec.Metrics,
-		Dense:        dense,
 	})
 	if err != nil {
 		return err

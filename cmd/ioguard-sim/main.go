@@ -52,6 +52,10 @@ import (
 // substitute a failing writer and exercise the flush-error paths.
 var openTraceFile = func(path string) (io.WriteCloser, error) { return os.Create(path) }
 
+// runTrial executes a single trial. A variable so tests can run the
+// command's fully wrapped builder through systemtest.Dense.
+var runTrial = system.Run
+
 func main() {
 	var (
 		sysName = flag.String("system", "ioguard-70", experiments.SystemSpecs())
@@ -64,7 +68,6 @@ func main() {
 		gantt   = flag.Int("gantt", 0, "print a Gantt chart of the first N slots (I/O-GUARD only, single trial)")
 		csvPath = flag.String("csv", "", "write the execution trace as CSV (I/O-GUARD only, single trial)")
 		byTask  = flag.Bool("bytask", false, "print per-task completion/miss statistics (single trial)")
-		dense   = flag.Bool("dense", false, "step every slot instead of fast-forwarding idle regions (disables the decoupled per-device clocks; output is identical either way)")
 	)
 	exec := cliflags.RegisterDefault()
 	flag.Parse()
@@ -73,7 +76,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ioguard-sim:", err)
 		os.Exit(1)
 	}
-	if err := run(os.Stdout, *sysName, *family, *vms, *util, *hps, *seed, *trials, *gantt, *csvPath, *byTask, *dense, r); err != nil {
+	if err := run(os.Stdout, *sysName, *family, *vms, *util, *hps, *seed, *trials, *gantt, *csvPath, *byTask, r); err != nil {
 		fmt.Fprintln(os.Stderr, "ioguard-sim:", err)
 		os.Exit(1)
 	}
@@ -93,7 +96,10 @@ func generateFamily(family string, vms int, util float64, seed int64) (task.Set,
 	}
 }
 
-func run(out io.Writer, sysName, family string, vms int, util float64, hps int, seed int64, trials, gantt int, csvPath string, byTask, dense bool, ec cliflags.Resolved) (err error) {
+func run(out io.Writer, sysName, family string, vms int, util float64, hps int, seed int64, trials, gantt int, csvPath string, byTask bool, ec cliflags.Resolved) (err error) {
+	if trials < 1 {
+		return fmt.Errorf("-trials %d: need at least one trial", trials)
+	}
 	mode := ec.Metrics
 	ts, err := generateFamily(family, vms, util, seed)
 	if err != nil {
@@ -103,7 +109,7 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 		len(ts), formatUtil(workload.DeviceUtilization(ts)), ts.Hyperperiod())
 
 	if trials > 1 {
-		return runSweep(out, sysName, family, vms, util, hps, seed, trials, dense, ec)
+		return runSweep(out, sysName, family, vms, util, hps, seed, trials, ec)
 	}
 
 	// Trace plumbing. The Recorder backs -gantt (it renders from the
@@ -165,12 +171,11 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 	if err != nil {
 		return err
 	}
-	res, err := system.Run(wrapped, system.Trial{
+	res, err := runTrial(wrapped, system.Trial{
 		VMs:     vms,
 		Tasks:   ts,
 		Horizon: horizon,
 		Seed:    seed,
-		Dense:   dense,
 		Metrics: mode,
 		Faults:  ec.Faults,
 	})
@@ -203,7 +208,7 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 
 // runSweep repeats the trial across independent release seeds on the
 // deterministic worker pool and prints the aggregate.
-func runSweep(out io.Writer, sysName, family string, vms int, util float64, hps int, seed int64, trials int, dense bool, ec cliflags.Resolved) error {
+func runSweep(out io.Writer, sysName, family string, vms int, util float64, hps int, seed int64, trials int, ec cliflags.Resolved) error {
 	ts, err := generateFamily(family, vms, util, seed)
 	if err != nil {
 		return err
@@ -221,7 +226,6 @@ func runSweep(out io.Writer, sysName, family string, vms int, util float64, hps 
 		Tasks:   ts,
 		Horizon: horizon,
 		Seed:    seed,
-		Dense:   dense,
 		Metrics: ec.Metrics,
 		Faults:  ec.Faults,
 	}, trials, ec.Workers)

@@ -14,8 +14,10 @@ import (
 	"testing"
 
 	"ioguard/internal/cliflags"
+	"ioguard/internal/metrics"
 	"ioguard/internal/server"
 	"ioguard/internal/system"
+	"ioguard/internal/system/systemtest"
 )
 
 // failingWriter accepts `left` bytes and then fails every write — the
@@ -52,6 +54,20 @@ func withFailingTraceFile(t *testing.T, budget int) {
 	t.Cleanup(func() { openTraceFile = orig })
 }
 
+// stepping calls f with the command's trials run through
+// systemtest.Dense when dense is set, and as they are otherwise.
+func stepping(dense bool, f func() error) error {
+	if !dense {
+		return f()
+	}
+	orig := runTrial
+	runTrial = func(build system.Builder, tr system.Trial) (*metrics.TrialResult, error) {
+		return orig(systemtest.Dense(build), tr)
+	}
+	defer func() { runTrial = orig }()
+	return f()
+}
+
 // TestStreamCSVFlushErrorSurfaces: a trial that itself succeeds must
 // still fail the command when the streamed trace hit a write error —
 // the sink swallows it on the hot path and only Flush reveals it. -csv
@@ -61,7 +77,7 @@ func TestStreamCSVFlushErrorSurfaces(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			withFailingTraceFile(t, 64)
 			var out bytes.Buffer
-			err := run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 0, "trace.csv", false, false, cliflags.Resolved{Workers: 1, Metrics: mode})
+			err := run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 0, "trace.csv", false, cliflags.Resolved{Workers: 1, Metrics: mode})
 			if err == nil {
 				t.Fatal("run succeeded despite failing trace writer")
 			}
@@ -77,7 +93,7 @@ func TestStreamCSVFlushErrorSurfaces(t *testing.T) {
 
 // TestTraceOutputIdenticalAcrossModes: -gantt and -csv together print
 // the chart and write the same CSV bytes in exact mode, stream mode
-// and with -dense.
+// and with every slot stepped (systemtest.Dense).
 func TestTraceOutputIdenticalAcrossModes(t *testing.T) {
 	dir := t.TempDir()
 	runs := []struct {
@@ -93,7 +109,10 @@ func TestTraceOutputIdenticalAcrossModes(t *testing.T) {
 	for i, r := range runs {
 		path := filepath.Join(dir, r.name+".csv")
 		var out bytes.Buffer
-		if err := run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 30, path, false, r.dense, cliflags.Resolved{Workers: 1, Metrics: r.mode}); err != nil {
+		err := stepping(r.dense, func() error {
+			return run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 30, path, false, cliflags.Resolved{Workers: 1, Metrics: r.mode})
+		})
+		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		if !strings.Contains(out.String(), "slots 0..29") || strings.Contains(out.String(), "no trace recorded") {
@@ -130,7 +149,7 @@ func TestFlushErrorJoinedWithTrialError(t *testing.T) {
 	var out bytes.Buffer
 	// hyperperiods 0 → non-positive horizon: the trial fails after the
 	// sink exists and the header row is buffered.
-	err := run(&out, "ioguard-70", "case", 2, 0.5, 0, 1, 1, 0, "trace.csv", false, false, cliflags.Resolved{Workers: 1, Metrics: system.MetricsStream})
+	err := run(&out, "ioguard-70", "case", 2, 0.5, 0, 1, 1, 0, "trace.csv", false, cliflags.Resolved{Workers: 1, Metrics: system.MetricsStream})
 	if err == nil {
 		t.Fatal("run succeeded despite trial error and failing writer")
 	}
@@ -145,7 +164,8 @@ func TestFlushErrorJoinedWithTrialError(t *testing.T) {
 // TestServerTrialMatchesCLI pins the service contract: a trial
 // executed through POST /v1/trials renders byte-identically to this
 // command at the same parameters, for both collector modes — and the
-// server's sharded run matches the command's dense reference loop.
+// server's fast-forward run matches the command's trial stepped in
+// every slot (systemtest.Dense).
 func TestServerTrialMatchesCLI(t *testing.T) {
 	srv := server.New(server.Config{})
 	defer srv.Close()
@@ -166,7 +186,10 @@ func TestServerTrialMatchesCLI(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var cli bytes.Buffer
-			if err := run(&cli, tc.system, "case", 2, 0.5, 1, 7, 1, 0, "", false, tc.cliDense, cliflags.Resolved{Workers: 1, Metrics: tc.metrics}); err != nil {
+			err := stepping(tc.cliDense, func() error {
+				return run(&cli, tc.system, "case", 2, 0.5, 1, 7, 1, 0, "", false, cliflags.Resolved{Workers: 1, Metrics: tc.metrics})
+			})
+			if err != nil {
 				t.Fatalf("cli run: %v", err)
 			}
 
@@ -222,7 +245,7 @@ func TestSweepAggregateMatchesCLI(t *testing.T) {
 	defer hts.Close()
 
 	var cli bytes.Buffer
-	if err := run(&cli, "bluevisor", "case", 2, 0.5, 1, 7, 5, 0, "", false, false, cliflags.Resolved{Workers: 2, Metrics: system.MetricsExact}); err != nil {
+	if err := run(&cli, "bluevisor", "case", 2, 0.5, 1, 7, 5, 0, "", false, cliflags.Resolved{Workers: 2, Metrics: system.MetricsExact}); err != nil {
 		t.Fatalf("cli run: %v", err)
 	}
 
@@ -269,5 +292,93 @@ func TestSweepAggregateMatchesCLI(t *testing.T) {
 	idx := strings.Index(cli.String(), "system: ")
 	if got, want := status.Aggregate.Rendered, cli.String()[idx:]; got != want {
 		t.Fatalf("sweep aggregate diverges from CLI:\n--- server ---\n%s\n--- cli ---\n%s", got, want)
+	}
+}
+
+// TestTrialsBelowOneRejected: -trials 0 and -trials -1 are errors, not
+// a silent single trial.
+func TestTrialsBelowOneRejected(t *testing.T) {
+	for _, trials := range []int{0, -1} {
+		var out bytes.Buffer
+		err := run(&out, "bluevisor", "case", 2, 0.5, 1, 1, trials, 0, "", false, cliflags.Resolved{Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), "-trials") {
+			t.Errorf("-trials %d: err = %v, want a -trials error", trials, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-trials %d: printed output:\n%s", trials, out.String())
+		}
+	}
+}
+
+// denseAndDefault runs the command twice, once with every slot stepped
+// (systemtest.Dense) and once as it is, and returns both outputs.
+func denseAndDefault(t *testing.T, f func(out io.Writer) error) (dense, def string) {
+	t.Helper()
+	var d, ff bytes.Buffer
+	if err := stepping(true, func() error { return f(&d) }); err != nil {
+		t.Fatalf("dense: %v", err)
+	}
+	if err := f(&ff); err != nil {
+		t.Fatal(err)
+	}
+	return d.String(), ff.String()
+}
+
+// TestGanttCSVDenseMatchesExact: ioguard-sim -system ioguard-40
+// -gantt 60 -csv prints the same chart and writes the same CSV bytes
+// whether every slot is stepped or idle slots are skipped. The other
+// settings are the command's defaults.
+func TestGanttCSVDenseMatchesExact(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	var csv [][]byte
+	dense, def := denseAndDefault(t, func(out io.Writer) error {
+		if err := run(out, "ioguard-40", "case", 4, 0.7, 3, 1, 1, 60, path, false, cliflags.Resolved{Metrics: system.MetricsExact}); err != nil {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		csv = append(csv, b)
+		return err
+	})
+	if !strings.Contains(def, "slots 0..59") {
+		t.Fatalf("no Gantt chart in output:\n%s", def)
+	}
+	if dense != def {
+		t.Errorf("dense stdout differs:\n%s\n--- exact ---\n%s", dense, def)
+	}
+	if len(csv[1]) == 0 || !bytes.Equal(csv[0], csv[1]) {
+		t.Errorf("dense CSV (%d bytes) differs from exact (%d bytes)", len(csv[0]), len(csv[1]))
+	}
+}
+
+// TestPartitionDenseMatchesDefault: ioguard-sim -system partition -vms 4
+// -hyperperiods 2 -seed 3 prints the same trial dense and by default.
+func TestPartitionDenseMatchesDefault(t *testing.T) {
+	dense, def := denseAndDefault(t, func(out io.Writer) error {
+		return run(out, "partition", "case", 4, 0.7, 2, 3, 1, 0, "", false, cliflags.Resolved{})
+	})
+	if !strings.Contains(def, "system: ") {
+		t.Fatalf("no metrics block in output:\n%s", def)
+	}
+	if dense != def {
+		t.Errorf("dense output differs:\n%s\n--- default ---\n%s", dense, def)
+	}
+}
+
+// TestAvionicsGolden: ioguard-sim -workload avionics -system ioguard-70
+// -vms 4 -hyperperiods 1 -seed 1 reproduces testdata/avionics_golden.txt,
+// generated with the per-slot slot table, byte for byte, both dense
+// and by default.
+func TestAvionicsGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "avionics_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, def := denseAndDefault(t, func(out io.Writer) error {
+		return run(out, "ioguard-70", "avionics", 4, 0.7, 1, 1, 1, 0, "", false, cliflags.Resolved{})
+	})
+	for name, got := range map[string]string{"dense": dense, "default": def} {
+		if got != string(golden) {
+			t.Errorf("%s output differs from the golden:\n%s\n--- golden ---\n%s", name, got, golden)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"ioguard/internal/packet"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
+	"ioguard/internal/system/systemtest"
 	"ioguard/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func traceDeliveries(t *testing.T, build system.Builder, tr system.Trial) []deli
 // transport to per-slot stepping at per-delivery granularity for both
 // mesh-coupled baselines: every packet must arrive at the same slot,
 // in the same order, whether the one shard jumps with NextWork/SkipTo
-// or the dense loop steps every slot. A single swapped or shifted
+// or systemtest.Dense steps every slot. A single swapped or shifted
 // delivery changes station FIFO order and cascades into divergent
 // completions. The seeded workloads span 2–4 VMs and target
 // utilizations 0.5–1.0; the last one also delays and duplicates
@@ -70,9 +71,7 @@ func TestMeshDeliveryTraceEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				tr := system.Trial{VMs: c.vms, Tasks: ts, Horizon: ts.Hyperperiod() * 2, Seed: seed, Faults: c.faults}
-				tr.Dense = true
-				dense := traceDeliveries(t, build, tr)
-				tr.Dense = false
+				dense := traceDeliveries(t, systemtest.Dense(build), tr)
 				shard := traceDeliveries(t, build, tr)
 				if len(dense) == 0 {
 					t.Fatalf("cell %d: workload produced no deliveries", i)

@@ -7,8 +7,9 @@
 // The dense/fastforward pairs exist to quantify system.Run's idle-slot
 // fast-forward: both variants execute the identical trial — the
 // equivalence tests enforce bit-identical results — so their ratio is
-// pure scheduling-loop speedup. The dense variant steps every shard in
-// every slot, the fastforward variant skips each shard's idle slots.
+// pure scheduling-loop speedup. The dense variant runs the builder
+// wrapped in systemtest.Dense, which steps every shard in every slot;
+// the fastforward variant skips each shard's idle slots.
 package benchsuite
 
 import (
@@ -21,6 +22,7 @@ import (
 	"ioguard/internal/queue"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
+	"ioguard/internal/system/systemtest"
 	"ioguard/internal/task"
 	"ioguard/internal/workload"
 )
@@ -70,18 +72,23 @@ func sparseSlotsPerOp() int64 {
 	return int64(tr.Horizon)
 }
 
-func runSparse(b *testing.B, dense bool) {
-	tr, err := sparseWorkload()
+// ioguard70 is the RunSparse and RunAvionics system: I/O-GUARD-70
+// with the DirectEDF G-Sched.
+func ioguard70(tr system.Trial, col *system.Collector) (system.System, error) {
+	return core.New(core.Config{
+		VMs:         tr.VMs,
+		PreloadFrac: 0.7,
+		Mode:        hypervisor.DirectEDF,
+	}, tr.Tasks, col)
+}
+
+// runCell runs one trial of a benchmark cell per iteration. A pair's
+// dense variant passes systemtest.Dense(build) and its fastforward
+// variant build itself, so both execute the identical trial.
+func runCell(b *testing.B, cell func() (system.Trial, error), build system.Builder) {
+	tr, err := cell()
 	if err != nil {
 		b.Fatal(err)
-	}
-	tr.Dense = dense
-	build := func(tr system.Trial, col *system.Collector) (system.System, error) {
-		return core.New(core.Config{
-			VMs:         tr.VMs,
-			PreloadFrac: 0.7,
-			Mode:        hypervisor.DirectEDF,
-		}, tr.Tasks, col)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -129,44 +136,23 @@ func skewedSlotsPerOp() int64 {
 	return int64(tr.Horizon)
 }
 
-// runSkewed drives the skewed cell on one system: dense steps every
-// slot, fastforward skips each shard's idle slots.
-func runSkewed(b *testing.B, build system.Builder, dense bool) {
-	tr, err := skewedWorkload()
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr.Dense = dense
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := system.Run(build, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Completed == 0 {
-			b.Fatal("trial completed no jobs")
-		}
-	}
-}
-
 // skewedIOGuard is the RunSkewed system: I/O-GUARD with every task on
 // the R-channel, so the busy CAN manager's pool does the work.
 func skewedIOGuard(tr system.Trial, col *system.Collector) (system.System, error) {
 	return core.New(core.Config{VMs: tr.VMs, Mode: hypervisor.DirectEDF}, tr.Tasks, col)
 }
 
-// runSkewedBaseline drives the skewed cell on a mesh-coupled baseline
-// (legacy | rtxen). Its fastforward variant runs the system as one
+// meshBaseline resolves a mesh-coupled baseline (legacy | rtxen) for
+// the skewed cell. Its fastforward variant runs the system as one
 // shard that jumps between request injections, mesh hops and the
-// busy CAN station's service starts and ends; the dense variant steps
-// every slot.
-func runSkewedBaseline(b *testing.B, sysName string, dense bool) {
+// busy CAN station's service starts and ends. An unknown name fails
+// the first build.
+func meshBaseline(sysName string) system.Builder {
 	build, err := experiments.BuilderFor(sysName)
 	if err != nil {
-		b.Fatal(err)
+		return func(system.Trial, *system.Collector) (system.System, error) { return nil, err }
 	}
-	runSkewed(b, build, dense)
+	return build
 }
 
 // collectorComplete measures the collector's per-completion hot path
@@ -228,25 +214,25 @@ func pqChurn(b *testing.B) {
 func Specs() []Spec {
 	return []Spec{
 		{Name: "RunSparse/dense", SlotsPerOp: sparseSlotsPerOp(),
-			Bench: func(b *testing.B) { runSparse(b, true) }},
+			Bench: func(b *testing.B) { runCell(b, sparseWorkload, systemtest.Dense(ioguard70)) }},
 		{Name: "RunSparse/fastforward", SlotsPerOp: sparseSlotsPerOp(),
-			Bench: func(b *testing.B) { runSparse(b, false) }},
+			Bench: func(b *testing.B) { runCell(b, sparseWorkload, ioguard70) }},
 		{Name: "RunAvionics/dense", SlotsPerOp: avionicsSlotsPerOp(),
-			Bench: func(b *testing.B) { runAvionics(b, true) }},
+			Bench: func(b *testing.B) { runCell(b, avionicsWorkload, systemtest.Dense(ioguard70)) }},
 		{Name: "RunAvionics/fastforward", SlotsPerOp: avionicsSlotsPerOp(),
-			Bench: func(b *testing.B) { runAvionics(b, false) }},
+			Bench: func(b *testing.B) { runCell(b, avionicsWorkload, ioguard70) }},
 		{Name: "RunSkewed/dense", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewed(b, skewedIOGuard, true) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, systemtest.Dense(skewedIOGuard)) }},
 		{Name: "RunSkewed/fastforward", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewed(b, skewedIOGuard, false) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, skewedIOGuard) }},
 		{Name: "RunSkewedLegacy/dense", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewedBaseline(b, "legacy", true) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, systemtest.Dense(meshBaseline("legacy"))) }},
 		{Name: "RunSkewedLegacy/fastforward", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewedBaseline(b, "legacy", false) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, meshBaseline("legacy")) }},
 		{Name: "RunSkewedRTXen/dense", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewedBaseline(b, "rtxen", true) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, systemtest.Dense(meshBaseline("rtxen"))) }},
 		{Name: "RunSkewedRTXen/fastforward", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runSkewedBaseline(b, "rtxen", false) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, meshBaseline("rtxen")) }},
 		{Name: "SlotBuild/dense", SlotsPerOp: 0,
 			Bench: func(b *testing.B) { slotBuild(b, true) }},
 		{Name: "SlotBuild/interval", SlotsPerOp: 0,

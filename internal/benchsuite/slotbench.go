@@ -20,8 +20,6 @@ package benchsuite
 import (
 	"testing"
 
-	"ioguard/internal/core"
-	"ioguard/internal/hypervisor"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/workload"
@@ -197,30 +195,4 @@ func avionicsSlotsPerOp() int64 {
 		return 0
 	}
 	return int64(tr.Horizon)
-}
-
-func runAvionics(b *testing.B, dense bool) {
-	tr, err := avionicsWorkload()
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr.Dense = dense
-	build := func(tr system.Trial, col *system.Collector) (system.System, error) {
-		return core.New(core.Config{
-			VMs:         tr.VMs,
-			PreloadFrac: 0.7,
-			Mode:        hypervisor.DirectEDF,
-		}, tr.Tasks, col)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := system.Run(build, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Completed == 0 {
-			b.Fatal("trial completed no jobs")
-		}
-	}
 }

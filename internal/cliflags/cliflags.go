@@ -32,8 +32,8 @@ type Exec struct {
 	// The -fault-* sextet configures the deterministic fault-injection
 	// layer (system.Trial.Faults). All zero — the defaults — is a clean
 	// run; any enabled plan keeps the byte-identity contract across
-	// -workers / -dense because every fault decision is a pure per-job
-	// hash of (FaultSeed, trial seed).
+	// -workers and whichever slots the run loop skips, because every
+	// fault decision is a pure per-job hash of (FaultSeed, trial seed).
 	FaultSeed     int64
 	FaultJitter   int
 	FaultDrop     float64

@@ -15,6 +15,7 @@ import (
 	"ioguard/internal/hypervisor"
 	"ioguard/internal/metrics"
 	"ioguard/internal/system"
+	"ioguard/internal/system/systemtest"
 	"ioguard/internal/task"
 	"ioguard/internal/workload"
 )
@@ -45,9 +46,7 @@ func TestDropHeavyCounterEquivalence(t *testing.T) {
 		t.Fatal("depth-1 pools dropped nothing: the test lost its trigger")
 	}
 
-	dtr := tr
-	dtr.Dense = true
-	dense, err := system.Run(build, dtr)
+	dense, err := system.Run(systemtest.Dense(build), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +65,10 @@ func admissionTasks() task.Set {
 	}
 }
 
-// runAdmission executes one admission-enabled ServerEDF trial and
-// returns its result plus the summed RejectedAtAdmission counter.
-func runAdmission(t *testing.T, tr system.Trial) (*metrics.TrialResult, int64) {
+// runAdmission executes one admission-enabled ServerEDF trial, its
+// builder passed through wrap, and returns its result plus the summed
+// RejectedAtAdmission counter.
+func runAdmission(t *testing.T, tr system.Trial, wrap func(system.Builder) system.Builder) (*metrics.TrialResult, int64) {
 	t.Helper()
 	var captured *core.System
 	build := func(tr system.Trial, col *system.Collector) (system.System, error) {
@@ -96,7 +96,7 @@ func runAdmission(t *testing.T, tr system.Trial) (*metrics.TrialResult, int64) {
 		captured = s
 		return s, nil
 	}
-	res, err := system.Run(build, tr)
+	res, err := system.Run(wrap(build), tr)
 	if err != nil {
 		t.Fatalf("admission run: %v", err)
 	}
@@ -118,7 +118,7 @@ func runAdmission(t *testing.T, tr system.Trial) (*metrics.TrialResult, int64) {
 func TestAdmissionCounterEquivalence(t *testing.T) {
 	base := system.Trial{VMs: 2, Tasks: admissionTasks(), Horizon: 8192, Seed: 3}
 
-	ff, rejFF := runAdmission(t, base)
+	ff, rejFF := runAdmission(t, base, func(b system.Builder) system.Builder { return b })
 	if rejFF == 0 {
 		t.Fatal("admission control rejected nothing: the test lost its trigger")
 	}
@@ -126,9 +126,7 @@ func TestAdmissionCounterEquivalence(t *testing.T) {
 		t.Fatal("rejected jobs did not surface as drops in the trial result")
 	}
 
-	dtr := base
-	dtr.Dense = true
-	dense, rejDense := runAdmission(t, dtr)
+	dense, rejDense := runAdmission(t, base, systemtest.Dense)
 	requireEqual(t, ff, dense)
 	if rejDense != rejFF {
 		t.Fatalf("dense rejected %d, fast-forward %d", rejDense, rejFF)

@@ -9,25 +9,35 @@ import (
 	"ioguard/internal/hypervisor"
 	"ioguard/internal/metrics"
 	"ioguard/internal/system"
+	"ioguard/internal/system/systemtest"
 	"ioguard/internal/task"
 	"ioguard/internal/workload"
 )
 
-// runBoth executes the identical trial twice — dense slot stepping and
-// idle-slot fast-forward — and returns both results.
+// runBoth executes the identical trial twice — dense slot stepping
+// through systemtest.Dense and idle-slot fast-forward — and returns
+// both results.
 func runBoth(t *testing.T, build system.Builder, tr system.Trial) (dense, ff *metrics.TrialResult) {
 	t.Helper()
-	tr.Dense = true
-	dense, err := system.Run(build, tr)
+	dense, err := system.Run(systemtest.Dense(build), tr)
 	if err != nil {
 		t.Fatalf("dense run: %v", err)
 	}
-	tr.Dense = false
 	ff, err = system.Run(build, tr)
 	if err != nil {
 		t.Fatalf("fast-forward run: %v", err)
 	}
 	return dense, ff
+}
+
+// denseBuilders is Builders with every builder wrapped in
+// systemtest.Dense.
+func denseBuilders() map[string]system.Builder {
+	out := Builders()
+	for name, build := range out {
+		out[name] = systemtest.Dense(build)
+	}
+	return out
 }
 
 func requireEqual(t *testing.T, dense, ff *metrics.TrialResult) {

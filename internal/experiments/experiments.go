@@ -22,6 +22,7 @@ import (
 
 	"ioguard/internal/baseline"
 	"ioguard/internal/core"
+	"ioguard/internal/faults"
 	"ioguard/internal/hw"
 	"ioguard/internal/hypervisor"
 	"ioguard/internal/metrics"
@@ -101,10 +102,6 @@ type CaseStudyConfig struct {
 	// × system) cells; ≤0 = runtime.GOMAXPROCS(0). Results are folded
 	// in canonical order, so any worker count yields identical output.
 	Workers int
-	// Dense disables the idle-slot fast-forward and steps every slot
-	// (the reference semantics). Output is byte-identical either way;
-	// the flag exists for the equivalence cmp in CI and for debugging.
-	Dense bool
 	// Metrics selects each trial's collector mode. The rendered Fig. 7
 	// tables use only exactly-counted quantities (success ratio from
 	// CriticalMisses, throughput from BytesServed), so exact and
@@ -121,6 +118,92 @@ type CaseStudyConfig struct {
 // seeds between grid points and across platforms.
 func trialSeed(base int64, trial int, util float64) int64 {
 	return base + int64(trial)*7919 + int64(math.Round(util*100))
+}
+
+// sweep is the cell grid CaseStudy and Robustness share: groups ×
+// trials × systems. Each (group, trial) draws one case-study workload
+// at the group's utilization and every system runs it under the
+// group's fault plan, so the cells of one (group, trial) differ only
+// by architecture ("the data input to the examined systems was
+// identical in each execution").
+type sweep struct {
+	vms, trials, hyperPeriods int
+	seed                      int64
+	names                     []string
+	workers                   int
+	metrics                   system.MetricsMode
+	accuracy                  bool
+}
+
+// sweepGroup is one group of a sweep: a Fig. 7 utilization point or a
+// robustness fault scenario.
+type sweepGroup struct {
+	util  float64
+	plan  faults.Plan
+	where string // names the group in errors, e.g. "at U=0.40"
+}
+
+// run lays the cells out group-major, then trial, then system, runs
+// them with system.RunCells on s.workers goroutines and folds each
+// (group, system) over its trials in trial order. aggs[g][i] is
+// s.names[i]'s aggregate in groups[g]; the canonical layout makes it
+// identical for every worker count.
+func (s sweep) run(builders map[string]system.Builder, groups []sweepGroup) ([][]*metrics.Aggregate, error) {
+	cells := make([]system.Cell, 0, len(groups)*s.trials*len(s.names))
+	for _, g := range groups {
+		for trial := 0; trial < s.trials; trial++ {
+			seed := trialSeed(s.seed, trial, g.util)
+			ts, err := workload.Generate(workload.Config{
+				VMs:        s.vms,
+				TargetUtil: g.util,
+				Seed:       seed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			horizon, err := ts.Horizon(s.hyperPeriods)
+			if err != nil {
+				return nil, err
+			}
+			for _, name := range s.names {
+				build, ok := builders[name]
+				if !ok {
+					return nil, fmt.Errorf("experiments: unknown system %q", name)
+				}
+				cells = append(cells, system.Cell{Build: build, Trial: system.Trial{
+					VMs:      s.vms,
+					Tasks:    ts,
+					Horizon:  horizon,
+					Seed:     seed,
+					Metrics:  s.metrics,
+					Faults:   g.plan,
+					Accuracy: s.accuracy,
+				}})
+			}
+		}
+	}
+	results, err := system.RunCells(cells, s.workers)
+	if err != nil {
+		var ce *system.CellError
+		if errors.As(err, &ce) {
+			g := groups[ce.Index/(s.trials*len(s.names))]
+			name := s.names[ce.Index%len(s.names)]
+			return nil, fmt.Errorf("experiments: %s %s: %w", name, g.where, ce.Err)
+		}
+		return nil, err
+	}
+	aggs := make([][]*metrics.Aggregate, len(groups))
+	for gi := range groups {
+		aggs[gi] = make([]*metrics.Aggregate, len(s.names))
+		for ni := range s.names {
+			agg := &metrics.Aggregate{}
+			for trial := 0; trial < s.trials; trial++ {
+				agg.AddTrial(results[(gi*s.trials+trial)*len(s.names)+ni])
+			}
+			aggs[gi][ni] = agg
+		}
+	}
+	return aggs, nil
 }
 
 // DefaultUtils returns the paper's grid: 40 % to 100 % in 5 % steps.
@@ -146,6 +229,11 @@ type CaseStudyPoint struct {
 // (util, trial, system) order, so the returned points — and any table
 // rendered from them — are byte-identical for every worker count.
 func CaseStudy(cfg CaseStudyConfig) ([]CaseStudyPoint, error) {
+	return caseStudy(cfg, Builders())
+}
+
+// caseStudy is CaseStudy over the given builders.
+func caseStudy(cfg CaseStudyConfig, builders map[string]system.Builder) ([]CaseStudyPoint, error) {
 	if cfg.VMs <= 0 {
 		return nil, fmt.Errorf("experiments: need VMs > 0")
 	}
@@ -162,68 +250,26 @@ func CaseStudy(cfg CaseStudyConfig) ([]CaseStudyPoint, error) {
 	if names == nil {
 		names = SystemNames()
 	}
-	builders := Builders()
-	// Lay the cells out util-major, then trial, then system — the
-	// same order the sequential path visited them. Each trial draws a
-	// fresh synthetic-load realization; within one trial every system
-	// sees the identical workload and release pattern ("the data
-	// input to the examined systems was identical in each execution").
-	cells := make([]system.Cell, 0, len(cfg.Utils)*cfg.Trials*len(names))
-	for _, util := range cfg.Utils {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed := trialSeed(cfg.Seed, trial, util)
-			ts, err := workload.Generate(workload.Config{
-				VMs:        cfg.VMs,
-				TargetUtil: util,
-				Seed:       seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			horizon, err := ts.Horizon(cfg.HyperPeriods)
-			if err != nil {
-				return nil, err
-			}
-			for _, name := range names {
-				build, ok := builders[name]
-				if !ok {
-					return nil, fmt.Errorf("experiments: unknown system %q", name)
-				}
-				cells = append(cells, system.Cell{Build: build, Trial: system.Trial{
-					VMs:     cfg.VMs,
-					Tasks:   ts,
-					Horizon: horizon,
-					Seed:    seed,
-					Dense:   cfg.Dense,
-					Metrics: cfg.Metrics,
-				}})
-			}
-		}
+	groups := make([]sweepGroup, len(cfg.Utils))
+	for i, util := range cfg.Utils {
+		groups[i] = sweepGroup{util: util, where: fmt.Sprintf("at U=%.2f", util)}
 	}
-	results, err := system.RunCells(cells, cfg.Workers)
+	aggs, err := sweep{
+		vms:          cfg.VMs,
+		trials:       cfg.Trials,
+		hyperPeriods: cfg.HyperPeriods,
+		seed:         cfg.Seed,
+		names:        names,
+		workers:      cfg.Workers,
+		metrics:      cfg.Metrics,
+	}.run(builders, groups)
 	if err != nil {
-		var ce *system.CellError
-		if errors.As(err, &ce) {
-			util := cfg.Utils[ce.Index/(cfg.Trials*len(names))]
-			name := names[ce.Index%len(names)]
-			return nil, fmt.Errorf("experiments: %s at U=%.2f: %w", name, util, ce.Err)
-		}
 		return nil, err
 	}
 	var out []CaseStudyPoint
 	for ui, util := range cfg.Utils {
-		aggs := make(map[string]*metrics.Aggregate, len(names))
-		for _, name := range names {
-			aggs[name] = &metrics.Aggregate{}
-		}
-		for trial := 0; trial < cfg.Trials; trial++ {
-			for si, name := range names {
-				idx := (ui*cfg.Trials+trial)*len(names) + si
-				aggs[name].AddTrial(results[idx])
-			}
-		}
-		for _, name := range names {
-			out = append(out, CaseStudyPoint{System: name, Util: util, Agg: aggs[name]})
+		for ni, name := range names {
+			out = append(out, CaseStudyPoint{System: name, Util: util, Agg: aggs[ui][ni]})
 		}
 	}
 	return out, nil

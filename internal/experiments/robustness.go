@@ -10,14 +10,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
 	"ioguard/internal/faults"
 	"ioguard/internal/metrics"
 	"ioguard/internal/system"
-	"ioguard/internal/workload"
 )
 
 // FaultScenario is one named fault plan of the robustness menu.
@@ -56,11 +54,10 @@ type RobustnessConfig struct {
 	Systems []string
 	// Scenarios restricts the fault menu by name; nil = all.
 	Scenarios []string
-	// Workers/Metrics/Dense follow CaseStudyConfig: they change
-	// wall-clock time only, never a byte of output.
+	// Workers/Metrics follow CaseStudyConfig: they change wall-clock
+	// time only, never a byte of output.
 	Workers int
 	Metrics system.MetricsMode
-	Dense   bool
 }
 
 // RobustnessPoint is one (scenario, system) cell.
@@ -77,6 +74,11 @@ type RobustnessPoint struct {
 // the same metric footing. Cells fan across cfg.Workers goroutines
 // with the deterministic fold of system.RunCells.
 func Robustness(cfg RobustnessConfig) ([]RobustnessPoint, error) {
+	return robustness(cfg, Builders())
+}
+
+// robustness is Robustness over the given builders.
+func robustness(cfg RobustnessConfig, builders map[string]system.Builder) ([]RobustnessPoint, error) {
 	if cfg.VMs <= 0 {
 		return nil, fmt.Errorf("experiments: need VMs > 0")
 	}
@@ -111,65 +113,27 @@ func Robustness(cfg RobustnessConfig) ([]RobustnessPoint, error) {
 		}
 		scenarios = kept
 	}
-	builders := Builders()
-	cells := make([]system.Cell, 0, len(scenarios)*cfg.Trials*len(names))
-	for _, sc := range scenarios {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed := trialSeed(cfg.Seed, trial, cfg.Util)
-			ts, err := workload.Generate(workload.Config{
-				VMs:        cfg.VMs,
-				TargetUtil: cfg.Util,
-				Seed:       seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			horizon, err := ts.Horizon(cfg.HyperPeriods)
-			if err != nil {
-				return nil, err
-			}
-			for _, name := range names {
-				build, ok := builders[name]
-				if !ok {
-					return nil, fmt.Errorf("experiments: unknown system %q", name)
-				}
-				cells = append(cells, system.Cell{Build: build, Trial: system.Trial{
-					VMs:      cfg.VMs,
-					Tasks:    ts,
-					Horizon:  horizon,
-					Seed:     seed,
-					Dense:    cfg.Dense,
-					Metrics:  cfg.Metrics,
-					Faults:   sc.Plan,
-					Accuracy: true,
-				}})
-			}
-		}
+	groups := make([]sweepGroup, len(scenarios))
+	for i, sc := range scenarios {
+		groups[i] = sweepGroup{util: cfg.Util, plan: sc.Plan, where: "under " + sc.Name}
 	}
-	results, err := system.RunCells(cells, cfg.Workers)
+	aggs, err := sweep{
+		vms:          cfg.VMs,
+		trials:       cfg.Trials,
+		hyperPeriods: cfg.HyperPeriods,
+		seed:         cfg.Seed,
+		names:        names,
+		workers:      cfg.Workers,
+		metrics:      cfg.Metrics,
+		accuracy:     true,
+	}.run(builders, groups)
 	if err != nil {
-		var ce *system.CellError
-		if errors.As(err, &ce) {
-			sc := scenarios[ce.Index/(cfg.Trials*len(names))]
-			name := names[ce.Index%len(names)]
-			return nil, fmt.Errorf("experiments: %s under %s: %w", name, sc.Name, ce.Err)
-		}
 		return nil, err
 	}
 	var out []RobustnessPoint
 	for si, sc := range scenarios {
-		aggs := make(map[string]*metrics.Aggregate, len(names))
-		for _, name := range names {
-			aggs[name] = &metrics.Aggregate{}
-		}
-		for trial := 0; trial < cfg.Trials; trial++ {
-			for ni, name := range names {
-				idx := (si*cfg.Trials+trial)*len(names) + ni
-				aggs[name].AddTrial(results[idx])
-			}
-		}
-		for _, name := range names {
-			out = append(out, RobustnessPoint{Scenario: sc.Name, System: name, Agg: aggs[name]})
+		for ni, name := range names {
+			out = append(out, RobustnessPoint{Scenario: sc.Name, System: name, Agg: aggs[si][ni]})
 		}
 	}
 	return out, nil

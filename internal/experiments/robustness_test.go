@@ -4,10 +4,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ioguard/internal/system"
 )
 
 // TestRobustnessDeterministicAcrossWorkers pins the robustness sweep's
-// fold contract: any worker count, dense or sharded, renders the
+// fold contract: any worker count, dense or fast-forward, renders the
 // identical table, faulted scenarios carry fault summaries for every
 // system, and the clean scenario still reports timing accuracy.
 func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
@@ -42,18 +44,23 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 	if !strings.Contains(want, "BS|PART") {
 		t.Fatal("robustness table missing the partitioning baseline")
 	}
-	for _, alt := range []RobustnessConfig{
-		{VMs: 2, Util: 0.8, Trials: 2, HyperPeriods: 1, Seed: 5, Scenarios: cfg.Scenarios, Workers: 1},
-		{VMs: 2, Util: 0.8, Trials: 2, HyperPeriods: 1, Seed: 5, Scenarios: cfg.Scenarios, Workers: 3},
-		{VMs: 2, Util: 0.8, Trials: 2, HyperPeriods: 1, Seed: 5, Scenarios: cfg.Scenarios, Dense: true},
+	for _, alt := range []struct {
+		name     string
+		workers  int
+		builders map[string]system.Builder
+	}{
+		{"workers=1", 1, Builders()},
+		{"workers=3", 3, Builders()},
+		{"dense", 0, denseBuilders()},
 	} {
-		pts, err := Robustness(alt)
+		acfg := cfg
+		acfg.Workers = alt.workers
+		pts, err := robustness(acfg, alt.builders)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := RenderRobustness(pts, alt.VMs, alt.Util); got != want {
-			t.Fatalf("table diverged at workers=%d dense=%v:\n%s\nvs\n%s",
-				alt.Workers, alt.Dense, got, want)
+		if got := RenderRobustness(pts, cfg.VMs, cfg.Util); got != want {
+			t.Fatalf("table diverged at %s:\n%s\nvs\n%s", alt.name, got, want)
 		}
 	}
 }

@@ -5,9 +5,10 @@
 // layer (drops, duplicates, extra delivery delay) under a seeded plan.
 //
 // Determinism is the design constraint. The harness runs trials on
-// anywhere between one and GOMAXPROCS threads (-workers), in the dense
-// loop or on per-shard clocks (-dense), and a faulted run must be
-// byte-identical at every setting. A shared sequential RNG cannot
+// anywhere between one and GOMAXPROCS threads (-workers), its run loop
+// steps each shard only in the slots it chooses, and a faulted run
+// must be byte-identical at every worker count and to a run that steps
+// every slot. A shared sequential RNG cannot
 // provide that — the draw order would depend on the schedule — so
 // every decision here is a pure function of
 //
@@ -73,7 +74,7 @@ func (p Plan) Validate() error {
 		name string
 		v    float64
 	}{{"drop", p.DropProb}, {"dup", p.DupProb}, {"delay", p.DelayProb}} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // NaN fails both
 			return fmt.Errorf("faults: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
 	}

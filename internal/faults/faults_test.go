@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 
 	"ioguard/internal/slot"
@@ -34,6 +35,9 @@ func TestPlanValidate(t *testing.T) {
 		{"neg delay max", Plan{DelayMax: -1}, false},
 		{"drop prob > 1", Plan{DropProb: 1.5}, false},
 		{"dup prob < 0", Plan{DupProb: -0.1}, false},
+		{"drop prob NaN", Plan{DropProb: math.NaN()}, false},
+		{"dup prob NaN", Plan{DupProb: math.NaN()}, false},
+		{"delay prob NaN", Plan{DelayProb: math.NaN(), DelayMax: 4}, false},
 		{"delay without bound", Plan{DelayProb: 0.5}, false},
 		{"delay with bound", Plan{DelayProb: 0.5, DelayMax: 4}, true},
 	}

@@ -1,4 +1,4 @@
-package system
+package system_test
 
 import (
 	"fmt"
@@ -7,7 +7,10 @@ import (
 	"sort"
 	"testing"
 
+	"ioguard/internal/rtos"
 	"ioguard/internal/slot"
+	"ioguard/internal/system"
+	"ioguard/internal/system/systemtest"
 	"ioguard/internal/task"
 	"ioguard/internal/vm"
 )
@@ -87,16 +90,47 @@ func (p *probe) SkipTo(from, to slot.Time) {
 	}
 }
 
-// loopRun runs probes on the loop, routing each probe's device to it.
-func loopRun(probes []*probe, fleet *vm.Fleet, horizon slot.Time, dense bool) {
-	shards := make([]Shard, len(probes))
+// probeShards numbers the probes and routes each probe's device to it.
+func probeShards(probes []*probe) ([]system.Shard, map[string]int) {
+	shards := make([]system.Shard, len(probes))
 	route := make(map[string]int, len(probes))
 	for i, p := range probes {
 		p.idx = i
 		shards[i] = p
 		route[p.device] = i
 	}
-	run(shards, route, fleet, horizon, nil, dense)
+	return shards, route
+}
+
+// loopRun runs probes on the loop.
+func loopRun(probes []*probe, fleet *vm.Fleet, horizon slot.Time) {
+	shards, route := probeShards(probes)
+	system.RunLoop(shards, route, fleet, horizon, nil)
+}
+
+// shardSet is a system made of the given shards and nothing else.
+type shardSet []system.Shard
+
+func (s shardSet) Name() string                { return "shards" }
+func (s shardSet) Arch() rtos.Arch             { return rtos.Legacy }
+func (s shardSet) Residual() task.Set          { return nil }
+func (s shardSet) Submit(slot.Time, *task.Job) {}
+func (s shardSet) Step(slot.Time)              {}
+func (s shardSet) Pending(func(j *task.Job))   {}
+func (s shardSet) Dropped() int64              { return 0 }
+func (s shardSet) Shards() []system.Shard      { return s }
+
+// denseShards returns the shards systemtest.Dense hands the run loop
+// for a system made of shards.
+func denseShards(t *testing.T, shards []system.Shard) []system.Shard {
+	t.Helper()
+	sys, err := systemtest.Dense(func(system.Trial, *system.Collector) (system.System, error) {
+		return shardSet(shards), nil
+	})(system.Trial{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys.(system.ShardedSystem).Shards()
 }
 
 // idleFleet releases nothing.
@@ -161,7 +195,7 @@ func TestRunLoop(t *testing.T) {
 		}
 		busy := &probe{t: t, device: "busy", work: busyPlan}
 		idle := &probe{t: t, device: "idle", work: []slot.Time{0, 4000, 9999}}
-		loopRun([]*probe{busy, idle}, idleFleet(t), horizon, false)
+		loopRun([]*probe{busy, idle}, idleFleet(t), horizon)
 		if busy.steps != horizon || busy.wi != len(busy.work) || idle.wi != len(idle.work) {
 			t.Errorf("busy stepped %d of %d; work done: busy %d/%d, idle %d/%d",
 				busy.steps, horizon, busy.wi, len(busy.work), idle.wi, len(idle.work))
@@ -182,7 +216,7 @@ func TestRunLoop(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			probes = append(probes, &probe{t: t, device: fmt.Sprint(i), work: randomPlan(rng, horizon, 97), log: &log})
 		}
-		loopRun(probes, idleFleet(t), horizon, false)
+		loopRun(probes, idleFleet(t), horizon)
 		var steps []call
 		for _, c := range log {
 			if c.kind == "step" {
@@ -203,8 +237,8 @@ func TestRunLoop(t *testing.T) {
 		requireTiling(t, log, len(probes), horizon)
 	})
 
-	// A dense run steps every shard in every slot and never asks
-	// NextWork or skips.
+	// Through systemtest.Dense the loop steps every inner shard in
+	// every slot and never asks it NextWork or skips it.
 	t.Run("dense", func(t *testing.T) {
 		const horizon = 3000
 		rng := rand.New(rand.NewSource(5))
@@ -212,7 +246,8 @@ func TestRunLoop(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			probes = append(probes, &probe{t: t, device: fmt.Sprint(i), work: randomPlan(rng, horizon, 500)})
 		}
-		loopRun(probes, idleFleet(t), horizon, true)
+		shards, route := probeShards(probes)
+		system.RunLoop(denseShards(t, shards), route, idleFleet(t), horizon, nil)
 		for i, p := range probes {
 			if p.steps != horizon || p.skips != 0 || p.queries != 0 {
 				t.Errorf("shard %d: %d steps, %d skipped slots, %d NextWork calls; want %d, 0, 0", i, p.steps, p.skips, p.queries, horizon)
@@ -227,7 +262,7 @@ func TestRunLoop(t *testing.T) {
 		var log []call
 		bad := &probe{t: t, device: "bad", stale: true, log: &log}
 		peer := &probe{t: t, device: "peer", work: []slot.Time{0, 150}, log: &log}
-		loopRun([]*probe{bad, peer}, idleFleet(t), horizon, false)
+		loopRun([]*probe{bad, peer}, idleFleet(t), horizon)
 		var at slot.Time
 		for _, c := range log {
 			if c.shard != 0 {
@@ -249,7 +284,7 @@ func TestRunLoop(t *testing.T) {
 	t.Run("skips-idle-regions", func(t *testing.T) {
 		var log []call
 		p := &probe{t: t, device: "p", work: []slot.Time{5, 6, 100}, log: &log}
-		loopRun([]*probe{p}, idleFleet(t), 1000, false)
+		loopRun([]*probe{p}, idleFleet(t), 1000)
 		want := []call{
 			{kind: "step", at: 0}, {kind: "skip", at: 1, to: 5}, {kind: "step", at: 5}, {kind: "step", at: 6},
 			{kind: "skip", at: 7, to: 100}, {kind: "step", at: 100}, {kind: "skip", at: 101, to: 1000},
@@ -267,7 +302,7 @@ func TestRunLoop(t *testing.T) {
 		var log []call
 		early := &probe{t: t, device: "early", work: []slot.Time{0}, log: &log}
 		late := &probe{t: t, device: "late", work: []slot.Time{0, 500, 999}, log: &log}
-		loopRun([]*probe{early, late}, idleFleet(t), horizon, false)
+		loopRun([]*probe{early, late}, idleFleet(t), horizon)
 		if early.steps != 1 || early.skips != horizon-1 {
 			t.Errorf("early shard stepped %d, skipped %d; want 1, %d", early.steps, early.skips, horizon-1)
 		}
@@ -298,7 +333,7 @@ func TestRunLoop(t *testing.T) {
 				{t: t, device: "past", work: []slot.Time{0, 15}, log: &log},
 				{t: t, device: "none", log: &log},
 			}
-			loopRun(probes, idleFleet(t), horizon, false)
+			loopRun(probes, idleFleet(t), horizon)
 			if horizon == 0 {
 				if len(log) != 0 {
 					t.Errorf("horizon 0: calls %v, want none", log)
@@ -334,7 +369,7 @@ func TestRunLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loopRun(probes, fleet, horizon, false)
+		loopRun(probes, fleet, horizon)
 		submits := 0
 		for i, c := range log {
 			if c.kind != "submit" {
@@ -374,18 +409,18 @@ func TestRunLoop(t *testing.T) {
 		requireTiling(t, log, len(probes), horizon)
 	})
 
-	// The loop allocates the same amount whatever the horizon, in both
-	// modes.
+	// The loop allocates the same amount whatever the horizon, with
+	// and without systemtest.Dense.
 	t.Run("allocs", func(t *testing.T) {
-		shards := []Shard{periodic{4099}, periodic{7}, periodic{1 << 16}}
+		plain := []system.Shard{periodic{4099}, periodic{7}, periodic{1 << 16}}
 		fleet := idleFleet(t)
-		allocs := func(horizon slot.Time, dense bool) float64 {
-			return testing.AllocsPerRun(3, func() { run(shards, nil, fleet, horizon, nil, dense) })
-		}
-		for _, dense := range []bool{false, true} {
-			short, long := allocs(1<<10, dense), allocs(1<<20, dense)
+		for name, shards := range map[string][]system.Shard{"fast-forward": plain, "dense": denseShards(t, plain)} {
+			allocs := func(horizon slot.Time) float64 {
+				return testing.AllocsPerRun(3, func() { system.RunLoop(shards, nil, fleet, horizon, nil) })
+			}
+			short, long := allocs(1<<10), allocs(1<<20)
 			if long != short {
-				t.Errorf("dense=%v: %v allocs at 2^10 slots, %v at 2^20", dense, short, long)
+				t.Errorf("%s: %v allocs at 2^10 slots, %v at 2^20", name, short, long)
 			}
 		}
 	})

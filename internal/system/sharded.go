@@ -44,8 +44,8 @@ type ShardedSystem interface {
 // layer: drops vanish before delivery, duplicates follow their
 // original, and delay shifts the delivery due past the release slot.
 // The run loop calls it in global release order, which keeps fault
-// decisions and their counters identical in dense and fast-forward
-// runs.
+// decisions and their counters independent of which slots each shard
+// skips.
 func faultedEmit(fs *faults.Stream, put func(due slot.Time, j *task.Job)) func(j *task.Job) {
 	return func(j *task.Job) {
 		a := fs.Transport(j)
@@ -63,7 +63,7 @@ func faultedEmit(fs *faults.Stream, put func(due slot.Time, j *task.Job)) func(j
 // clocked is one shard's state in the run loop.
 type clocked struct {
 	sh    Shard
-	sk    sim.Skipper // nil: nothing to account over skipped spans, or a dense run
+	sk    sim.Skipper // nil: nothing to account over skipped spans
 	clock slot.Time   // first slot not yet stepped or skipped
 	wake  slot.Time   // next slot the shard must be stepped in
 }
@@ -87,19 +87,17 @@ func (c *clocked) catchUp(now slot.Time) {
 // jobs still in transit at the horizon.
 //
 // After a step at now a shard wakes at NextWork(now+1), clamped so a
-// stale answer degrades to stepping and never rewinds; a dense run
-// wakes every shard at now+1 instead and never calls NextWork or
-// SkipTo. Within a slot every submission precedes every step and
-// shards step in registration order, the order each system's own Step
-// iterates them, so both modes reach the collector in the same
-// sequence and produce byte-identical results.
-func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Time, fs *faults.Stream, dense bool) *queue.PQ[*task.Job] {
+// stale answer degrades to stepping and never rewinds. Within a slot
+// every submission precedes every step and shards step in
+// registration order, the order each system's own Step iterates them,
+// so a run reaches the collector in the same sequence as one whose
+// shards are busy in every slot (systemtest.Dense), and produces
+// byte-identical results.
+func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Time, fs *faults.Stream) *queue.PQ[*task.Job] {
 	cs := make([]clocked, len(shards))
 	for i, sh := range shards {
 		cs[i].sh = sh
-		if !dense {
-			cs[i].sk, _ = sh.(sim.Skipper)
-		}
+		cs[i].sk, _ = sh.(sim.Skipper)
 	}
 	var now slot.Time
 	submit := func(j *task.Job) {
@@ -138,10 +136,7 @@ func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Tim
 				c.catchUp(now)
 				c.sh.Step(now)
 				c.clock = now + 1
-				c.wake = now + 1
-				if !dense {
-					c.wake = max(c.sh.NextWork(now+1), now+1)
-				}
+				c.wake = max(c.sh.NextWork(now+1), now+1)
 			}
 			next = min(next, c.wake)
 		}

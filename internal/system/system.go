@@ -47,12 +47,6 @@ type Trial struct {
 	Tasks   task.Set
 	Horizon slot.Time
 	Seed    int64
-	// Dense steps every shard in every slot, the reference the
-	// fast-forward is checked against. The zero value lets Run
-	// fast-forward each shard over its idle regions; both modes produce
-	// byte-identical results — an invariant enforced by the equivalence
-	// tests and the CI cmp job.
-	Dense bool
 	// Metrics selects the collector's recorder implementation: the
 	// zero value (MetricsExact) buffers every completion and renders
 	// byte-identical to the historical collector; MetricsStream keeps
@@ -65,7 +59,7 @@ type Trial struct {
 	// path is skipped entirely and output is identical to a build
 	// without the layer. Every decision is a pure per-job hash of
 	// (Faults.Seed, Seed), so faulted runs stay byte-identical at any
-	// -workers / -dense setting.
+	// -workers setting and whichever slots the run loop skips.
 	Faults faults.Plan
 	// Accuracy opts into the timing-accuracy recorder
 	// (max(response − WCET, 0) per completion, TrialResult.Accuracy)
@@ -95,11 +89,11 @@ func expectedCompletions(ts task.Set, horizon slot.Time) int {
 // system's residual tasks while the run loop steps the system's
 // shards on one global clock, then the collector scores the outcome.
 // Each shard fast-forwards through its own idle regions, so one busy
-// device never throttles idle peers; tr.Dense steps every slot
-// instead. A skipped slot is one nothing observable happens in, so
-// both modes produce byte-identical results — an invariant enforced by
-// the equivalence tests and the CI cmp. The system must be a
-// ShardedSystem whose shards own every residual task's device.
+// device never throttles idle peers. A skipped slot is one nothing
+// observable happens in, so the result is byte-identical to stepping
+// every shard in every slot (systemtest.Dense) — an invariant enforced
+// by the equivalence tests. The system must be a ShardedSystem whose
+// shards own every residual task's device.
 func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 	if tr.Horizon <= 0 {
 		return nil, fmt.Errorf("system: non-positive horizon %d", tr.Horizon)
@@ -146,7 +140,7 @@ func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 	if fs != nil {
 		fleet.SetReleaseJitter(fs.ReleaseJitter)
 	}
-	delayed := run(shards, route, fleet, tr.Horizon, fs, tr.Dense)
+	delayed := run(shards, route, fleet, tr.Horizon, fs)
 	res := col.Result(inTransit{sys, delayed}, tr.Horizon)
 	res.Released = fleet.Released()
 	return res, nil

@@ -78,7 +78,7 @@ func GenerateTelemetry(cfg TelemetryConfig) (task.Set, error) {
 	if cfg.Sensors <= 0 {
 		cfg.Sensors = 1
 	}
-	if cfg.HotUtil < 0 || cfg.HotUtil > 1 {
+	if !(cfg.HotUtil >= 0 && cfg.HotUtil <= 1) { // NaN fails both
 		return nil, fmt.Errorf("workload: hot utilization %.2f outside [0,1]", cfg.HotUtil)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))

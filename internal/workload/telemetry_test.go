@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -105,5 +106,8 @@ func TestTelemetryDeterministicAndValid(t *testing.T) {
 	}
 	if _, err := GenerateTelemetry(TelemetryConfig{VMs: 1, HotUtil: 1.5}); err == nil {
 		t.Error("want error for out-of-range hot utilization")
+	}
+	if _, err := GenerateTelemetry(TelemetryConfig{VMs: 1, HotUtil: math.NaN()}); err == nil {
+		t.Error("want error for NaN hot utilization")
 	}
 }

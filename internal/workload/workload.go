@@ -145,7 +145,7 @@ func Generate(cfg Config) (task.Set, error) {
 	if cfg.VMs <= 0 {
 		return nil, fmt.Errorf("workload: need at least one VM")
 	}
-	if cfg.TargetUtil < 0 || cfg.TargetUtil > 1 {
+	if !(cfg.TargetUtil >= 0 && cfg.TargetUtil <= 1) { // NaN fails both
 		return nil, fmt.Errorf("workload: target utilization %.2f outside [0,1]", cfg.TargetUtil)
 	}
 	if cfg.SyntheticPerDevice <= 0 {

@@ -95,6 +95,11 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Config{VMs: 4, TargetUtil: 1.5}); err == nil {
 		t.Error("utilization > 1 accepted")
 	}
+	for _, u := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Generate(Config{VMs: 4, TargetUtil: u}); err == nil {
+			t.Errorf("utilization %v accepted", u)
+		}
+	}
 	// The catalogue fixes a ≈0.40 per-device floor: targets below it
 	// must fail loudly (sub-floor sets come from Stretch/StretchToUtil),
 	// not silently produce the floor workload.
