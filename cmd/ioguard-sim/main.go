@@ -109,7 +109,7 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 		len(ts), formatUtil(workload.DeviceUtilization(ts)), ts.Hyperperiod())
 
 	if trials > 1 {
-		return runSweep(out, sysName, family, vms, util, hps, seed, trials, ec)
+		return runSweep(out, sysName, ts, vms, hps, seed, trials, ec)
 	}
 
 	// Trace plumbing. The Recorder backs -gantt (it renders from the
@@ -206,13 +206,10 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 	return nil
 }
 
-// runSweep repeats the trial across independent release seeds on the
-// deterministic worker pool and prints the aggregate.
-func runSweep(out io.Writer, sysName, family string, vms int, util float64, hps int, seed int64, trials int, ec cliflags.Resolved) error {
-	ts, err := generateFamily(family, vms, util, seed)
-	if err != nil {
-		return err
-	}
+// runSweep repeats the trial on the task set ts across independent
+// release seeds on the deterministic worker pool and prints the
+// aggregate.
+func runSweep(out io.Writer, sysName string, ts task.Set, vms, hps int, seed int64, trials int, ec cliflags.Resolved) error {
 	build, err := experiments.BuilderFor(sysName)
 	if err != nil {
 		return err
@@ -255,12 +252,10 @@ func withTrace(build system.Builder, onExec func(slot.Time, *task.Job)) system.B
 		if err != nil {
 			return nil, err
 		}
-		if hv, ok := s.(interface{ Hypervisor() *hypervisor.Hypervisor }); ok {
-			for _, dev := range hv.Hypervisor().Devices() {
-				mgr, err := hv.Hypervisor().Manager(dev)
-				if err != nil {
-					return nil, err
-				}
+		if hv, ok := s.(interface {
+			Managers() map[string]*hypervisor.Manager
+		}); ok {
+			for _, mgr := range hv.Managers() {
 				mgr.OnExecute = onExec
 			}
 		}

@@ -27,9 +27,7 @@ type bvShard struct {
 	dev     string
 	st      *station
 	pending delayLine // hardware path, toward the pools
-	// dropped counts this shard's full-queue rejections (summed by
-	// BlueVisor.Dropped).
-	dropped int64
+	dropped int64     // full-queue rejections
 }
 
 // Devices returns the single device this shard owns.
@@ -69,25 +67,25 @@ func (s *bvShard) NextWork(now slot.Time) slot.Time {
 // SkipTo implements sim.Skipper over a span NextWork proved idle.
 func (s *bvShard) SkipTo(from, to slot.Time) { s.st.skipTo(from, to) }
 
-// pendingJobs visits jobs on the hardware path or queued at the
+// Pending visits jobs on the hardware path or queued at the
 // controller.
-func (s *bvShard) pendingJobs(visit func(j *task.Job)) {
+func (s *bvShard) Pending(visit func(j *task.Job)) {
 	s.pending.each(visit)
 	s.st.pendingJobs(visit)
 }
 
-// BlueVisor is the BS|BV baseline: one bvShard per device.
+// Dropped returns the jobs full queues rejected.
+func (s *bvShard) Dropped() int64 { return s.dropped }
+
+// BlueVisor is the BS|BV baseline: one bvShard per device. BlueVisor
+// has no cross-device coupling, so the per-device decoupling is exact.
 type BlueVisor struct {
-	tasks  task.Set
-	path   rtos.PathCost
-	col    *system.Collector
-	shards []*bvShard
-	byDev  map[string]*bvShard
-	// dropped counts jobs Submit got for unknown devices.
-	dropped int64
+	system.PerDevice[*bvShard]
+	tasks task.Set
+	path  rtos.PathCost
+	col   *system.Collector
 }
 
-var _ system.System = (*BlueVisor)(nil)
 var _ system.ShardedSystem = (*BlueVisor)(nil)
 
 // NewBlueVisor builds the BlueVisor baseline.
@@ -102,11 +100,11 @@ func NewBlueVisor(vms int, ts task.Set, col *system.Collector) (*BlueVisor, erro
 		tasks: ts,
 		path:  rtos.Costs(rtos.BlueVisor),
 		col:   col,
-		byDev: make(map[string]*bvShard),
 	}
 	// BlueVisor's hardware translators program the controller faster
 	// than a software driver but still occupy it per operation.
 	const bvSetupSlots = 2
+	var shards []*bvShard
 	for _, dev := range devicesOf(ts) {
 		sh := &bvShard{owner: b, dev: dev}
 		st, err := newStation(dev, perVMRoundRobin, vms, bvSetupSlots, sh.complete)
@@ -114,9 +112,9 @@ func NewBlueVisor(vms int, ts task.Set, col *system.Collector) (*BlueVisor, erro
 			return nil, err
 		}
 		sh.st = st
-		b.shards = append(b.shards, sh)
-		b.byDev[dev] = sh
+		shards = append(shards, sh)
 	}
+	b.PerDevice = system.NewPerDevice(shards)
 	return b, nil
 }
 
@@ -128,49 +126,3 @@ func (b *BlueVisor) Arch() rtos.Arch { return rtos.BlueVisor }
 
 // Residual returns the full workload.
 func (b *BlueVisor) Residual() task.Set { return b.tasks }
-
-// Submit routes the job to its device's shard (jobs for unknown
-// devices are dropped — there is no controller to serve them).
-func (b *BlueVisor) Submit(now slot.Time, j *task.Job) {
-	sh, ok := b.byDev[j.Task.Device]
-	if !ok {
-		b.dropped++
-		return
-	}
-	sh.Submit(now, j)
-}
-
-// Step advances every shard one slot, in sorted device order (the
-// order system.Run steps the shards in within a slot).
-func (b *BlueVisor) Step(now slot.Time) {
-	for _, sh := range b.shards {
-		sh.Step(now)
-	}
-}
-
-// Shards implements system.ShardedSystem: one shard per device, in
-// sorted device order. BlueVisor has no cross-device coupling, so the
-// per-device decoupling is exact.
-func (b *BlueVisor) Shards() []system.Shard {
-	out := make([]system.Shard, len(b.shards))
-	for i, sh := range b.shards {
-		out[i] = sh
-	}
-	return out
-}
-
-// Pending visits jobs on the hardware path or queued at controllers.
-func (b *BlueVisor) Pending(visit func(j *task.Job)) {
-	for _, sh := range b.shards {
-		sh.pendingJobs(visit)
-	}
-}
-
-// Dropped returns jobs lost at unknown devices or full queues.
-func (b *BlueVisor) Dropped() int64 {
-	n := b.dropped
-	for _, sh := range b.shards {
-		n += sh.dropped
-	}
-	return n
-}

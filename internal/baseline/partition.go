@@ -47,9 +47,8 @@ type partShard struct {
 	// neither preempts nor migrates it, and no other VM may use the
 	// residual window time (the no-reclamation property under test).
 	inProg []*task.Job
-	// dropped counts this shard's rejections (jobs naming a VM outside
-	// the static configuration — Jailhouse has no cell to run them).
-	// Shard-confined; summed by PartitionSystem.Dropped.
+	// dropped counts jobs naming a VM outside the static
+	// configuration: Jailhouse has no cell to run them.
 	dropped int64
 }
 
@@ -149,9 +148,9 @@ func (s *partShard) NextWork(now slot.Time) slot.Time {
 	return min(next, at)
 }
 
-// pendingJobs visits jobs on the trap path, queued, or frozen
+// Pending visits jobs on the trap path, queued, or frozen
 // mid-service.
-func (s *partShard) pendingJobs(visit func(j *task.Job)) {
+func (s *partShard) Pending(visit func(j *task.Job)) {
 	s.pending.each(visit)
 	for vm, q := range s.perVM {
 		if s.inProg[vm] != nil {
@@ -161,21 +160,20 @@ func (s *partShard) pendingJobs(visit func(j *task.Job)) {
 	}
 }
 
+// Dropped returns the jobs rejected for unconfigured VMs.
+func (s *partShard) Dropped() int64 { return s.dropped }
+
 // PartitionSystem is the BS|PART baseline: one partShard per device,
-// all following the same static window cycle.
+// all following the same static window cycle. Partitioned devices
+// share only the slot clock, so the per-device decoupling is exact.
 type PartitionSystem struct {
-	tasks  task.Set
-	path   rtos.PathCost
-	col    *system.Collector
-	shards []*partShard
-	byDev  map[string]*partShard
-	// dropped counts jobs Submit got for unknown devices.
-	dropped int64
+	system.PerDevice[*partShard]
+	tasks task.Set
+	path  rtos.PathCost
+	col   *system.Collector
 }
 
-var _ system.System = (*PartitionSystem)(nil)
 var _ system.ShardedSystem = (*PartitionSystem)(nil)
-var _ system.Shard = (*partShard)(nil)
 
 // NewPartition builds the static-partitioning baseline.
 func NewPartition(vms int, ts task.Set, col *system.Collector) (*PartitionSystem, error) {
@@ -189,8 +187,8 @@ func NewPartition(vms int, ts task.Set, col *system.Collector) (*PartitionSystem
 		tasks: ts,
 		path:  rtos.Costs(rtos.Partition),
 		col:   col,
-		byDev: make(map[string]*partShard),
 	}
+	var shards []*partShard
 	for _, dev := range devicesOf(ts) {
 		sh := &partShard{
 			owner:  p,
@@ -200,9 +198,9 @@ func NewPartition(vms int, ts task.Set, col *system.Collector) (*PartitionSystem
 		for i := 0; i < vms; i++ {
 			sh.perVM = append(sh.perVM, queue.NewFIFO[*task.Job](0))
 		}
-		p.shards = append(p.shards, sh)
-		p.byDev[dev] = sh
+		shards = append(shards, sh)
 	}
+	p.PerDevice = system.NewPerDevice(shards)
 	return p, nil
 }
 
@@ -214,48 +212,3 @@ func (p *PartitionSystem) Arch() rtos.Arch { return rtos.Partition }
 
 // Residual returns the full workload.
 func (p *PartitionSystem) Residual() task.Set { return p.tasks }
-
-// Submit routes the job to its device's shard (jobs for unknown
-// devices are dropped — no cell is configured to serve them).
-func (p *PartitionSystem) Submit(now slot.Time, j *task.Job) {
-	sh, ok := p.byDev[j.Task.Device]
-	if !ok {
-		p.dropped++
-		return
-	}
-	sh.Submit(now, j)
-}
-
-// Step advances every shard one slot, in sorted device order.
-func (p *PartitionSystem) Step(now slot.Time) {
-	for _, sh := range p.shards {
-		sh.Step(now)
-	}
-}
-
-// Shards implements system.ShardedSystem: one shard per device in
-// sorted device order. Partitioned devices share only the slot clock,
-// so the per-device decoupling is exact.
-func (p *PartitionSystem) Shards() []system.Shard {
-	out := make([]system.Shard, len(p.shards))
-	for i, sh := range p.shards {
-		out[i] = sh
-	}
-	return out
-}
-
-// Pending visits jobs on trap paths, queued, or frozen mid-service.
-func (p *PartitionSystem) Pending(visit func(j *task.Job)) {
-	for _, sh := range p.shards {
-		sh.pendingJobs(visit)
-	}
-}
-
-// Dropped returns jobs lost at unknown devices or unconfigured VMs.
-func (p *PartitionSystem) Dropped() int64 {
-	n := p.dropped
-	for _, sh := range p.shards {
-		n += sh.dropped
-	}
-	return n
-}

@@ -155,10 +155,4 @@ func TestPartitionIsolationUnderFlood(t *testing.T) {
 	if victimDone > 64 {
 		t.Errorf("victim finished at %d; its own window should serve it by slot 64 despite the flood", victimDone)
 	}
-	// Unknown devices have no configured cell: the job is dropped.
-	bogus := task.Sporadic{ID: 9, VM: 0, Kind: task.Synthetic, Device: "bogus", Period: 1000, WCET: 1, Deadline: 1000}
-	p.Submit(0, task.NewJob(&bogus, 0, 0))
-	if p.Dropped() != 1 {
-		t.Errorf("Dropped = %d after unknown-device submit, want 1", p.Dropped())
-	}
 }

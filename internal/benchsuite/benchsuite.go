@@ -162,7 +162,7 @@ func meshBaseline(sysName string) system.Builder {
 // log — the same guarantee the PQ and FIFO churn benchmarks pin
 // for their hot paths); exact mode amortizes its log's append.
 func collectorComplete(b *testing.B, mode system.MetricsMode) {
-	col := system.NewCollectorFor(mode, 1<<16)
+	col := system.NewCollectorFor(mode, 1<<16, 0)
 	tk := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 10, WCET: 1, Deadline: 10, OpBytes: 64}
 	j := task.NewJob(tk, 0, 0)
 	var x uint64 = 7

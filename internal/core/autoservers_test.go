@@ -29,9 +29,9 @@ func TestAutoServersSynthesizesAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := s.Hypervisor().Manager("spi")
-	if err != nil {
-		t.Fatal(err)
+	mgr, ok := s.Managers()["spi"]
+	if !ok {
+		t.Fatal("no spi manager")
 	}
 	if len(mgr.Config().Servers) != 2 {
 		t.Fatalf("synthesized servers = %v", mgr.Config().Servers)
@@ -89,7 +89,7 @@ func TestAutoServersExplicitPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, _ := s.Hypervisor().Manager("spi")
+	mgr := s.Managers()["spi"]
 	for _, g := range mgr.Config().Servers {
 		if g.Period != 64 {
 			t.Errorf("server period = %d, want 64", g.Period)
@@ -102,7 +102,7 @@ func TestAutoServersIgnoredInDirectEDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, _ := s.Hypervisor().Manager("spi")
+	mgr := s.Managers()["spi"]
 	if len(mgr.Config().Servers) != 0 {
 		t.Error("DirectEDF should not synthesize servers")
 	}
@@ -119,7 +119,7 @@ func TestVMStatsThroughCore(t *testing.T) {
 	for now := slot.Time(0); now < 64; now++ {
 		s.Step(now)
 	}
-	mgr, _ := s.Hypervisor().Manager("spi")
+	mgr := s.Managers()["spi"]
 	st, err := mgr.VMStats(0)
 	if err != nil {
 		t.Fatal(err)

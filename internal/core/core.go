@@ -58,21 +58,17 @@ type Config struct {
 }
 
 // System is a runnable I/O-GUARD instance implementing
-// system.System.
+// system.ShardedSystem: the hardware hypervisor is its set of
+// per-device (manager, driver) shards.
 type System struct {
+	system.PerDevice[*deviceShard]
 	name      string
 	cfg       Config
-	hv        *hypervisor.Hypervisor
 	residual  task.Set
 	preloaded task.Set
-	// overhead is the per-device request-translation cost charged as
-	// device occupancy on every operation (the translator sits in
-	// front of the I/O controller, so the controller cannot start the
-	// next operation before translation completes).
-	overhead map[string]slot.Time
 }
 
-var _ system.System = (*System)(nil)
+var _ system.ShardedSystem = (*System)(nil)
 
 // New builds an I/O-GUARD system for the workload ts, wiring observed
 // completions into col. Tasks are partitioned per device; for each
@@ -90,10 +86,8 @@ func New(cfg Config, ts task.Set, col *system.Collector) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		name:     fmt.Sprintf("I/O-GUARD-%d", int(cfg.PreloadFrac*100+0.5)),
-		cfg:      cfg,
-		hv:       hypervisor.NewHypervisor(),
-		overhead: make(map[string]slot.Time),
+		name: fmt.Sprintf("I/O-GUARD-%d", int(cfg.PreloadFrac*100+0.5)),
+		cfg:  cfg,
 	}
 	preload := selectPreload(ts, cfg.PreloadFrac)
 	byDevice := map[string]task.Set{}
@@ -107,13 +101,16 @@ func New(cfg Config, ts task.Set, col *system.Collector) (*System, error) {
 	sort.Strings(devices)
 
 	path := rtos.Costs(rtos.IOGuard)
+	shards := make([]*deviceShard, 0, len(devices))
 	for _, dev := range devices {
 		model, err := iodev.Lookup(dev)
 		if err != nil {
 			return nil, err
 		}
 		drv := hypervisor.NewDriver(model)
-		s.overhead[dev] = drv.OpOverhead()
+		if err := drv.Validate(); err != nil {
+			return nil, err
+		}
 		// Compile this device's pre-loaded tasks into σ*, with the
 		// translation overhead folded into each WCET (the table's
 		// "worst-case computation time" covers the full device
@@ -161,10 +158,9 @@ func New(cfg Config, ts task.Set, col *system.Collector) (*System, error) {
 				return nil, err
 			}
 		}
-		if err := s.hv.Add(dev, mgr, drv); err != nil {
-			return nil, err
-		}
+		shards = append(shards, &deviceShard{dev: dev, mgr: mgr, overhead: drv.OpOverhead()})
 	}
+	s.PerDevice = system.NewPerDevice(shards)
 	for _, t := range ts {
 		if preload[t.ID] {
 			s.preloaded = append(s.preloaded, t)
@@ -284,39 +280,34 @@ func (s *System) Residual() task.Set { return s.residual }
 // Preloaded returns the tasks compiled into the P-channel.
 func (s *System) Preloaded() task.Set { return s.preloaded }
 
-// Hypervisor exposes the underlying hardware hypervisor (for
-// inspection and the ablation benchmarks).
-func (s *System) Hypervisor() *hypervisor.Hypervisor { return s.hv }
-
-// Submit forwards a released job through the para-virtual driver to
-// the hypervisor, charging the request-translation slots as device
-// occupancy.
-func (s *System) Submit(now slot.Time, j *task.Job) {
-	j.Remaining += s.overhead[j.Task.Device]
-	s.hv.Submit(now, j)
+// Managers returns each device's virtualization manager, keyed by
+// device name (for inspection, tracing and the ablation benchmarks).
+func (s *System) Managers() map[string]*hypervisor.Manager {
+	out := make(map[string]*hypervisor.Manager)
+	s.Each(func(d *deviceShard) { out[d.dev] = d.mgr })
+	return out
 }
 
-// Step advances the hypervisor one slot.
-func (s *System) Step(now slot.Time) { s.hv.Step(now) }
-
-// Pending visits jobs buffered inside the hypervisor.
-func (s *System) Pending(visit func(j *task.Job)) { s.hv.PendingJobs(visit) }
-
-// deviceShard adapts one device's virtualization manager to the
-// per-component clock protocol. Managers are fully independent — the
+// deviceShard is one device's (virtualization manager, virtualization
+// driver) pair on its own clock. Managers are fully independent — the
 // R-channel, P-channel and response path of one device never touch
 // another's state — so each may advance on its own virtual clock.
 type deviceShard struct {
-	dev      string
-	mgr      *hypervisor.Manager
+	dev string
+	mgr *hypervisor.Manager
+	// overhead is the request-translation cost charged as device
+	// occupancy on every operation (the translator sits in front of
+	// the I/O controller, so the controller cannot start the next
+	// operation before translation completes).
 	overhead slot.Time
 }
 
 // Devices returns the single device this shard owns.
 func (d *deviceShard) Devices() []string { return []string{d.dev} }
 
-// Submit mirrors System.Submit for this device: the request-
-// translation overhead is charged before the manager sees the job.
+// Submit forwards a released job through the para-virtual driver to
+// the manager, charging the request-translation slots as device
+// occupancy.
 func (d *deviceShard) Submit(now slot.Time, j *task.Job) {
 	j.Remaining += d.overhead
 	d.mgr.Submit(now, j)
@@ -331,29 +322,11 @@ func (d *deviceShard) NextWork(now slot.Time) slot.Time { return d.mgr.NextWork(
 // SkipTo bulk-accounts a fast-forwarded idle span.
 func (d *deviceShard) SkipTo(from, to slot.Time) { d.mgr.SkipTo(from, to) }
 
-// Shards implements system.ShardedSystem: one shard per device
-// manager, in sorted device order (the order Step iterates).
-func (s *System) Shards() []system.Shard {
-	devs := s.hv.Devices()
-	out := make([]system.Shard, 0, len(devs))
-	for _, dev := range devs {
-		mgr, err := s.hv.Manager(dev)
-		if err != nil {
-			continue
-		}
-		out = append(out, &deviceShard{dev: dev, mgr: mgr, overhead: s.overhead[dev]})
-	}
-	return out
-}
+// Pending visits jobs buffered inside the manager.
+func (d *deviceShard) Pending(visit func(j *task.Job)) { d.mgr.PendingJobs(visit) }
 
-// Dropped returns jobs rejected by full pools or unknown devices.
-func (s *System) Dropped() int64 {
-	n := s.hv.Dropped()
-	for _, st := range s.hv.Stats() {
-		n += st.Dropped
-	}
-	return n
-}
+// Dropped returns the jobs the manager lost (Stats.Dropped).
+func (d *deviceShard) Dropped() int64 { return d.mgr.Stats().Dropped }
 
 // Describe summarizes the built system: per-device table occupancy,
 // channel split and scheduler configuration.
@@ -361,14 +334,10 @@ func (s *System) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d VMs, %s G-Sched, %d pre-loaded / %d run-time tasks\n",
 		s.name, s.cfg.VMs, s.cfg.Mode, len(s.preloaded), len(s.residual))
-	for _, dev := range s.hv.Devices() {
-		mgr, err := s.hv.Manager(dev)
-		if err != nil {
-			continue
-		}
-		tab := mgr.Config().Table
+	s.Each(func(d *deviceShard) {
+		tab := d.mgr.Config().Table
 		fmt.Fprintf(&b, "  %-10s σ*: H=%d F=%d (P-channel %.1f%%), banks %d B, op overhead %d slots\n",
-			dev, tab.Len(), tab.FreeCount(), 100*tab.Utilization(), mgr.BankBytes(), s.overhead[dev])
-	}
+			d.dev, tab.Len(), tab.FreeCount(), 100*tab.Utilization(), d.mgr.BankBytes(), d.overhead)
+	})
 	return b.String()
 }

@@ -88,9 +88,9 @@ func TestZeroPreloadHasEmptyTables(t *testing.T) {
 	if len(s.Preloaded()) != 0 || len(s.Residual()) != 4 {
 		t.Error("zero fraction should preload nothing")
 	}
-	mgr, err := s.Hypervisor().Manager("ethernet")
-	if err != nil {
-		t.Fatal(err)
+	mgr, ok := s.Managers()["ethernet"]
+	if !ok {
+		t.Fatal("no ethernet manager")
 	}
 	if mgr.Config().Table.FreeCount() != mgr.Config().Table.Len() {
 		t.Error("table should be all free with no preloads")

@@ -76,12 +76,7 @@ func runAdmission(t *testing.T, tr system.Trial, wrap func(system.Builder) syste
 		if err != nil {
 			return nil, err
 		}
-		hv := s.Hypervisor()
-		for _, dev := range hv.Devices() {
-			m, err := hv.Manager(dev)
-			if err != nil {
-				return nil, err
-			}
+		for dev, m := range s.Managers() {
 			if err := m.EnableAdmission(); err != nil {
 				return nil, err
 			}
@@ -101,12 +96,7 @@ func runAdmission(t *testing.T, tr system.Trial, wrap func(system.Builder) syste
 		t.Fatalf("admission run: %v", err)
 	}
 	var rejected int64
-	hv := captured.Hypervisor()
-	for _, dev := range hv.Devices() {
-		m, err := hv.Manager(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, m := range captured.Managers() {
 		rejected += m.RejectedAtAdmission()
 	}
 	return res, rejected

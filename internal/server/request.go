@@ -65,9 +65,16 @@ type normalized struct {
 	trials int
 }
 
-// maxTrials caps a request's trial count before any cell is laid out:
-// 10× the paper's 1000 repetitions per configuration.
-const maxTrials = 10_000
+// Request size caps, checked before any cell is laid out. maxTrials is
+// 10× the paper's 1000 repetitions per configuration, and maxHorizon
+// 10× its 100 s (10^8-slot) trial. maxVMs is the evaluated platform's
+// 16 cores × at most 3 VMs each (Sec. V); every VM costs a pool per
+// device manager.
+const (
+	maxTrials            = 10_000
+	maxHorizon slot.Time = 1_000_000_000
+	maxVMs               = 48
+)
 
 // normalize applies CLI defaults and validates the request into an
 // executable form. Validation errors are client errors (HTTP 400).
@@ -96,6 +103,9 @@ func normalize(req TrialRequest) (*normalized, error) {
 	if req.Trials > maxTrials {
 		return nil, fmt.Errorf("trials must be at most %d (got %d)", maxTrials, req.Trials)
 	}
+	if req.VMs > maxVMs {
+		return nil, fmt.Errorf("vms must be at most %d (got %d)", maxVMs, req.VMs)
+	}
 	plan := faults.Plan{
 		Seed:          req.FaultSeed,
 		ReleaseJitter: slot.Time(req.FaultJitter),
@@ -122,6 +132,9 @@ func normalize(req TrialRequest) (*normalized, error) {
 	horizon, err := ts.Horizon(req.Hyperperiods)
 	if err != nil {
 		return nil, err
+	}
+	if horizon > maxHorizon {
+		return nil, fmt.Errorf("horizon must be at most %d slots (got %d hyper-periods of %d)", maxHorizon, req.Hyperperiods, ts.Hyperperiod())
 	}
 	return &normalized{
 		req:   req,

@@ -155,12 +155,29 @@ func TestBadRequestsRejected(t *testing.T) {
 		// 1152921504606847 × H = 16000 (the default system) overflows
 		// slot.Time and wraps to a 384-slot horizon.
 		{"hyperperiods": 1152921504606847},
+		// Unbounded simulated work: 62501 × 16000 slots is past
+		// maxHorizon, and 49 VMs past maxVMs.
+		{"hyperperiods": 62501},
+		{"vms": 49},
 	} {
 		resp := postJSON(t, hts.URL+"/v1/trials", body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("request %v: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestRequestCapsAcceptBounds: a request exactly at the horizon and VM
+// caps is valid. Checked through normalize only: a trial of cap size
+// is never run.
+func TestRequestCapsAcceptBounds(t *testing.T) {
+	// 62500 hyper-periods of the default system's H = 16000.
+	if norm, err := normalize(TrialRequest{Hyperperiods: 62500}); err != nil || norm.trial.Horizon != maxHorizon {
+		t.Errorf("horizon at the cap: %v, want a %d-slot trial", err, maxHorizon)
+	}
+	if norm, err := normalize(TrialRequest{VMs: maxVMs}); err != nil || norm.trial.VMs != maxVMs {
+		t.Errorf("VMs at the cap: %v, want a %d-VM trial", err, maxVMs)
 	}
 }
 

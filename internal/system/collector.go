@@ -66,7 +66,7 @@ func ParseMetricsMode(s string) (MetricsMode, error) {
 // Collector records observed completions. The zero value is a usable
 // exact-mode collector; NewCollector pre-sizes the exact mode's
 // samples so a trial's hot path never regrows them, and
-// NewStreamCollector selects the bounded-memory mode.
+// NewCollectorFor selects either mode.
 type Collector struct {
 	mode MetricsMode
 	// seed identifies the trial for the mergeable mode's sketch
@@ -107,31 +107,22 @@ type Collector struct {
 	presize int
 }
 
-// maxCollectorPresize caps the pre-allocation of NewCollector: a
+// maxCollectorPresize caps an exact-mode collector's pre-allocation: a
 // degenerate horizon/period combination must not reserve unbounded
 // memory up front (the samples still grow on demand past the cap).
 const maxCollectorPresize = 1 << 16
 
 // NewCollector returns an exact-mode collector with room for about n
 // completions.
-func NewCollector(n int) *Collector { return NewCollectorFor(MetricsExact, n) }
+func NewCollector(n int) *Collector { return NewCollectorFor(MetricsExact, n, 0) }
 
-// NewStreamCollector returns a bounded-memory streaming collector.
-func NewStreamCollector() *Collector { return NewCollectorFor(MetricsStream, 0) }
-
-// NewCollectorFor returns a collector in the given mode; n sizes the
-// exact mode's samples and is ignored in streaming mode.
-func NewCollectorFor(mode MetricsMode, n int) *Collector {
-	return NewSeededCollectorFor(mode, n, 0)
-}
-
-// NewSeededCollectorFor is NewCollectorFor with the trial identity:
-// seed drives the mergeable mode's sketch coins, so a trial's
-// recorders — and any aggregate folded from them — are a pure
-// function of (seed, completion sequence). Run threads Trial.Seed
-// here; the unseeded constructors keep seed 0 for callers outside a
-// trial.
-func NewSeededCollectorFor(mode MetricsMode, n int, seed int64) *Collector {
+// NewCollectorFor returns a collector in the given mode. n sizes the
+// exact mode's samples and is ignored in streaming mode. seed is the
+// trial identity: it drives the streaming mode's sketch coins, so a
+// trial's recorders — and any aggregate folded from them — are a pure
+// function of (seed, completion sequence). Run passes Trial.Seed;
+// callers outside a trial pass 0.
+func NewCollectorFor(mode MetricsMode, n int, seed int64) *Collector {
 	c := &Collector{mode: mode, seed: uint64(seed)}
 	if mode == MetricsExact {
 		if n < 0 {

@@ -40,7 +40,7 @@ func TestParseMetricsMode(t *testing.T) {
 // (a miss).
 func TestResultCensoringEdges(t *testing.T) {
 	for _, mode := range []MetricsMode{MetricsExact, MetricsStream} {
-		c := NewCollectorFor(mode, 8)
+		c := NewCollectorFor(mode, 8, 0)
 		safety := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 20, WCET: 1, Deadline: 10, OpBytes: 4}
 		// Completed at slot 0: zero response, zero tardiness, on time.
 		atZero := task.NewJob(safety, 0, 0)
@@ -81,7 +81,7 @@ func TestResultCensoringEdges(t *testing.T) {
 func TestStreamCollectorMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	exact := NewCollector(0)
-	stream := NewStreamCollector()
+	stream := NewCollectorFor(MetricsStream, 0, 0)
 	safety := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 20, WCET: 1, Deadline: 10, OpBytes: 64}
 	synth := &task.Sporadic{ID: 1, Kind: task.Synthetic, Period: 20, WCET: 1, Deadline: 10, OpBytes: 16}
 	for i := 0; i < 20000; i++ {
@@ -133,7 +133,7 @@ func TestStreamCollectorMatchesExact(t *testing.T) {
 // collector level: streaming mode's recorders keep a bounded sketch,
 // not one value per completion.
 func TestStreamCollectorRetainsNoBuffer(t *testing.T) {
-	c := NewStreamCollector()
+	c := NewCollectorFor(MetricsStream, 0, 0)
 	tk := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 10, WCET: 1, Deadline: 10}
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -157,7 +157,7 @@ func TestStreamCollectorRetainsNoBuffer(t *testing.T) {
 // the stream Complete records, in order, in both modes.
 func TestObserveSeesCompletionsOnline(t *testing.T) {
 	for _, mode := range []MetricsMode{MetricsExact, MetricsStream} {
-		c := NewCollectorFor(mode, 4)
+		c := NewCollectorFor(mode, 4, 0)
 		tk := &task.Sporadic{ID: 0, Kind: task.Safety, Period: 10, WCET: 1, Deadline: 10}
 		var got []slot.Time
 		c.Observe(func(j *task.Job, at slot.Time) { got = append(got, at) })
@@ -184,7 +184,7 @@ func TestStreamCompleteSteadyStateAllocs(t *testing.T) {
 		c          *Collector
 		warm, runs int
 	}{
-		{"stream", NewStreamCollector(), 100_000, 50_000},
+		{"stream", NewCollectorFor(MetricsStream, 0, 0), 100_000, 50_000},
 		// Warm-up plus measured runs stay inside the presize.
 		{"exact", NewCollector(maxCollectorPresize), 1_000, 20_000},
 	} {

@@ -104,7 +104,7 @@ func Run(build Builder, tr Trial) (*metrics.TrialResult, error) {
 	if err := tr.Faults.Validate(); err != nil {
 		return nil, err
 	}
-	col := NewSeededCollectorFor(tr.Metrics, expectedCompletions(tr.Tasks, tr.Horizon), tr.Seed)
+	col := NewCollectorFor(tr.Metrics, expectedCompletions(tr.Tasks, tr.Horizon), tr.Seed)
 	if tr.Accuracy || tr.Faults.Enabled() {
 		col.TrackAccuracy()
 	}
