@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"ioguard/internal/cliflags"
+	"ioguard/internal/experiments"
 	"ioguard/internal/metrics"
 	"ioguard/internal/server"
 )
@@ -162,22 +163,22 @@ func main() {
 	}
 
 	// One request body per distinct seed. Without -vary-seeds every
-	// request shares one workload (the server normalizes each request
+	// request shares one workload (the server resolves each request
 	// independently, so this measures execution, not generation).
 	makeBody := func(reqIndex int64) []byte {
-		seed := *seedBase
-		if *vary {
-			seed = *seedBase + reqIndex
+		req := experiments.Request{
+			System:       *system,
+			VMs:          *vms,
+			Util:         *util,
+			Hyperperiods: *hps,
+			Seed:         *seedBase,
+			Trials:       *perReq,
+			Metrics:      r.Metrics.String(),
 		}
-		b, _ := json.Marshal(map[string]any{
-			"system":       *system,
-			"vms":          *vms,
-			"util":         *util,
-			"hyperperiods": *hps,
-			"seed":         seed,
-			"trials":       *perReq,
-			"metrics":      r.Metrics.String(),
-		})
+		if *vary {
+			req.Seed += reqIndex
+		}
+		b, _ := json.Marshal(req)
 		return b
 	}
 

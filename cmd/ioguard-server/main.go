@@ -12,9 +12,10 @@
 //	ioguard-server -workers 8 -metrics stream
 //
 // A server-executed trial is byte-identical to ioguard-sim at the
-// same request parameters: both resolve system specs, workloads and
-// seed schedules through the same shared helpers, and the streamed
-// response carries the trial's rendered metrics block verbatim.
+// same request parameters: a request body is the experiments.Request
+// that ioguard-sim's flags fill, both resolve it through
+// experiments.Request.Resolve, and the streamed response carries the
+// trial's rendered metrics block verbatim.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: the listener stops,
 // streaming handlers finish, and both execution paths drain — every

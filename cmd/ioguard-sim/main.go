@@ -24,10 +24,13 @@
 // identical in both modes. -csv writes rows online through a
 // trace.CSVSink in either mode; -gantt renders from a trace.Recorder.
 //
-// System specs, the printed metrics blocks and the -workers /
-// -metrics / -fault-* flags are shared with ioguard-server
-// (internal/experiments, internal/cliflags): a server-executed trial
-// at the same parameters is byte-identical to this command's output.
+// The flags fill an experiments.Request, the same request the trial
+// server decodes from its JSON body, and both resolve it through
+// experiments.Request.Resolve: a server-executed trial at the same
+// parameters is byte-identical to this command's output. -workers and
+// -metrics are the shared execution flags (internal/cliflags); the
+// -fault-* plan is this command's own (the server takes it as fault_*
+// fields). -gantt, -csv and -bytask need a single trial.
 package main
 
 import (
@@ -57,14 +60,8 @@ var openTraceFile = func(path string) (io.WriteCloser, error) { return os.Create
 var runTrial = system.Run
 
 func main() {
+	req := requestFlags(flag.CommandLine)
 	var (
-		sysName = flag.String("system", "ioguard-70", experiments.SystemSpecs())
-		family  = flag.String("workload", "case", "workload family: case (automotive case study) | avionics (ARINC-653-style long partition periods, H = 4,000,000 slots; -util is ignored)")
-		vms     = flag.Int("vms", 4, "number of virtual machines")
-		util    = flag.Float64("util", 0.7, "target device utilization (case family only)")
-		hps     = flag.Int("hyperperiods", 3, "horizon in workload hyper-periods")
-		seed    = flag.Int64("seed", 1, "random seed")
-		trials  = flag.Int("trials", 1, "repeat across N independent seeds and print the aggregate")
 		gantt   = flag.Int("gantt", 0, "print a Gantt chart of the first N slots (I/O-GUARD only, single trial)")
 		csvPath = flag.String("csv", "", "write the execution trace as CSV (I/O-GUARD only, single trial)")
 		byTask  = flag.Bool("bytask", false, "print per-task completion/miss statistics (single trial)")
@@ -76,40 +73,58 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ioguard-sim:", err)
 		os.Exit(1)
 	}
-	if err := run(os.Stdout, *sysName, *family, *vms, *util, *hps, *seed, *trials, *gantt, *csvPath, *byTask, r); err != nil {
+	req.Metrics = exec.Metrics
+	if err := run(os.Stdout, *req, *gantt, *csvPath, *byTask, r.Workers); err != nil {
 		fmt.Fprintln(os.Stderr, "ioguard-sim:", err)
 		os.Exit(1)
 	}
 }
 
-// generateFamily dispatches on the -workload flag. The case-study
-// family sweeps -util; the avionics family's utilization is fixed by
-// its catalogue (sparse partition windows), so -util is ignored there.
-func generateFamily(family string, vms int, util float64, seed int64) (task.Set, error) {
-	switch family {
-	case "case":
-		return workload.Generate(workload.Config{VMs: vms, TargetUtil: util, Seed: seed})
-	case "avionics":
-		return workload.GenerateAvionics(workload.AvionicsConfig{VMs: vms, Seed: seed})
-	default:
-		return nil, fmt.Errorf("unknown workload family %q (case|avionics)", family)
-	}
+// requestFlags binds the trial-request flags on fs straight into a
+// request holding the defaults; -metrics is the shared cliflags flag.
+func requestFlags(fs *flag.FlagSet) *experiments.Request {
+	req := experiments.DefaultRequest()
+	fs.StringVar(&req.System, "system", req.System, experiments.SystemSpecs())
+	fs.StringVar(&req.Workload, "workload", req.Workload, "workload family: case (automotive case study) | avionics (ARINC-653-style long partition periods, H = 4,000,000 slots; -util is ignored)")
+	fs.IntVar(&req.VMs, "vms", req.VMs, "number of virtual machines")
+	fs.Float64Var(&req.Util, "util", req.Util, "target device utilization (case family only)")
+	fs.IntVar(&req.Hyperperiods, "hyperperiods", req.Hyperperiods, "horizon in workload hyper-periods")
+	fs.Int64Var(&req.Seed, "seed", req.Seed, "random seed")
+	fs.IntVar(&req.Trials, "trials", req.Trials, "repeat across N independent seeds and print the aggregate")
+	fs.Int64Var(&req.Plan.Seed, "fault-seed", 0,
+		"fault-injection stream seed; the same seed replays a faulted trial byte-identically")
+	fs.Int64Var((*int64)(&req.Plan.ReleaseJitter), "fault-jitter", 0,
+		"max extra release jitter in slots injected at the workload layer (0 = off)")
+	fs.Float64Var(&req.Plan.DropProb, "fault-drop", 0,
+		"probability a request is lost in transport before reaching the system")
+	fs.Float64Var(&req.Plan.DupProb, "fault-dup", 0,
+		"probability a request is duplicated in transport")
+	fs.Float64Var(&req.Plan.DelayProb, "fault-delay", 0,
+		"probability a request is delayed in transport (requires -fault-delay-max)")
+	fs.Int64Var((*int64)(&req.Plan.DelayMax), "fault-delay-max", 0,
+		"max transport delay in slots for -fault-delay hits")
+	return &req
 }
 
-func run(out io.Writer, sysName, family string, vms int, util float64, hps int, seed int64, trials, gantt int, csvPath string, byTask bool, ec cliflags.Resolved) (err error) {
-	if trials < 1 {
-		return fmt.Errorf("-trials %d: need at least one trial", trials)
+func run(out io.Writer, req experiments.Request, gantt int, csvPath string, byTask bool, workers int) (err error) {
+	if req.Trials > 1 && (gantt > 0 || csvPath != "" || byTask) {
+		return fmt.Errorf("-gantt, -csv and -bytask need a single trial (got -trials %d)", req.Trials)
 	}
-	mode := ec.Metrics
-	ts, err := generateFamily(family, vms, util, seed)
+	rq, err := req.Resolve()
 	if err != nil {
 		return err
 	}
+	ts := rq.Trial.Tasks
 	fmt.Fprintf(out, "workload: %d tasks, per-device utilization %v, hyper-period %d slots\n",
 		len(ts), formatUtil(workload.DeviceUtilization(ts)), ts.Hyperperiod())
 
-	if trials > 1 {
-		return runSweep(out, sysName, ts, vms, hps, seed, trials, ec)
+	if rq.Trials > 1 {
+		agg, err := system.ParallelSweep(rq.Build, rq.Trial, rq.Trials, workers)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(out, experiments.RenderAggregate(rq.System, agg))
+		return nil
 	}
 
 	// Trace plumbing. The Recorder backs -gantt (it renders from the
@@ -140,10 +155,7 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 			}
 		}()
 	}
-	build, err := experiments.BuilderFor(sysName)
-	if err != nil {
-		return err
-	}
+	build := rq.Build
 	switch {
 	case gantt > 0 && sink != nil:
 		s := sink // sink is cleared once flushed; the hook keeps its own
@@ -167,22 +179,11 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 		}
 		return build(tr, col)
 	}
-	horizon, err := ts.Horizon(hps)
+	res, err := runTrial(wrapped, rq.Trial)
 	if err != nil {
 		return err
 	}
-	res, err := runTrial(wrapped, system.Trial{
-		VMs:     vms,
-		Tasks:   ts,
-		Horizon: horizon,
-		Seed:    seed,
-		Metrics: mode,
-		Faults:  ec.Faults,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, experiments.RenderTrial(sysName, res))
+	fmt.Fprint(out, experiments.RenderTrial(rq.System, res))
 	if gantt > 0 {
 		if rec.Len() == 0 {
 			fmt.Fprintln(out, "(no trace recorded: -gantt is only wired for ioguard-* systems)")
@@ -203,33 +204,6 @@ func run(out io.Writer, sysName, family string, vms int, util float64, hps int, 
 		}
 		fmt.Fprintf(out, "streamed trace events to %s\n", csvPath)
 	}
-	return nil
-}
-
-// runSweep repeats the trial on the task set ts across independent
-// release seeds on the deterministic worker pool and prints the
-// aggregate.
-func runSweep(out io.Writer, sysName string, ts task.Set, vms, hps int, seed int64, trials int, ec cliflags.Resolved) error {
-	build, err := experiments.BuilderFor(sysName)
-	if err != nil {
-		return err
-	}
-	horizon, err := ts.Horizon(hps)
-	if err != nil {
-		return err
-	}
-	agg, err := system.ParallelSweep(build, system.Trial{
-		VMs:     vms,
-		Tasks:   ts,
-		Horizon: horizon,
-		Seed:    seed,
-		Metrics: ec.Metrics,
-		Faults:  ec.Faults,
-	}, trials, ec.Workers)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, experiments.RenderAggregate(sysName, agg))
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +14,7 @@ import (
 	"strings"
 	"testing"
 
-	"ioguard/internal/cliflags"
+	"ioguard/internal/experiments"
 	"ioguard/internal/metrics"
 	"ioguard/internal/server"
 	"ioguard/internal/system"
@@ -54,6 +55,15 @@ func withFailingTraceFile(t *testing.T, budget int) {
 	t.Cleanup(func() { openTraceFile = orig })
 }
 
+// simRequest is the command's defaults with the system, workload
+// shape, seed and collector mode set as the flags would set them.
+func simRequest(sys string, vms int, util float64, hps int, seed int64, mode system.MetricsMode) experiments.Request {
+	req := experiments.DefaultRequest()
+	req.System, req.VMs, req.Util, req.Hyperperiods, req.Seed = sys, vms, util, hps, seed
+	req.Metrics = mode.String()
+	return req
+}
+
 // stepping calls f with the command's trials run through
 // systemtest.Dense when dense is set, and as they are otherwise.
 func stepping(dense bool, f func() error) error {
@@ -77,7 +87,7 @@ func TestStreamCSVFlushErrorSurfaces(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			withFailingTraceFile(t, 64)
 			var out bytes.Buffer
-			err := run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 0, "trace.csv", false, cliflags.Resolved{Workers: 1, Metrics: mode})
+			err := run(&out, simRequest("ioguard-70", 2, 0.5, 1, 1, mode), 0, "trace.csv", false, 1)
 			if err == nil {
 				t.Fatal("run succeeded despite failing trace writer")
 			}
@@ -110,7 +120,7 @@ func TestTraceOutputIdenticalAcrossModes(t *testing.T) {
 		path := filepath.Join(dir, r.name+".csv")
 		var out bytes.Buffer
 		err := stepping(r.dense, func() error {
-			return run(&out, "ioguard-70", "case", 2, 0.5, 1, 1, 1, 30, path, false, cliflags.Resolved{Workers: 1, Metrics: r.mode})
+			return run(&out, simRequest("ioguard-70", 2, 0.5, 1, 1, r.mode), 30, path, false, 1)
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
@@ -146,14 +156,18 @@ func TestTraceOutputIdenticalAcrossModes(t *testing.T) {
 // to drop the latter.
 func TestFlushErrorJoinedWithTrialError(t *testing.T) {
 	withFailingTraceFile(t, 3) // header alone overruns the budget
+	// The trial fails after the sink exists and the header row is
+	// buffered.
+	errTrial := errors.New("trial failed")
+	orig := runTrial
+	runTrial = func(system.Builder, system.Trial) (*metrics.TrialResult, error) { return nil, errTrial }
+	t.Cleanup(func() { runTrial = orig })
 	var out bytes.Buffer
-	// hyperperiods 0 → non-positive horizon: the trial fails after the
-	// sink exists and the header row is buffered.
-	err := run(&out, "ioguard-70", "case", 2, 0.5, 0, 1, 1, 0, "trace.csv", false, cliflags.Resolved{Workers: 1, Metrics: system.MetricsStream})
+	err := run(&out, simRequest("ioguard-70", 2, 0.5, 1, 1, system.MetricsStream), 0, "trace.csv", false, 1)
 	if err == nil {
 		t.Fatal("run succeeded despite trial error and failing writer")
 	}
-	if !strings.Contains(err.Error(), "non-positive horizon") {
+	if !errors.Is(err, errTrial) {
 		t.Fatalf("trial error lost: %v", err)
 	}
 	if !strings.Contains(err.Error(), "streaming csv") || !errors.Is(err, errDiskFull) {
@@ -175,19 +189,22 @@ func TestServerTrialMatchesCLI(t *testing.T) {
 	cases := []struct {
 		name     string
 		system   string
+		seed     int64
 		metrics  system.MetricsMode
 		cliDense bool
 	}{
-		{"exact", "ioguard-70", system.MetricsExact, false},
-		{"stream", "ioguard-70", system.MetricsStream, false},
-		{"baseline", "bluevisor", system.MetricsExact, false},
-		{"sharded", "ioguard-70", system.MetricsExact, true},
+		{"exact", "ioguard-70", 7, system.MetricsExact, false},
+		{"stream", "ioguard-70", 7, system.MetricsStream, false},
+		{"baseline", "bluevisor", 7, system.MetricsExact, false},
+		{"sharded", "ioguard-70", 7, system.MetricsExact, true},
+		// A present seed 0 runs seed 0, as -seed 0 does.
+		{"seed0", "ioguard-70", 0, system.MetricsExact, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var cli bytes.Buffer
 			err := stepping(tc.cliDense, func() error {
-				return run(&cli, tc.system, "case", 2, 0.5, 1, 7, 1, 0, "", false, cliflags.Resolved{Workers: 1, Metrics: tc.metrics})
+				return run(&cli, simRequest(tc.system, 2, 0.5, 1, tc.seed, tc.metrics), 0, "", false, 1)
 			})
 			if err != nil {
 				t.Fatalf("cli run: %v", err)
@@ -198,7 +215,7 @@ func TestServerTrialMatchesCLI(t *testing.T) {
 				"vms":          2,
 				"util":         0.5,
 				"hyperperiods": 1,
-				"seed":         7,
+				"seed":         tc.seed,
 				"metrics":      tc.metrics.String(),
 			})
 			resp, err := http.Post(ts.URL+"/v1/trials", "application/json", bytes.NewReader(body))
@@ -245,7 +262,9 @@ func TestSweepAggregateMatchesCLI(t *testing.T) {
 	defer hts.Close()
 
 	var cli bytes.Buffer
-	if err := run(&cli, "bluevisor", "case", 2, 0.5, 1, 7, 5, 0, "", false, cliflags.Resolved{Workers: 2, Metrics: system.MetricsExact}); err != nil {
+	req := simRequest("bluevisor", 2, 0.5, 1, 7, system.MetricsExact)
+	req.Trials = 5
+	if err := run(&cli, req, 0, "", false, 2); err != nil {
 		t.Fatalf("cli run: %v", err)
 	}
 
@@ -300,8 +319,10 @@ func TestSweepAggregateMatchesCLI(t *testing.T) {
 func TestTrialsBelowOneRejected(t *testing.T) {
 	for _, trials := range []int{0, -1} {
 		var out bytes.Buffer
-		err := run(&out, "bluevisor", "case", 2, 0.5, 1, 1, trials, 0, "", false, cliflags.Resolved{Workers: 1})
-		if err == nil || !strings.Contains(err.Error(), "-trials") {
+		req := simRequest("bluevisor", 2, 0.5, 1, 1, system.MetricsExact)
+		req.Trials = trials
+		err := run(&out, req, 0, "", false, 1)
+		if err == nil || !strings.Contains(err.Error(), "trials") {
 			t.Errorf("-trials %d: err = %v, want a -trials error", trials, err)
 		}
 		if out.Len() != 0 {
@@ -332,7 +353,7 @@ func TestGanttCSVDenseMatchesExact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.csv")
 	var csv [][]byte
 	dense, def := denseAndDefault(t, func(out io.Writer) error {
-		if err := run(out, "ioguard-40", "case", 4, 0.7, 3, 1, 1, 60, path, false, cliflags.Resolved{Metrics: system.MetricsExact}); err != nil {
+		if err := run(out, simRequest("ioguard-40", 4, 0.7, 3, 1, system.MetricsExact), 60, path, false, 0); err != nil {
 			return err
 		}
 		b, err := os.ReadFile(path)
@@ -354,7 +375,7 @@ func TestGanttCSVDenseMatchesExact(t *testing.T) {
 // -hyperperiods 2 -seed 3 prints the same trial dense and by default.
 func TestPartitionDenseMatchesDefault(t *testing.T) {
 	dense, def := denseAndDefault(t, func(out io.Writer) error {
-		return run(out, "partition", "case", 4, 0.7, 2, 3, 1, 0, "", false, cliflags.Resolved{})
+		return run(out, simRequest("partition", 4, 0.7, 2, 3, system.MetricsExact), 0, "", false, 0)
 	})
 	if !strings.Contains(def, "system: ") {
 		t.Fatalf("no metrics block in output:\n%s", def)
@@ -374,11 +395,87 @@ func TestAvionicsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	dense, def := denseAndDefault(t, func(out io.Writer) error {
-		return run(out, "ioguard-70", "avionics", 4, 0.7, 1, 1, 1, 0, "", false, cliflags.Resolved{})
+		req := simRequest("ioguard-70", 4, 0.7, 1, 1, system.MetricsExact)
+		req.Workload = "avionics"
+		return run(out, req, 0, "", false, 0)
 	})
 	for name, got := range map[string]string{"dense": dense, "default": def} {
 		if got != string(golden) {
 			t.Errorf("%s output differs from the golden:\n%s\n--- golden ---\n%s", name, got, golden)
+		}
+	}
+}
+
+// TestTraceFlagsNeedOneTrial: -gantt, -csv and -bytask trace a single
+// trial, so with -trials N > 1 each is an error before any output
+// instead of being silently ignored.
+func TestTraceFlagsNeedOneTrial(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	req := simRequest("ioguard-70", 2, 0.5, 1, 1, system.MetricsExact)
+	req.Trials = 2
+	for _, tc := range []struct {
+		name    string
+		gantt   int
+		csvPath string
+		byTask  bool
+	}{
+		{"gantt", 30, "", false},
+		{"csv", 0, path, false},
+		{"bytask", 0, "", true},
+	} {
+		var out bytes.Buffer
+		if err := run(&out, req, tc.gantt, tc.csvPath, tc.byTask, 1); err == nil {
+			t.Errorf("-trials 2 -%s: no error", tc.name)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-trials 2 -%s: printed output:\n%s", tc.name, out.String())
+		}
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-trials 2 -csv wrote %s (stat: %v)", path, err)
+	}
+}
+
+// TestFaultFlagsResolve: the -fault-* sextet parses into the request's
+// fault plan, which Resolve validates onto the trial; by default the
+// plan is the zero (clean) one.
+func TestFaultFlagsResolve(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	req := requestFlags(fs)
+	if err := fs.Parse([]string{
+		"-fault-seed", "9", "-fault-jitter", "50",
+		"-fault-drop", "0.05", "-fault-dup", "0.02",
+		"-fault-delay", "0.1", "-fault-delay-max", "32",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rq, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := rq.Trial.Faults
+	if p.Seed != 9 || p.ReleaseJitter != 50 || p.DropProb != 0.05 ||
+		p.DupProb != 0.02 || p.DelayProb != 0.1 || p.DelayMax != 32 {
+		t.Errorf("resolved plan %+v", p)
+	}
+	if !p.Enabled() || rq.Trial.Seed != 1 {
+		t.Errorf("plan enabled %v, trial seed %d; want enabled at the default seed 1", p.Enabled(), rq.Trial.Seed)
+	}
+	if clean := requestFlags(flag.NewFlagSet("y", flag.ContinueOnError)); clean.Plan.Enabled() {
+		t.Errorf("default plan enabled: %+v", clean.Plan)
+	}
+	for _, args := range [][]string{
+		{"-fault-drop", "1.5"},
+		{"-fault-jitter", "-1"},
+		{"-fault-delay", "0.5"}, // without -fault-delay-max
+	} {
+		fs := flag.NewFlagSet("z", flag.ContinueOnError)
+		req := requestFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := req.Resolve(); err == nil {
+			t.Errorf("%v resolved", args)
 		}
 	}
 }

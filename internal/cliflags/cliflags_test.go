@@ -48,14 +48,16 @@ func TestResolveRejectsBadValues(t *testing.T) {
 	}
 }
 
-// TestRemovedSpellingsRejected pins the retired executor knobs and the
-// retired GK metrics mode: each spelling must fail instead of being
-// silently ignored.
+// TestRemovedSpellingsRejected pins the retired executor knobs, the
+// -fault-* flags (ioguard-sim's own, not shared) and the retired GK
+// metrics mode: each spelling must fail instead of being silently
+// ignored.
 func TestRemovedSpellingsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shard-workers", "2"},
 		{"-drain-min", "64"},
 		{"-drain-max", "65536"},
+		{"-fault-drop", "0.5"},
 	} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -75,52 +77,6 @@ func TestRemovedSpellingsRejected(t *testing.T) {
 		if _, err := e.Resolve(); err == nil {
 			t.Errorf("-metrics %s resolved", mode)
 		}
-	}
-}
-
-// TestFaultFlagsResolve: the -fault-* sextet parses into a validated
-// faults.Plan on Resolved, and stays the zero (clean) plan by default.
-func TestFaultFlagsResolve(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	e := Register(fs)
-	if err := fs.Parse([]string{
-		"-fault-seed", "9", "-fault-jitter", "50",
-		"-fault-drop", "0.05", "-fault-dup", "0.02",
-		"-fault-delay", "0.1", "-fault-delay-max", "32",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := r.Faults
-	if p.Seed != 9 || p.ReleaseJitter != 50 || p.DropProb != 0.05 ||
-		p.DupProb != 0.02 || p.DelayProb != 0.1 || p.DelayMax != 32 {
-		t.Errorf("resolved plan %+v", p)
-	}
-	if !p.Enabled() {
-		t.Error("configured plan reports disabled")
-	}
-	clean, err := (&Exec{Metrics: "exact"}).Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Faults.Enabled() {
-		t.Errorf("default plan enabled: %+v", clean.Faults)
-	}
-}
-
-// TestFaultFlagsRejectBadPlans routes plan validation through Resolve.
-func TestFaultFlagsRejectBadPlans(t *testing.T) {
-	if _, err := (&Exec{Metrics: "exact", FaultDrop: 1.5}).Resolve(); err == nil {
-		t.Error("drop probability > 1 accepted")
-	}
-	if _, err := (&Exec{Metrics: "exact", FaultJitter: -1}).Resolve(); err == nil {
-		t.Error("negative jitter accepted")
-	}
-	if _, err := (&Exec{Metrics: "exact", FaultDelay: 0.5}).Resolve(); err == nil {
-		t.Error("delay probability without -fault-delay-max accepted")
 	}
 }
 

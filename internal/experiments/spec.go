@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ioguard/internal/baseline"
@@ -43,8 +44,11 @@ func BuilderFor(name string) (system.Builder, error) {
 			return baseline.NewPartition(tr.VMs, tr.Tasks, col)
 		}, nil
 	case strings.HasPrefix(name, "ioguard-"):
-		var pct int
-		if _, err := fmt.Sscanf(name, "ioguard-%d", &pct); err != nil || pct < 0 || pct > 100 {
+		// Only the canonical spelling: no sign, leading zero or trailing
+		// input, so the label the report prints is the system that ran.
+		suffix := strings.TrimPrefix(name, "ioguard-")
+		pct, err := strconv.Atoi(suffix)
+		if err != nil || pct < 0 || pct > 100 || strconv.Itoa(pct) != suffix {
 			return nil, fmt.Errorf("bad I/O-GUARD spec %q (want ioguard-<0..100>)", name)
 		}
 		frac := float64(pct) / 100

@@ -31,29 +31,30 @@ import (
 // Plan configures the fault layer for one trial. The zero value is a
 // clean run: Enabled reports false and the runner skips the layer
 // entirely, leaving the hot path (and every golden output) untouched.
+// The JSON tags are the trial server's fault_* request fields.
 type Plan struct {
 	// Seed identifies the fault universe. The per-trial stream mixes it
 	// with the trial seed, so a sweep's trials see independent fault
 	// realizations while the same (-fault-seed, -seed) pair replays
 	// exactly.
-	Seed int64
+	Seed int64 `json:"fault_seed"`
 	// ReleaseJitter adds up to this many slots of extra delay to every
 	// residual task's inter-release gap (uniform in [0, ReleaseJitter]),
 	// on top of the sporadic model's own bounded jitter — the workload-
 	// layer perturbation.
-	ReleaseJitter slot.Time
+	ReleaseJitter slot.Time `json:"fault_jitter"`
 	// DropProb is the probability a submitted request is lost in
 	// transport and never reaches the system.
-	DropProb float64
+	DropProb float64 `json:"fault_drop"`
 	// DupProb is the probability a submitted request is duplicated: a
 	// clone follows the original through the same transport.
-	DupProb float64
+	DupProb float64 `json:"fault_dup"`
 	// DelayProb is the probability a submitted request is held in
 	// transport for a uniform extra delay in [1, DelayMax] slots.
-	DelayProb float64
+	DelayProb float64 `json:"fault_delay"`
 	// DelayMax bounds the transport delay; required positive when
 	// DelayProb is.
-	DelayMax slot.Time
+	DelayMax slot.Time `json:"fault_delay_max"`
 }
 
 // Enabled reports whether the plan perturbs anything.

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ioguard/internal/experiments"
 	"ioguard/internal/metrics"
 	"ioguard/internal/system"
 )
@@ -56,7 +57,7 @@ func (c JobStoreConfig) withDefaults() JobStoreConfig {
 // Job is one submitted sweep and its accumulated results.
 type Job struct {
 	ID      string
-	norm    *normalized
+	req     *experiments.Resolved
 	created time.Time
 
 	mu      sync.Mutex
@@ -83,15 +84,15 @@ func (j *Job) status(withSketches bool) SweepStatus {
 	st := SweepStatus{
 		ID:        j.ID,
 		State:     j.state,
-		System:    j.norm.req.System,
-		Trials:    j.norm.trials,
+		System:    j.req.System,
+		Trials:    j.req.Trials,
 		Completed: int(j.completed.Load()),
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
 	if j.state == JobDone && j.agg != nil {
-		st.Aggregate = toAggregate(j.norm.req.System, j.agg, withSketches)
+		st.Aggregate = toAggregate(j.req.System, j.agg, withSketches)
 	}
 	return st
 }
@@ -148,7 +149,7 @@ func newJobStore(cfg JobStoreConfig) *JobStore {
 // Submit queues a sweep. It returns ErrSaturated when MaxJobs jobs
 // are already waiting; an accepted job always reaches a terminal
 // state, even across Close.
-func (s *JobStore) Submit(norm *normalized) (*Job, error) {
+func (s *JobStore) Submit(req *experiments.Resolved) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -157,7 +158,7 @@ func (s *JobStore) Submit(norm *normalized) (*Job, error) {
 	s.seq++
 	j := &Job{
 		ID:      fmt.Sprintf("sweep-%06d", s.seq),
-		norm:    norm,
+		req:     req,
 		created: time.Now(),
 		state:   JobQueued,
 		done:    make(chan struct{}),
@@ -242,9 +243,9 @@ func (s *JobStore) runJob(j *Job) {
 	j.state = JobRunning
 	j.mu.Unlock()
 
-	cells := j.norm.cells()
+	cells := j.req.Cells()
 	agg := &metrics.Aggregate{}
-	sys := j.norm.req.System
+	sys := j.req.System
 	for off := 0; off < len(cells); off += chunkSize {
 		end := min(off+chunkSize, len(cells))
 		chunk := cells[off:end]

@@ -1,164 +1,73 @@
-// Request and response shapes of the trial service's JSON API, plus
-// the translation from a validated request to the executable cells of
-// the deterministic runner. A request names the same knobs as the
-// ioguard-sim command line (system spec, VM count, target utilization,
-// horizon, seed, trial count) and resolves through the same shared
-// helpers — experiments.BuilderFor for semantics, workload.Generate
-// for the task set, system.SweepCells for the sweep seed schedule —
-// which is what makes a server-executed trial byte-identical to the
-// CLI at the same seed.
+// Request decoding, admission caps and response shapes of the trial
+// service's JSON API. A request body is an experiments.Request — the
+// same configuration ioguard-sim's flags fill — decoded over
+// experiments.DefaultRequest and resolved through
+// experiments.Request.Resolve, which is what makes a server-executed
+// trial byte-identical to the CLI at the same parameters.
 package server
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"ioguard/internal/experiments"
-	"ioguard/internal/faults"
 	"ioguard/internal/metrics"
 	"ioguard/internal/slot"
-	"ioguard/internal/system"
-	"ioguard/internal/workload"
 )
-
-// TrialRequest is the body of POST /v1/trials and POST /v1/sweeps.
-// Zero-valued fields take the same defaults as the CLI flags.
-type TrialRequest struct {
-	// System is the spec spelling resolved by experiments.BuilderFor:
-	// legacy | rtxen | bluevisor | ioguard-<0..100>.
-	System string `json:"system"`
-	// VMs is the virtual-machine count (default 4).
-	VMs int `json:"vms,omitempty"`
-	// Util is the per-device target utilization (default 0.7).
-	Util float64 `json:"util,omitempty"`
-	// Hyperperiods is the horizon in workload hyper-periods (default 3).
-	Hyperperiods int `json:"hyperperiods,omitempty"`
-	// Seed seeds both the workload generator and the release jitter
-	// (default 1). With Trials > 1 the per-trial seeds follow
-	// ParallelSweep's SplitMix64 schedule from this base.
-	Seed int64 `json:"seed,omitempty"`
-	// Trials repeats the configuration across independent seeds
-	// (default 1). POST /v1/trials streams every trial's result;
-	// POST /v1/sweeps folds them into an aggregate.
-	Trials int `json:"trials,omitempty"`
-	// Metrics selects the collector mode: "exact" (default, buffered
-	// exact percentiles) or "stream" (bounded memory, mergeable KLL —
-	// sweep aggregates carry true cross-trial quantiles).
-	Metrics string `json:"metrics,omitempty"`
-	// The fault_* sextet mirrors the -fault-* CLI flags: a validated
-	// faults.Plan injected into every trial of the request. All zero
-	// (the default) runs clean. A bad plan is a client error (400).
-	FaultSeed     int64   `json:"fault_seed,omitempty"`
-	FaultJitter   int     `json:"fault_jitter,omitempty"`
-	FaultDrop     float64 `json:"fault_drop,omitempty"`
-	FaultDup      float64 `json:"fault_dup,omitempty"`
-	FaultDelay    float64 `json:"fault_delay,omitempty"`
-	FaultDelayMax int     `json:"fault_delay_max,omitempty"`
-}
-
-// normalized is a validated request: the resolved builder, generated
-// task set and base trial, ready to be laid out as cells.
-type normalized struct {
-	req    TrialRequest
-	build  system.Builder
-	trial  system.Trial
-	trials int
-}
 
 // Request size caps, checked before any cell is laid out. maxTrials is
 // 10× the paper's 1000 repetitions per configuration, and maxHorizon
-// 10× its 100 s (10^8-slot) trial. maxVMs is the evaluated platform's
-// 16 cores × at most 3 VMs each (Sec. V); every VM costs a pool per
-// device manager.
+// 10× its 100 s (10^8-slot) trial; maxSlots, the bound on trials ×
+// horizon, is the paper's own per-configuration budget of 1000 trials
+// × 100 s. maxVMs is the evaluated platform's 16 cores × at most 3 VMs
+// each (Sec. V); every VM costs a pool per device manager.
 const (
 	maxTrials            = 10_000
 	maxHorizon slot.Time = 1_000_000_000
+	maxSlots   slot.Time = 100_000_000_000
 	maxVMs               = 48
 )
 
-// normalize applies CLI defaults and validates the request into an
-// executable form. Validation errors are client errors (HTTP 400).
-func normalize(req TrialRequest) (*normalized, error) {
-	if req.System == "" {
-		req.System = "ioguard-70"
+// decode reads a request body over the defaults: an absent field keeps
+// its default (defaultMetrics, when set, for metrics), and a present
+// one is taken as sent, for resolve to validate like the CLI flag of
+// the same name. Unknown fields are an error.
+func decode(body io.Reader, defaultMetrics string) (experiments.Request, error) {
+	req := experiments.DefaultRequest()
+	if defaultMetrics != "" {
+		req.Metrics = defaultMetrics
 	}
-	if req.VMs == 0 {
-		req.VMs = 4
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return experiments.Request{}, fmt.Errorf("bad request body: %v", err)
 	}
-	if req.Util == 0 {
-		req.Util = 0.7
-	}
-	if req.Hyperperiods == 0 {
-		req.Hyperperiods = 3
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	if req.Trials == 0 {
-		req.Trials = 1
-	}
-	if req.Trials < 0 {
-		return nil, fmt.Errorf("trials must be positive (got %d)", req.Trials)
-	}
+	return req, nil
+}
+
+// resolve applies the server's admission caps around
+// experiments.Request.Resolve: the trial and VM counts before the task
+// set is drawn, the horizon and the total slots after. Errors are
+// client errors (HTTP 400).
+func resolve(req experiments.Request) (*experiments.Resolved, error) {
 	if req.Trials > maxTrials {
 		return nil, fmt.Errorf("trials must be at most %d (got %d)", maxTrials, req.Trials)
 	}
 	if req.VMs > maxVMs {
 		return nil, fmt.Errorf("vms must be at most %d (got %d)", maxVMs, req.VMs)
 	}
-	plan := faults.Plan{
-		Seed:          req.FaultSeed,
-		ReleaseJitter: slot.Time(req.FaultJitter),
-		DropProb:      req.FaultDrop,
-		DupProb:       req.FaultDup,
-		DelayProb:     req.FaultDelay,
-		DelayMax:      slot.Time(req.FaultDelayMax),
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	build, err := experiments.BuilderFor(req.System)
+	rq, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	mode, err := system.ParseMetricsMode(req.Metrics)
-	if err != nil {
-		return nil, err
+	if rq.Trial.Horizon > maxHorizon {
+		return nil, fmt.Errorf("horizon must be at most %d slots (got %d hyper-periods of %d)", maxHorizon, rq.Hyperperiods, rq.Trial.Tasks.Hyperperiod())
 	}
-	ts, err := workload.Generate(workload.Config{VMs: req.VMs, TargetUtil: req.Util, Seed: req.Seed})
-	if err != nil {
-		return nil, err
+	if total := slot.Time(rq.Trials) * rq.Trial.Horizon; total > maxSlots {
+		return nil, fmt.Errorf("trials × horizon must be at most %d slots (got %d × %d)", maxSlots, rq.Trials, rq.Trial.Horizon)
 	}
-	horizon, err := ts.Horizon(req.Hyperperiods)
-	if err != nil {
-		return nil, err
-	}
-	if horizon > maxHorizon {
-		return nil, fmt.Errorf("horizon must be at most %d slots (got %d hyper-periods of %d)", maxHorizon, req.Hyperperiods, ts.Hyperperiod())
-	}
-	return &normalized{
-		req:   req,
-		build: build,
-		trial: system.Trial{
-			VMs:     req.VMs,
-			Tasks:   ts,
-			Horizon: horizon,
-			Seed:    req.Seed,
-			Metrics: mode,
-			Faults:  plan,
-		},
-		trials: req.Trials,
-	}, nil
-}
-
-// cells lays the request out as runner cells: a single trial is one
-// cell at the base seed (matching ioguard-sim's single-trial path); a
-// sweep follows system.SweepCells' seed schedule exactly.
-func (n *normalized) cells() []system.Cell {
-	if n.trials == 1 {
-		return []system.Cell{{Build: n.build, Trial: n.trial}}
-	}
-	return system.SweepCells(n.build, n.trial, n.trials)
+	return rq, nil
 }
 
 // TrialResponse is one NDJSON line of a streamed trial execution.

@@ -22,6 +22,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"ioguard/internal/experiments"
 )
 
 // Config assembles a Server. Zero values select the component
@@ -118,23 +120,19 @@ func (s *Server) writeSaturated(w http.ResponseWriter) {
 	})
 }
 
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*normalized, bool) {
-	var req TrialRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
-		return nil, false
+// decodeRequest decodes and resolves the body, answering 400 itself
+// on failure.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*experiments.Resolved, bool) {
+	req, err := decode(http.MaxBytesReader(w, r.Body, 1<<20), s.cfg.DefaultMetrics)
+	var rq *experiments.Resolved
+	if err == nil {
+		rq, err = resolve(req)
 	}
-	if req.Metrics == "" {
-		req.Metrics = s.cfg.DefaultMetrics
-	}
-	norm, err := normalize(req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return nil, false
 	}
-	return norm, true
+	return rq, true
 }
 
 // handleTrials is the synchronous path: admit the request's cells
@@ -143,15 +141,15 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*normali
 // the whole queue could never be admitted, so it is a client error
 // (400), not a retryable 429 — and is refused before its cells exist.
 func (s *Server) handleTrials(w http.ResponseWriter, r *http.Request) {
-	norm, ok := s.decodeRequest(w, r)
+	rq, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
-	if depth := s.batcher.cfg.QueueDepth; norm.trials > depth {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("trials must be at most the queue depth %d (got %d)", depth, norm.trials)})
+	if depth := s.batcher.cfg.QueueDepth; rq.Trials > depth {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("trials must be at most the queue depth %d (got %d)", depth, rq.Trials)})
 		return
 	}
-	cells := norm.cells()
+	cells := rq.Cells()
 	units, err := s.batcher.Enqueue(cells)
 	if err == ErrSaturated {
 		s.writeSaturated(w)
@@ -173,7 +171,7 @@ func (s *Server) handleTrials(w http.ResponseWriter, r *http.Request) {
 				Error string `json:"error"`
 			}{i, res.Err.Error()})
 		} else {
-			enc.Encode(toResponse(norm.req.System, i, cells[i].Trial.Seed, res.Res, res.Timing))
+			enc.Encode(toResponse(rq.System, i, cells[i].Trial.Seed, res.Res, res.Timing))
 		}
 		if flusher != nil {
 			flusher.Flush()
@@ -184,11 +182,11 @@ func (s *Server) handleTrials(w http.ResponseWriter, r *http.Request) {
 // handleSweepSubmit is the asynchronous path: queue the sweep and
 // return 202 with the job id.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	norm, ok := s.decodeRequest(w, r)
+	rq, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
-	j, err := s.jobs.Submit(norm)
+	j, err := s.jobs.Submit(rq)
 	if err == ErrSaturated {
 		s.writeSaturated(w)
 		return

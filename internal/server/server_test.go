@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"ioguard/internal/experiments"
 	"ioguard/internal/metrics"
+	"ioguard/internal/slot"
 	"ioguard/internal/system"
 )
 
@@ -26,6 +28,25 @@ func lightRequest(trials int) map[string]any {
 		"seed":         3,
 		"trials":       trials,
 	}
+}
+
+// resolveBody decodes and resolves body the way the server does,
+// without running anything.
+func resolveBody(t *testing.T, body map[string]any) *experiments.Resolved {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	req, err := decode(bytes.NewReader(b), "")
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	rq, err := resolve(req)
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	return rq
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -113,11 +134,8 @@ func TestTrialsMatchParallelSweep(t *testing.T) {
 	defer hts.Close()
 
 	lines := readLines(t, postJSON(t, hts.URL+"/v1/trials", lightRequest(3)))
-	norm, err := normalize(TrialRequest{System: "bluevisor", VMs: 2, Util: 0.5, Hyperperiods: 1, Seed: 3, Trials: 3})
-	if err != nil {
-		t.Fatalf("normalize: %v", err)
-	}
-	results, err := system.RunCells(norm.cells(), 1)
+	rq := resolveBody(t, lightRequest(3))
+	results, err := system.RunCells(rq.Cells(), 1)
 	if err != nil {
 		t.Fatalf("runcells: %v", err)
 	}
@@ -129,6 +147,42 @@ func TestTrialsMatchParallelSweep(t *testing.T) {
 	}
 }
 
+// badRequests are bodies the server must refuse with 400 before any
+// cell is laid out.
+var badRequests = []map[string]any{
+	{"system": "warp-drive"},
+	{"system": "ioguard-170"},
+	// Non-canonical I/O-GUARD specs would run and print a bogus
+	// label.
+	{"system": "ioguard-70abc"},
+	{"system": "ioguard-+70"},
+	{"system": "ioguard-070"},
+	{"system": "ioguard-7 0"},
+	{"trials": -4},
+	// A present zero is validated, not replaced by the default.
+	{"trials": 0},
+	{"vms": 0},
+	{"metrics": "fuzzy"},
+	// Retired knobs and the retired GK metrics mode (spelled in
+	// pieces so a search for it over the tree finds no live use).
+	{"shard_workers": 2},
+	{"drain_min": 64},
+	{"drain_max": 65536},
+	{"dense": true},
+	{"metrics": "stream-" + "gk"},
+	{"fault_drop": 2.0},
+	{"fault_delay": 0.5}, // delay probability without fault_delay_max
+	{"fault_jitter": -3},
+	{"hyperperiods": -1},
+	// 1152921504606847 × H = 16000 (the default system) overflows
+	// slot.Time and wraps to a 384-slot horizon.
+	{"hyperperiods": 1152921504606847},
+	// Unbounded simulated work: 62501 × 16000 slots is past
+	// maxHorizon, and 49 VMs past maxVMs.
+	{"hyperperiods": 62501},
+	{"vms": 49},
+}
+
 // TestBadRequestsRejected: validation failures are client errors.
 func TestBadRequestsRejected(t *testing.T) {
 	srv := New(Config{})
@@ -136,30 +190,7 @@ func TestBadRequestsRejected(t *testing.T) {
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 
-	for _, body := range []map[string]any{
-		{"system": "warp-drive"},
-		{"system": "ioguard-170"},
-		{"trials": -4},
-		{"metrics": "fuzzy"},
-		// Retired knobs and the retired GK metrics mode (spelled in
-		// pieces so a search for it over the tree finds no live use).
-		{"shard_workers": 2},
-		{"drain_min": 64},
-		{"drain_max": 65536},
-		{"dense": true},
-		{"metrics": "stream-" + "gk"},
-		{"fault_drop": 2.0},
-		{"fault_delay": 0.5}, // delay probability without fault_delay_max
-		{"fault_jitter": -3},
-		{"hyperperiods": -1},
-		// 1152921504606847 × H = 16000 (the default system) overflows
-		// slot.Time and wraps to a 384-slot horizon.
-		{"hyperperiods": 1152921504606847},
-		// Unbounded simulated work: 62501 × 16000 slots is past
-		// maxHorizon, and 49 VMs past maxVMs.
-		{"hyperperiods": 62501},
-		{"vms": 49},
-	} {
+	for _, body := range badRequests {
 		resp := postJSON(t, hts.URL+"/v1/trials", body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
@@ -168,16 +199,42 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 }
 
-// TestRequestCapsAcceptBounds: a request exactly at the horizon and VM
-// caps is valid. Checked through normalize only: a trial of cap size
-// is never run.
+// withDefaults returns the default request with edit applied.
+func withDefaults(edit func(*experiments.Request)) experiments.Request {
+	req := experiments.DefaultRequest()
+	edit(&req)
+	return req
+}
+
+// TestRequestCapsAcceptBounds: a request exactly at the horizon, VM
+// and slot-product caps is valid. Checked through resolve only: a
+// trial of cap size is never run.
 func TestRequestCapsAcceptBounds(t *testing.T) {
 	// 62500 hyper-periods of the default system's H = 16000.
-	if norm, err := normalize(TrialRequest{Hyperperiods: 62500}); err != nil || norm.trial.Horizon != maxHorizon {
+	if rq, err := resolve(withDefaults(func(r *experiments.Request) { r.Hyperperiods = 62500 })); err != nil || rq.Trial.Horizon != maxHorizon {
 		t.Errorf("horizon at the cap: %v, want a %d-slot trial", err, maxHorizon)
 	}
-	if norm, err := normalize(TrialRequest{VMs: maxVMs}); err != nil || norm.trial.VMs != maxVMs {
+	if rq, err := resolve(withDefaults(func(r *experiments.Request) { r.VMs = maxVMs })); err != nil || rq.Trial.VMs != maxVMs {
 		t.Errorf("VMs at the cap: %v, want a %d-VM trial", err, maxVMs)
+	}
+	// 10000 trials × 625 × 16000 slots = maxSlots exactly.
+	rq, err := resolve(withDefaults(func(r *experiments.Request) { r.Trials, r.Hyperperiods = maxTrials, 625 }))
+	if err != nil || slot.Time(rq.Trials)*rq.Trial.Horizon != maxSlots {
+		t.Errorf("trials × horizon at the cap: %v, want %d slots", err, maxSlots)
+	}
+}
+
+// TestSlotProductCapped: trials and horizon each within their caps can
+// still multiply to more simulated slots than one request may queue.
+// Checked through resolve only.
+func TestSlotProductCapped(t *testing.T) {
+	// 10000 trials × 62500 × 16000 slots = 10^13.
+	if _, err := resolve(withDefaults(func(r *experiments.Request) { r.Trials, r.Hyperperiods = maxTrials, 62500 })); err == nil {
+		t.Error("10^13 slots accepted")
+	}
+	// One past the product bound: 10000 trials × 626 × 16000 slots.
+	if _, err := resolve(withDefaults(func(r *experiments.Request) { r.Trials, r.Hyperperiods = maxTrials, 626 })); err == nil {
+		t.Error("trials × horizon one hyper-period past the cap accepted")
 	}
 }
 
@@ -216,7 +273,7 @@ func TestOversizedTrialCountsRejected(t *testing.T) {
 
 // TestFaultedTrialsRoundTrip: a request carrying a fault plan streams
 // fault-annotated renders, reproduces byte-identically on rerun, and
-// matches direct execution of the normalized cells — the server-side
+// matches direct execution of the resolved cells — the server-side
 // face of the -fault-seed replay contract.
 func TestFaultedTrialsRoundTrip(t *testing.T) {
 	srv := New(Config{})
@@ -243,12 +300,8 @@ func TestFaultedTrialsRoundTrip(t *testing.T) {
 			t.Fatalf("faulted rerun diverged at line %d", i)
 		}
 	}
-	norm, err := normalize(TrialRequest{System: "bluevisor", VMs: 2, Util: 0.5, Hyperperiods: 1,
-		Seed: 3, Trials: 3, FaultSeed: 7, FaultJitter: 40, FaultDrop: 0.05})
-	if err != nil {
-		t.Fatalf("normalize: %v", err)
-	}
-	results, err := system.RunCells(norm.cells(), 1)
+	rq := resolveBody(t, req)
+	results, err := system.RunCells(rq.Cells(), 1)
 	if err != nil {
 		t.Fatalf("runcells: %v", err)
 	}
@@ -350,11 +403,8 @@ func TestBatcherAllOrNothing(t *testing.T) {
 	// the collector gathers units into an open batch but never runs it
 	// until Close drains.
 	b := NewBatcher(BatcherConfig{QueueDepth: 4, BatchSize: 100, MaxWait: time.Hour, Workers: 1})
-	norm, err := normalize(TrialRequest{System: "bluevisor", VMs: 2, Util: 0.5, Hyperperiods: 1, Seed: 3, Trials: 3})
-	if err != nil {
-		t.Fatalf("normalize: %v", err)
-	}
-	cells3 := norm.cells()
+	rq := resolveBody(t, lightRequest(3))
+	cells3 := rq.Cells()
 
 	first, err := b.Enqueue(cells3)
 	if err != nil {
@@ -394,11 +444,8 @@ func TestBatcherAllOrNothing(t *testing.T) {
 func TestBatchErrorAttribution(t *testing.T) {
 	b := NewBatcher(BatcherConfig{QueueDepth: 16, BatchSize: 3, MaxWait: time.Hour, Workers: 1})
 	defer b.Close()
-	norm, err := normalize(TrialRequest{System: "bluevisor", VMs: 2, Util: 0.5, Hyperperiods: 1, Seed: 3, Trials: 3})
-	if err != nil {
-		t.Fatalf("normalize: %v", err)
-	}
-	cells := norm.cells()
+	rq := resolveBody(t, lightRequest(3))
+	cells := rq.Cells()
 	cells[1].Trial.Horizon = 0 // poison: Run rejects a non-positive horizon
 
 	units, err := b.Enqueue(cells)
@@ -556,19 +603,16 @@ func TestSweepAggregateDistSummaries(t *testing.T) {
 // must then drain every accepted job.
 func TestJobStoreSaturation(t *testing.T) {
 	s := newJobStore(JobStoreConfig{MaxJobs: 2, Workers: 1})
-	norm, err := normalize(TrialRequest{System: "bluevisor", VMs: 2, Util: 0.5, Hyperperiods: 1, Seed: 3, Trials: 2})
-	if err != nil {
-		t.Fatalf("normalize: %v", err)
-	}
+	rq := resolveBody(t, lightRequest(2))
 	var jobs []*Job
 	for i := 0; i < 2; i++ {
-		j, err := s.Submit(norm)
+		j, err := s.Submit(rq)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		jobs = append(jobs, j)
 	}
-	if _, err := s.Submit(norm); err != ErrSaturated {
+	if _, err := s.Submit(rq); err != ErrSaturated {
 		t.Fatalf("overflow submit: got %v, want ErrSaturated", err)
 	}
 	if st := s.Stats(); st.Accepted != 2 || st.Rejected != 1 {
@@ -589,15 +633,12 @@ func TestJobStoreSaturation(t *testing.T) {
 // resolve — Close waits for both execution paths.
 func TestServerCloseDrains(t *testing.T) {
 	srv := New(Config{Batcher: BatcherConfig{MaxWait: time.Hour, BatchSize: 100, QueueDepth: 64}})
-	norm, err := normalize(TrialRequest{System: "bluevisor", VMs: 2, Util: 0.5, Hyperperiods: 1, Seed: 3, Trials: 4})
-	if err != nil {
-		t.Fatalf("normalize: %v", err)
-	}
-	units, err := srv.Batcher().Enqueue(norm.cells())
+	rq := resolveBody(t, lightRequest(4))
+	units, err := srv.Batcher().Enqueue(rq.Cells())
 	if err != nil {
 		t.Fatalf("enqueue: %v", err)
 	}
-	job, err := srv.Jobs().Submit(norm)
+	job, err := srv.Jobs().Submit(rq)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
