@@ -124,8 +124,6 @@ func main() {
 		vary     = flag.Bool("vary-seeds", false, "give every request a distinct workload seed (costs a workload regeneration per request)")
 
 		// -self server knobs.
-		batchSize  = flag.Int("batch-size", 64, "self-mode: max trials per batch")
-		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "self-mode: batch flush wait")
 		queueDepth = flag.Int("queue-depth", 1024, "self-mode: admission bound on queued trials")
 
 		// Assertions.
@@ -146,8 +144,6 @@ func main() {
 	if *self {
 		srv = server.New(server.Config{
 			Batcher: server.BatcherConfig{
-				BatchSize:  *batchSize,
-				MaxWait:    *batchWait,
 				QueueDepth: *queueDepth,
 				Workers:    r.Workers,
 			},

@@ -3,12 +3,15 @@
 // deterministic worker pool (POST /v1/trials streams results back as
 // NDJSON), sweeps run asynchronously through an in-memory job store
 // (POST /v1/sweeps, then GET /v1/sweeps/{id}), and admission control
-// answers 429 + Retry-After when the bounded queues are full.
+// answers 429 + Retry-After when the bounded queues are full. A batch
+// is whatever trials are queued when the pool comes free (at most 64);
+// no timer holds a request back, so -queue-depth is the batcher's only
+// setting.
 //
 // Usage:
 //
 //	ioguard-server -addr 127.0.0.1:8080
-//	ioguard-server -batch-size 128 -batch-wait 1ms -queue-depth 4096
+//	ioguard-server -queue-depth 4096
 //	ioguard-server -workers 8 -metrics stream
 //
 // A server-executed trial is byte-identical to ioguard-sim at the
@@ -40,8 +43,6 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		batchSize  = flag.Int("batch-size", 64, "max trials coalesced into one batch")
-		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "max time an open batch waits for more trials")
 		queueDepth = flag.Int("queue-depth", 1024, "admission bound on queued trials (beyond it: 429)")
 		maxJobs    = flag.Int("max-jobs", 64, "admission bound on queued sweep jobs (beyond it: 429)")
 		retryAfter = flag.Duration("retry-after", 250*time.Millisecond, "retry hint returned with 429 responses")
@@ -57,8 +58,6 @@ func main() {
 
 	srv := server.New(server.Config{
 		Batcher: server.BatcherConfig{
-			BatchSize:  *batchSize,
-			MaxWait:    *batchWait,
 			QueueDepth: *queueDepth,
 			Workers:    r.Workers,
 		},
@@ -85,8 +84,8 @@ func main() {
 		close(idle)
 	}()
 
-	log.Printf("ioguard-server: listening on %s (workers=%d batch-size=%d batch-wait=%s queue-depth=%d)",
-		*addr, r.Workers, *batchSize, *batchWait, *queueDepth)
+	log.Printf("ioguard-server: listening on %s (workers=%d queue-depth=%d)",
+		*addr, r.Workers, *queueDepth)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "ioguard-server:", err)
 		os.Exit(1)

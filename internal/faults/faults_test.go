@@ -23,25 +23,30 @@ func testSpec(id int) *task.Sporadic {
 	return &task.Sporadic{ID: id, Name: "t", VM: 0, Period: 100, WCET: 3, Deadline: 100, Device: "ethernet"}
 }
 
+// planCases are TestPlanValidate's table and FuzzFaultPlan's seed
+// corpus.
+var planCases = []struct {
+	name string
+	p    Plan
+	ok   bool
+}{
+	{"zero", Plan{}, true},
+	{"full", testPlan(), true},
+	{"neg jitter", Plan{ReleaseJitter: -1}, false},
+	{"neg delay max", Plan{DelayMax: -1}, false},
+	{"drop prob > 1", Plan{DropProb: 1.5}, false},
+	{"dup prob < 0", Plan{DupProb: -0.1}, false},
+	{"drop prob NaN", Plan{DropProb: math.NaN()}, false},
+	{"dup prob NaN", Plan{DupProb: math.NaN()}, false},
+	{"delay prob NaN", Plan{DelayProb: math.NaN(), DelayMax: 4}, false},
+	{"drop prob +Inf", Plan{DropProb: math.Inf(1)}, false},
+	{"delay prob -Inf", Plan{DelayProb: math.Inf(-1), DelayMax: 4}, false},
+	{"delay without bound", Plan{DelayProb: 0.5}, false},
+	{"delay with bound", Plan{DelayProb: 0.5, DelayMax: 4}, true},
+}
+
 func TestPlanValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		p    Plan
-		ok   bool
-	}{
-		{"zero", Plan{}, true},
-		{"full", testPlan(), true},
-		{"neg jitter", Plan{ReleaseJitter: -1}, false},
-		{"neg delay max", Plan{DelayMax: -1}, false},
-		{"drop prob > 1", Plan{DropProb: 1.5}, false},
-		{"dup prob < 0", Plan{DupProb: -0.1}, false},
-		{"drop prob NaN", Plan{DropProb: math.NaN()}, false},
-		{"dup prob NaN", Plan{DupProb: math.NaN()}, false},
-		{"delay prob NaN", Plan{DelayProb: math.NaN(), DelayMax: 4}, false},
-		{"delay without bound", Plan{DelayProb: 0.5}, false},
-		{"delay with bound", Plan{DelayProb: 0.5, DelayMax: 4}, true},
-	}
-	for _, c := range cases {
+	for _, c := range planCases {
 		if err := c.p.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
 		}

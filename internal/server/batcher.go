@@ -1,10 +1,12 @@
 // The request batcher: the server's synchronous execution path.
 // Incoming trial cells from concurrent HTTP requests are coalesced
-// into batches — flushed when BatchSize cells have gathered or
-// MaxWait has elapsed since the batch opened — and each batch runs on
-// the deterministic system.RunCells worker pool. Coalescing amortizes
-// the pool's spin-up across requests, which is what lets the server
-// sustain thousands of small trials per second.
+// into batches, and each batch runs on the deterministic
+// system.RunCells worker pool. A batch is whatever is already queued
+// when the collector comes back for work: it blocks for the first
+// cell, takes every cell waiting behind it up to maxBatch, and runs
+// them. Nothing waits on a timer: an idle server starts a lone request
+// at once, and under load the cells that arrive while one batch runs
+// fill the next, which amortizes the pool's spin-up across requests.
 //
 // Admission control is a reservation counter against QueueDepth:
 // Enqueue reserves all of a request's cells or none of them
@@ -37,11 +39,6 @@ var ErrSaturated = errors.New("server: saturated, retry later")
 // BatcherConfig tunes the synchronous batch executor. Zero values
 // select the defaults.
 type BatcherConfig struct {
-	// BatchSize caps the cells coalesced into one batch (default 64).
-	BatchSize int
-	// MaxWait bounds how long an open batch waits for more cells
-	// before flushing (default 2ms).
-	MaxWait time.Duration
 	// QueueDepth bounds admitted-but-unstarted cells; Enqueue refuses
 	// requests beyond it (default 1024).
 	QueueDepth int
@@ -50,17 +47,16 @@ type BatcherConfig struct {
 	Workers int
 }
 
+// maxBatch caps the cells one batch takes from the queue. Results
+// come back per batch, so the cap bounds how long the first request in
+// a backlog waits for the rest of its batch.
+const maxBatch = 64
+
 // timingEps is the ε of the batcher's timing recorders' percentile
 // sketch.
 const timingEps = 0.01
 
 func (c BatcherConfig) withDefaults() BatcherConfig {
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
@@ -101,7 +97,7 @@ type Batcher struct {
 	executedUnits    atomic.Int64
 	batches          atomic.Int64
 
-	mu      sync.RWMutex // guards closed (write: Close) vs Enqueue sends (read)
+	mu      sync.RWMutex // guards closed and the sends: read by Enqueue, written by Close and collect's drain
 	closed  bool
 	in      chan *Unit
 	drained chan struct{}
@@ -116,8 +112,16 @@ type Batcher struct {
 
 // NewBatcher starts the collector goroutine and returns the batcher.
 func NewBatcher(cfg BatcherConfig) *Batcher {
+	b := newBatcher(cfg)
+	go b.collect()
+	return b
+}
+
+// newBatcher builds a batcher without starting the collector — the
+// test seam for queueing cells before any batch forms.
+func newBatcher(cfg BatcherConfig) *Batcher {
 	cfg = cfg.withDefaults()
-	b := &Batcher{
+	return &Batcher{
 		cfg:       cfg,
 		in:        make(chan *Unit, cfg.QueueDepth),
 		drained:   make(chan struct{}),
@@ -125,8 +129,6 @@ func NewBatcher(cfg BatcherConfig) *Batcher {
 		execTime:  metrics.NewStreaming(timingEps, 2),
 		batchSize: metrics.NewStreaming(timingEps, 3),
 	}
-	go b.collect()
-	return b
 }
 
 // Enqueue admits all of cells or none of them. On success every
@@ -176,10 +178,13 @@ func (b *Batcher) Close() {
 	<-b.drained
 }
 
-// collect is the single collector goroutine: it opens a batch on the
-// first arriving cell, tops it up until BatchSize or MaxWait, then
-// executes. A closed input channel still yields its buffered cells
-// before reporting !ok, so close-time draining falls out naturally.
+// collect is the single collector goroutine: it blocks for the first
+// cell, takes every cell already queued behind it up to maxBatch, then
+// executes. The drain holds mu for writing, so an Enqueue caught in
+// the middle of its sends finishes them first and a request splits
+// across batches only at the cap. A closed input channel still yields
+// its buffered cells before reporting !ok, so close-time draining
+// falls out naturally.
 func (b *Batcher) collect() {
 	defer close(b.drained)
 	for {
@@ -188,20 +193,20 @@ func (b *Batcher) collect() {
 			return
 		}
 		batch := []*Unit{u}
-		timer := time.NewTimer(b.cfg.MaxWait)
+		b.mu.Lock()
 	fill:
-		for len(batch) < b.cfg.BatchSize {
+		for len(batch) < maxBatch {
 			select {
 			case u2, ok := <-b.in:
 				if !ok {
 					break fill
 				}
 				batch = append(batch, u2)
-			case <-timer.C:
+			default:
 				break fill
 			}
 		}
-		timer.Stop()
+		b.mu.Unlock()
 		b.runBatch(batch)
 	}
 }

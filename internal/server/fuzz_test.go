@@ -25,6 +25,9 @@ func FuzzRequest(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	for _, body := range trailingBodies {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decode(bytes.NewReader(body), "")
 		if err != nil {

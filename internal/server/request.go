@@ -8,6 +8,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -32,7 +33,8 @@ const (
 // decode reads a request body over the defaults: an absent field keeps
 // its default (defaultMetrics, when set, for metrics), and a present
 // one is taken as sent, for resolve to validate like the CLI flag of
-// the same name. Unknown fields are an error.
+// the same name. Unknown fields are an error, and so is anything but
+// whitespace after the first JSON value.
 func decode(body io.Reader, defaultMetrics string) (experiments.Request, error) {
 	req := experiments.DefaultRequest()
 	if defaultMetrics != "" {
@@ -42,6 +44,9 @@ func decode(body io.Reader, defaultMetrics string) (experiments.Request, error) 
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return experiments.Request{}, fmt.Errorf("bad request body: %v", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return experiments.Request{}, errors.New("bad request body: data after the JSON object")
 	}
 	return req, nil
 }

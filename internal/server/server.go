@@ -52,12 +52,18 @@ type Server struct {
 // New starts the service's goroutines (batch collector, job runner)
 // and returns the server. Call Close to drain and stop them.
 func New(cfg Config) *Server {
+	return newServer(cfg, NewBatcher(cfg.Batcher))
+}
+
+// newServer builds the service around b — the test seam for a batcher
+// whose collector is not started yet. cfg.Batcher is not read.
+func newServer(cfg Config, b *Batcher) *Server {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 250 * time.Millisecond
 	}
 	s := &Server{
 		cfg:     cfg,
-		batcher: NewBatcher(cfg.Batcher),
+		batcher: b,
 		jobs:    NewJobStore(cfg.Jobs),
 		started: time.Now(),
 	}

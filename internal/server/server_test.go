@@ -6,10 +6,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ioguard/internal/experiments"
 	"ioguard/internal/metrics"
@@ -183,6 +184,14 @@ var badRequests = []map[string]any{
 	{"vms": 49},
 }
 
+// trailingBodies are bodies whose first JSON value is valid but which
+// carry more after it; the server must refuse them rather than run
+// the first value and drop the rest.
+var trailingBodies = []string{
+	`{"seed": 5} {"trials": 99999999}`,
+	`{"seed": 5} garbage`,
+}
+
 // TestBadRequestsRejected: validation failures are client errors.
 func TestBadRequestsRejected(t *testing.T) {
 	srv := New(Config{})
@@ -196,6 +205,20 @@ func TestBadRequestsRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("request %v: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+	for _, body := range trailingBodies {
+		resp, err := http.Post(hts.URL+"/v1/trials", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("post: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	// Trailing whitespace is not data.
+	if _, err := decode(strings.NewReader("{\"seed\": 5} \n\t"), ""); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
 	}
 }
 
@@ -319,20 +342,24 @@ func TestFaultedTrialsRoundTrip(t *testing.T) {
 // queue admits and checks three things: some requests are refused
 // with 429 + Retry-After, refused requests admit nothing, and every
 // accepted request streams back its full trial count — an accepted
-// job is never dropped.
+// job is never dropped. The collector starts only after the first
+// 429, so the queue is full when the clients first arrive.
 func TestSaturationReturns429(t *testing.T) {
-	srv := New(Config{Batcher: BatcherConfig{QueueDepth: 8, BatchSize: 8, MaxWait: time.Millisecond}})
+	b := newBatcher(BatcherConfig{QueueDepth: 8})
+	srv := newServer(Config{}, b)
 	defer srv.Close()
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 
 	const clients = 16
 	var (
-		mu       sync.Mutex
-		rejected int
-		complete int
-		short    int
+		mu        sync.Mutex
+		rejected  int
+		complete  int
+		short     int
+		firstOnce sync.Once
 	)
+	firstReject := make(chan struct{})
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -368,6 +395,7 @@ func TestSaturationReturns429(t *testing.T) {
 					mu.Lock()
 					rejected++
 					mu.Unlock()
+					firstOnce.Do(func() { close(firstReject) })
 				default:
 					resp.Body.Close()
 					t.Errorf("unexpected status %d", resp.StatusCode)
@@ -375,6 +403,8 @@ func TestSaturationReturns429(t *testing.T) {
 			}
 		}()
 	}
+	<-firstReject
+	go b.collect()
 	wg.Wait()
 
 	if rejected == 0 {
@@ -399,10 +429,8 @@ func TestSaturationReturns429(t *testing.T) {
 // a request larger than the remaining depth is refused whole, a
 // smaller one still fits, and Close resolves every admitted unit.
 func TestBatcherAllOrNothing(t *testing.T) {
-	// BatchSize > depth and a huge MaxWait keep reservations pinned:
-	// the collector gathers units into an open batch but never runs it
-	// until Close drains.
-	b := NewBatcher(BatcherConfig{QueueDepth: 4, BatchSize: 100, MaxWait: time.Hour, Workers: 1})
+	// No collector yet: reservations stay pinned until Close drains.
+	b := newBatcher(BatcherConfig{QueueDepth: 4, Workers: 1})
 	rq := resolveBody(t, lightRequest(3))
 	cells3 := rq.Cells()
 
@@ -422,6 +450,7 @@ func TestBatcherAllOrNothing(t *testing.T) {
 		t.Fatalf("admission counters wrong: %+v", st)
 	}
 
+	go b.collect()
 	b.Close() // must drain: all four admitted units resolve
 	for i, u := range append(first, second...) {
 		select {
@@ -442,7 +471,7 @@ func TestBatcherAllOrNothing(t *testing.T) {
 // batch-mates — the batcher retries individually and attributes the
 // error to exactly the bad cell.
 func TestBatchErrorAttribution(t *testing.T) {
-	b := NewBatcher(BatcherConfig{QueueDepth: 16, BatchSize: 3, MaxWait: time.Hour, Workers: 1})
+	b := newBatcher(BatcherConfig{QueueDepth: 16, Workers: 1})
 	defer b.Close()
 	rq := resolveBody(t, lightRequest(3))
 	cells := rq.Cells()
@@ -452,8 +481,12 @@ func TestBatchErrorAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("enqueue: %v", err)
 	}
+	go b.collect() // the three queued cells run as one batch
 	for i, u := range units {
 		res := <-u.Done()
+		if res.Timing.BatchSize != len(cells) {
+			t.Fatalf("cell %d ran in a batch of %d, want %d", i, res.Timing.BatchSize, len(cells))
+		}
 		if i == 1 {
 			if res.Err == nil {
 				t.Fatal("poisoned cell did not report its error")
@@ -463,6 +496,66 @@ func TestBatchErrorAttribution(t *testing.T) {
 		if res.Err != nil || res.Res == nil {
 			t.Fatalf("healthy cell %d caught its batch-mate's error: %+v", i, res)
 		}
+	}
+}
+
+// TestBatchIsWhatIsQueued: the cells of three requests queued before
+// the collector starts run as one batch, with no timer involved.
+func TestBatchIsWhatIsQueued(t *testing.T) {
+	b := newBatcher(BatcherConfig{Workers: 1})
+	defer b.Close()
+	var units []*Unit
+	total := 0
+	for _, n := range []int{1, 2, 3} {
+		cells := resolveBody(t, lightRequest(n)).Cells()
+		us, err := b.Enqueue(cells)
+		if err != nil {
+			t.Fatalf("enqueue %d: %v", n, err)
+		}
+		units = append(units, us...)
+		total += n
+	}
+	go b.collect()
+	for i, u := range units {
+		res := <-u.Done()
+		if res.Err != nil || res.Timing.BatchSize != total {
+			t.Fatalf("unit %d: err %v, batch of %d, want one batch of %d", i, res.Err, res.Timing.BatchSize, total)
+		}
+	}
+	if st := b.Stats(); st.Batches != 1 || st.ExecutedTrials != int64(total) {
+		t.Fatalf("want one batch of %d: %+v", total, st)
+	}
+}
+
+// TestBatchCap: a backlog longer than maxBatch runs as a full batch
+// of the first maxBatch cells in queue order, then the remainder; Close
+// on the running batcher resolves all of it.
+func TestBatchCap(t *testing.T) {
+	const backlog = maxBatch + 6
+	b := newBatcher(BatcherConfig{Workers: 1})
+	cells := resolveBody(t, lightRequest(backlog)).Cells()
+	units, err := b.Enqueue(cells)
+	if err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	go b.collect()
+	b.Close()
+	for i, u := range units {
+		want := maxBatch
+		if i >= maxBatch {
+			want = backlog - maxBatch
+		}
+		select {
+		case res := <-u.Done():
+			if res.Err != nil || res.Res == nil || res.Timing.BatchSize != want {
+				t.Fatalf("unit %d: %+v, want a result from a batch of %d", i, res, want)
+			}
+		default:
+			t.Fatalf("unit %d unresolved after Close", i)
+		}
+	}
+	if st := b.Stats(); st.Batches != 2 || st.ExecutedTrials != backlog || st.Queued != 0 {
+		t.Fatalf("want 2 batches draining %d trials: %+v", backlog, st)
 	}
 }
 
@@ -630,9 +723,12 @@ func TestJobStoreSaturation(t *testing.T) {
 }
 
 // TestServerCloseDrains: trials admitted just before shutdown still
-// resolve — Close waits for both execution paths.
+// resolve — Close waits for both execution paths. The collector starts
+// only once Close has stopped admission, so Close is called while the
+// units are still queued.
 func TestServerCloseDrains(t *testing.T) {
-	srv := New(Config{Batcher: BatcherConfig{MaxWait: time.Hour, BatchSize: 100, QueueDepth: 64}})
+	b := newBatcher(BatcherConfig{QueueDepth: 64})
+	srv := newServer(Config{}, b)
 	rq := resolveBody(t, lightRequest(4))
 	units, err := srv.Batcher().Enqueue(rq.Cells())
 	if err != nil {
@@ -642,7 +738,22 @@ func TestServerCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	srv.Close()
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	for {
+		b.mu.RLock()
+		closing := b.closed
+		b.mu.RUnlock()
+		if closing {
+			break
+		}
+		runtime.Gosched()
+	}
+	go b.collect()
+	<-closed
 	for i, u := range units {
 		select {
 		case res := <-u.Done():

@@ -132,10 +132,11 @@ type Config struct {
 	// (they model run-time load; jitter keeps them out of the
 	// P-channel). Zero keeps everything periodic.
 	SyntheticJitter slot.Time
-	// SyntheticPerDevice is the number of synthetic tasks per device
-	// used to absorb the utilization gap; default 4.
-	SyntheticPerDevice int
 }
+
+// syntheticPerDevice is the number of synthetic tasks per device that
+// absorb the gap between the catalogue's utilization and the target.
+const syntheticPerDevice = 4
 
 // Generate builds the case-study task set: the full safety and
 // function catalogues plus synthetic load lifting each device to the
@@ -147,9 +148,6 @@ func Generate(cfg Config) (task.Set, error) {
 	}
 	if !(cfg.TargetUtil >= 0 && cfg.TargetUtil <= 1) { // NaN fails both
 		return nil, fmt.Errorf("workload: target utilization %.2f outside [0,1]", cfg.TargetUtil)
-	}
-	if cfg.SyntheticPerDevice <= 0 {
-		cfg.SyntheticPerDevice = 4
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	entries := append(SafetyEntries(), FunctionEntries()...)
@@ -196,7 +194,7 @@ func Generate(cfg Config) (task.Set, error) {
 		if gap <= 0.001 {
 			continue
 		}
-		for i, u := range UUniFast(rng, cfg.SyntheticPerDevice, gap) {
+		for i, u := range UUniFast(rng, syntheticPerDevice, gap) {
 			p := periodLadder[rng.Intn(len(periodLadder))]
 			c := slot.Time(u*float64(p) + 0.5)
 			if c < 1 {
