@@ -70,7 +70,7 @@ func newClientTimings(client int) *clientTimings {
 	return &clientTimings{rec(0), rec(1), rec(2), rec(3)}
 }
 
-func (t *clientTimings) addServer(tm serverTiming) {
+func (t *clientTimings) addServer(tm server.Timing) {
 	t.queueWait.Add(tm.QueueWaitMs)
 	t.execMs.Add(tm.ExecMs)
 	t.batchSize.Add(float64(tm.BatchSize))
@@ -96,17 +96,11 @@ func mergeClientTimings(per []*clientTimings) (*clientTimings, error) {
 	return out, nil
 }
 
-type serverTiming struct {
-	QueueWaitMs float64 `json:"queue_wait_ms"`
-	ExecMs      float64 `json:"exec_ms"`
-	BatchSize   int     `json:"batch_size"`
-}
-
 // resultLine is the subset of the server's NDJSON line the client
 // needs.
 type resultLine struct {
-	Error  string       `json:"error"`
-	Timing serverTiming `json:"timing"`
+	Error  string        `json:"error"`
+	Timing server.Timing `json:"timing"`
 }
 
 func main() {

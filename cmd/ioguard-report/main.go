@@ -25,12 +25,8 @@ import (
 
 func main() {
 	var (
-		file     = flag.String("f", "BENCH_sim.json", "trajectory (or single report) to analyze")
-		out      = flag.String("o", "-", "write the rendered report here (\"-\" for stdout)")
-		speedCut = flag.Float64("speedup-drop", 2, "regression gate: latest speedup < prior median / this factor")
-		quantCut = flag.Float64("quantile-grow", 1.5, "regression gate: latest response p99 > prior median × this factor")
-		succCut  = flag.Float64("success-drop", 0.05, "regression gate: latest success ratio < prior median − this")
-		minRuns  = flag.Int("min-runs", 2, "runs needed before any gate fires")
+		file = flag.String("f", "BENCH_sim.json", "trajectory (or single report) to analyze")
+		out  = flag.String("o", "-", "write the rendered report here (\"-\" for stdout)")
 	)
 	flag.Parse()
 
@@ -39,12 +35,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ioguard-report: %v\n", err)
 		os.Exit(2)
 	}
-	a := results.Analyze(traj, results.AnalysisConfig{
-		SpeedupDropFactor:  *speedCut,
-		QuantileGrowFactor: *quantCut,
-		SuccessDrop:        *succCut,
-		MinRuns:            *minRuns,
-	})
+	a := results.Analyze(traj)
 	rendered := results.Render(a)
 	if *out == "-" {
 		fmt.Print(rendered)

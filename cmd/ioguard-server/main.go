@@ -45,7 +45,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
 		queueDepth = flag.Int("queue-depth", 1024, "admission bound on queued trials (beyond it: 429)")
 		maxJobs    = flag.Int("max-jobs", 64, "admission bound on queued sweep jobs (beyond it: 429)")
-		retryAfter = flag.Duration("retry-after", 250*time.Millisecond, "retry hint returned with 429 responses")
 		drainWait  = flag.Duration("drain-wait", 30*time.Second, "graceful-shutdown deadline for in-flight HTTP streams")
 	)
 	exec := cliflags.RegisterDefault()
@@ -65,7 +64,6 @@ func main() {
 			MaxJobs: *maxJobs,
 			Workers: r.Workers,
 		},
-		RetryAfter:     *retryAfter,
 		DefaultMetrics: r.Metrics.String(),
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}

@@ -16,9 +16,7 @@ import (
 	"fmt"
 	"testing"
 
-	"ioguard/internal/core"
 	"ioguard/internal/experiments"
-	"ioguard/internal/hypervisor"
 	"ioguard/internal/queue"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
@@ -72,23 +70,21 @@ func sparseSlotsPerOp() int64 {
 	return int64(tr.Horizon)
 }
 
-// ioguard70 is the RunSparse and RunAvionics system: I/O-GUARD-70
-// with the DirectEDF G-Sched.
-func ioguard70(tr system.Trial, col *system.Collector) (system.System, error) {
-	return core.New(core.Config{
-		VMs:         tr.VMs,
-		PreloadFrac: 0.7,
-		Mode:        hypervisor.DirectEDF,
-	}, tr.Tasks, col)
-}
-
-// runCell runs one trial of a benchmark cell per iteration. A pair's
-// dense variant passes systemtest.Dense(build) and its fastforward
-// variant build itself, so both execute the identical trial.
-func runCell(b *testing.B, cell func() (system.Trial, error), build system.Builder) {
+// runCell runs one trial of a benchmark cell per iteration on the
+// system experiments.BuilderFor(spec) builds. A pair's dense variant
+// wraps the builder in systemtest.Dense and its fastforward variant
+// runs it as is, so both execute the identical trial.
+func runCell(b *testing.B, cell func() (system.Trial, error), spec string, dense bool) {
 	tr, err := cell()
 	if err != nil {
 		b.Fatal(err)
+	}
+	build, err := experiments.BuilderFor(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if dense {
+		build = systemtest.Dense(build)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -110,7 +106,11 @@ const skewedHyperperiods slot.Time = 2
 // telemetry keeps four devices almost idle while a diagnostic flood
 // drives the CAN controller to 60% utilization. Under a single global
 // clock the busy device pins the whole system to dense stepping; the
-// per-device clocks let the idle devices keep fast-forwarding.
+// per-device clocks let the idle devices keep fast-forwarding. The
+// cell runs on ioguard-0, every task on the R-channel, so the busy
+// CAN manager's pool does the work, and on the Legacy and BS|RT-XEN
+// mesh baselines, each one shard that jumps between request
+// injections, mesh hops and the CAN station's service starts and ends.
 func skewedWorkload() (system.Trial, error) {
 	ts, err := workload.GenerateTelemetry(workload.TelemetryConfig{
 		VMs: 4, HotDevice: "can", HotUtil: 0.6, Seed: 1,
@@ -134,25 +134,6 @@ func skewedSlotsPerOp() int64 {
 		return 0
 	}
 	return int64(tr.Horizon)
-}
-
-// skewedIOGuard is the RunSkewed system: I/O-GUARD with every task on
-// the R-channel, so the busy CAN manager's pool does the work.
-func skewedIOGuard(tr system.Trial, col *system.Collector) (system.System, error) {
-	return core.New(core.Config{VMs: tr.VMs, Mode: hypervisor.DirectEDF}, tr.Tasks, col)
-}
-
-// meshBaseline resolves a mesh-coupled baseline (legacy | rtxen) for
-// the skewed cell. Its fastforward variant runs the system as one
-// shard that jumps between request injections, mesh hops and the
-// busy CAN station's service starts and ends. An unknown name fails
-// the first build.
-func meshBaseline(sysName string) system.Builder {
-	build, err := experiments.BuilderFor(sysName)
-	if err != nil {
-		return func(system.Trial, *system.Collector) (system.System, error) { return nil, err }
-	}
-	return build
 }
 
 // collectorComplete measures the collector's per-completion hot path
@@ -214,25 +195,25 @@ func pqChurn(b *testing.B) {
 func Specs() []Spec {
 	return []Spec{
 		{Name: "RunSparse/dense", SlotsPerOp: sparseSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, sparseWorkload, systemtest.Dense(ioguard70)) }},
+			Bench: func(b *testing.B) { runCell(b, sparseWorkload, "ioguard-70", true) }},
 		{Name: "RunSparse/fastforward", SlotsPerOp: sparseSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, sparseWorkload, ioguard70) }},
+			Bench: func(b *testing.B) { runCell(b, sparseWorkload, "ioguard-70", false) }},
 		{Name: "RunAvionics/dense", SlotsPerOp: avionicsSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, avionicsWorkload, systemtest.Dense(ioguard70)) }},
+			Bench: func(b *testing.B) { runCell(b, avionicsWorkload, "ioguard-70", true) }},
 		{Name: "RunAvionics/fastforward", SlotsPerOp: avionicsSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, avionicsWorkload, ioguard70) }},
+			Bench: func(b *testing.B) { runCell(b, avionicsWorkload, "ioguard-70", false) }},
 		{Name: "RunSkewed/dense", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, skewedWorkload, systemtest.Dense(skewedIOGuard)) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, "ioguard-0", true) }},
 		{Name: "RunSkewed/fastforward", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, skewedWorkload, skewedIOGuard) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, "ioguard-0", false) }},
 		{Name: "RunSkewedLegacy/dense", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, skewedWorkload, systemtest.Dense(meshBaseline("legacy"))) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, "legacy", true) }},
 		{Name: "RunSkewedLegacy/fastforward", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, skewedWorkload, meshBaseline("legacy")) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, "legacy", false) }},
 		{Name: "RunSkewedRTXen/dense", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, skewedWorkload, systemtest.Dense(meshBaseline("rtxen"))) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, "rtxen", true) }},
 		{Name: "RunSkewedRTXen/fastforward", SlotsPerOp: skewedSlotsPerOp(),
-			Bench: func(b *testing.B) { runCell(b, skewedWorkload, meshBaseline("rtxen")) }},
+			Bench: func(b *testing.B) { runCell(b, skewedWorkload, "rtxen", false) }},
 		{Name: "SlotBuild/dense", SlotsPerOp: 0,
 			Bench: func(b *testing.B) { slotBuild(b, true) }},
 		{Name: "SlotBuild/interval", SlotsPerOp: 0,

@@ -20,73 +20,15 @@ import (
 	"sort"
 	"strings"
 
-	"ioguard/internal/baseline"
 	"ioguard/internal/core"
 	"ioguard/internal/faults"
 	"ioguard/internal/hw"
-	"ioguard/internal/hypervisor"
 	"ioguard/internal/metrics"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/task"
 	"ioguard/internal/workload"
 )
-
-// SystemNames lists the case-study systems in presentation order —
-// the column set of the committed Fig. 7 tables. BS|PART joins
-// Builders() (and the robustness sweep) but not this list, which
-// keeps every historical render byte-identical.
-func SystemNames() []string {
-	return []string{"BS|Legacy", "BS|RT-XEN", "BS|BV", "I/O-GUARD-40", "I/O-GUARD-70"}
-}
-
-// AllSystemNames lists every buildable system in presentation order —
-// the case-study five plus the BS|PART partitioning baseline. The
-// robustness sweep compares across this set.
-func AllSystemNames() []string {
-	return []string{"BS|Legacy", "BS|RT-XEN", "BS|BV", "BS|PART", "I/O-GUARD-40", "I/O-GUARD-70"}
-}
-
-// Builders returns the builder of every case-study system, plus the
-// BS|PART static-partitioning baseline of the robustness runs.
-func Builders() map[string]system.Builder {
-	return map[string]system.Builder{
-		"BS|Legacy": func(tr system.Trial, col *system.Collector) (system.System, error) {
-			return baseline.NewLegacy(tr.VMs, tr.Tasks, col)
-		},
-		"BS|RT-XEN": func(tr system.Trial, col *system.Collector) (system.System, error) {
-			return baseline.NewRTXen(tr.VMs, tr.Tasks, col, 0)
-		},
-		"BS|BV": func(tr system.Trial, col *system.Collector) (system.System, error) {
-			return baseline.NewBlueVisor(tr.VMs, tr.Tasks, col)
-		},
-		"BS|PART": func(tr system.Trial, col *system.Collector) (system.System, error) {
-			return baseline.NewPartition(tr.VMs, tr.Tasks, col)
-		},
-		"I/O-GUARD-40": IOGuardBuilder(0.40),
-		"I/O-GUARD-70": IOGuardBuilder(0.70),
-	}
-}
-
-// DefaultPoolCapacity is the per-VM I/O-pool depth of the prototype
-// hypervisor: the pool's priority-queue entries are hardware
-// registers (Sec. III-A footnote 2), so the R-channel backlog per VM
-// is bounded and overload eventually drops requests.
-const DefaultPoolCapacity = 8
-
-// IOGuardBuilder returns a builder for I/O-GUARD-x with the given
-// pre-load fraction, running the R-channel in the paper's DirectEDF
-// G-Sched configuration with the prototype's pool depth.
-func IOGuardBuilder(frac float64) system.Builder {
-	return func(tr system.Trial, col *system.Collector) (system.System, error) {
-		return core.New(core.Config{
-			VMs:          tr.VMs,
-			PreloadFrac:  frac,
-			Mode:         hypervisor.DirectEDF,
-			PoolCapacity: DefaultPoolCapacity,
-		}, tr.Tasks, col)
-	}
-}
 
 // CaseStudyConfig parameterizes the Fig. 7 sweep.
 type CaseStudyConfig struct {
@@ -581,25 +523,30 @@ type AblationPoint struct {
 	Agg    *metrics.Aggregate
 }
 
-// SchedulerAblation compares three DirectEDF configurations of
-// I/O-GUARD at a given utilization: "direct-edf" (40% of the tasks
-// pre-loaded into the slot table), "direct-edf+reclaim" (the same,
-// plus the R-channel reclaiming idle table slots) and "no-preload"
-// (every task on the R-channel). The trials of each configuration run
-// on `workers` goroutines (≤0 = GOMAXPROCS).
+// SchedulerAblation compares three variants of the I/O-GUARD
+// configuration (ioguardConfig) at a given utilization: "direct-edf"
+// (40% of the tasks pre-loaded into the slot table),
+// "direct-edf+reclaim" (the same, plus the R-channel reclaiming idle
+// table slots) and "no-preload" (every task on the R-channel). The
+// trials of each configuration run on `workers` goroutines (≤0 =
+// GOMAXPROCS).
 func SchedulerAblation(vms int, util float64, trials int, seed int64, workers int) ([]AblationPoint, error) {
 	ts, err := workload.Generate(workload.Config{VMs: vms, TargetUtil: util, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	horizon := ts.Hyperperiod() * 3
+	base := ioguardConfig(vms, 0.4)
+	reclaim, noPreload := base, base
+	reclaim.WorkConserving = true
+	noPreload.PreloadFrac = 0
 	configs := []struct {
 		name string
 		cfg  core.Config
 	}{
-		{"direct-edf", core.Config{VMs: vms, PreloadFrac: 0.4, Mode: hypervisor.DirectEDF}},
-		{"direct-edf+reclaim", core.Config{VMs: vms, PreloadFrac: 0.4, Mode: hypervisor.DirectEDF, WorkConserving: true}},
-		{"no-preload", core.Config{VMs: vms, PreloadFrac: 0, Mode: hypervisor.DirectEDF}},
+		{"direct-edf", base},
+		{"direct-edf+reclaim", reclaim},
+		{"no-preload", noPreload},
 	}
 	var out []AblationPoint
 	for _, c := range configs {

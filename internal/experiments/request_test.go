@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"ioguard/internal/system"
@@ -23,6 +24,37 @@ func TestBuilderForCanonicalSpecs(t *testing.T) {
 	} {
 		if _, err := BuilderFor(name); err == nil {
 			t.Errorf("%q accepted", name)
+		}
+	}
+}
+
+// TestSpecBuildsReportSystem: a spec and the report name in its table
+// row build the same system, so a CLI or server probe of ioguard-70
+// measures Fig. 7's I/O-GUARD-70. The cell overloads one VM's pools,
+// where an unbounded-pool I/O-GUARD drops nothing and the prototype's
+// 8-deep pools drop jobs.
+func TestSpecBuildsReportSystem(t *testing.T) {
+	ts, err := workload.Generate(workload.Config{VMs: 1, TargetUtil: 1.0, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := system.Trial{VMs: 1, Tasks: ts, Horizon: ts.Hyperperiod() * 3, Seed: 1}
+	builders := Builders()
+	for _, row := range systems {
+		bySpec, err := BuilderFor(row.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", row.spec, err)
+		}
+		want, err := system.Run(builders[row.name], tr)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		got, err := system.Run(bySpec, tr)
+		if err != nil {
+			t.Fatalf("%s: %v", row.spec, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s (dropped %d) differs from %s (dropped %d)", row.spec, got.Dropped, row.name, want.Dropped)
 		}
 	}
 }

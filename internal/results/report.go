@@ -12,40 +12,23 @@ import (
 	"strings"
 )
 
-// AnalysisConfig tunes the regression gates. The zero value selects
-// the defaults.
-type AnalysisConfig struct {
-	// SpeedupDropFactor flags a speedup pair when the latest run falls
-	// below the prior-run median divided by this factor (default 2:
-	// losing half the speedup is a regression, benchmark noise is not).
-	SpeedupDropFactor float64
-	// QuantileGrowFactor flags a sweep when the latest response p99
-	// exceeds the prior-run median multiplied by this factor (default
-	// 1.5).
-	QuantileGrowFactor float64
-	// SuccessDrop flags a sweep when the latest success ratio falls
-	// more than this many ratio points below the prior median
-	// (default 0.05).
-	SuccessDrop float64
-	// MinRuns is the run count below which no verdicts fire (default
-	// 2: a trend needs a past).
-	MinRuns int
-}
-
-func (c *AnalysisConfig) defaults() {
-	if c.SpeedupDropFactor <= 0 {
-		c.SpeedupDropFactor = 2
-	}
-	if c.QuantileGrowFactor <= 0 {
-		c.QuantileGrowFactor = 1.5
-	}
-	if c.SuccessDrop <= 0 {
-		c.SuccessDrop = 0.05
-	}
-	if c.MinRuns <= 0 {
-		c.MinRuns = 2
-	}
-}
+// The regression gates.
+const (
+	// speedupDropFactor flags a speedup pair when the latest run falls
+	// below the prior-run median divided by this factor: losing half the
+	// speedup is a regression, benchmark noise is not.
+	speedupDropFactor = 2
+	// quantileGrowFactor flags a sweep when the latest response p99
+	// exceeds the prior-run median multiplied by this factor, and a
+	// slot-table footprint that grows by as much.
+	quantileGrowFactor = 1.5
+	// successDrop flags a sweep when the latest success ratio falls
+	// more than this many ratio points below the prior median.
+	successDrop = 0.05
+	// minRuns is the run count below which no verdicts fire: a trend
+	// needs a past.
+	minRuns = 2
+)
 
 // Trend is one measurement tracked across the runs that carry it.
 type Trend struct {
@@ -127,8 +110,7 @@ func (ts *trendSet) trends() []Trend {
 }
 
 // Analyze groups the trajectory's runs and decides the verdict.
-func Analyze(traj *Trajectory, cfg AnalysisConfig) *Analysis {
-	cfg.defaults()
+func Analyze(traj *Trajectory) *Analysis {
 	a := &Analysis{Runs: len(traj.Runs)}
 	if a.Runs == 0 {
 		a.Regressions = append(a.Regressions, "trajectory holds no runs")
@@ -184,7 +166,7 @@ func Analyze(traj *Trajectory, cfg AnalysisConfig) *Analysis {
 		a.Sketches = append(a.Sketches, latestSketch[k])
 	}
 
-	if a.Runs < cfg.MinRuns {
+	if a.Runs < minRuns {
 		return a // a trend needs a past; single-run trajectories pass
 	}
 	for _, t := range a.Speedups {
@@ -192,10 +174,10 @@ func Analyze(traj *Trajectory, cfg AnalysisConfig) *Analysis {
 		if math.IsNaN(med) || med <= 0 {
 			continue
 		}
-		if t.Latest() < med/cfg.SpeedupDropFactor {
+		if t.Latest() < med/speedupDropFactor {
 			a.Regressions = append(a.Regressions, fmt.Sprintf(
 				"speedup %s fell to %.2f× (prior median %.2f×, gate %.2f×)",
-				t.Key, t.Latest(), med, med/cfg.SpeedupDropFactor))
+				t.Key, t.Latest(), med, med/speedupDropFactor))
 		}
 	}
 	for _, t := range a.Quantiles {
@@ -203,7 +185,7 @@ func Analyze(traj *Trajectory, cfg AnalysisConfig) *Analysis {
 		if math.IsNaN(med) {
 			continue
 		}
-		gate := med * cfg.QuantileGrowFactor
+		gate := med * quantileGrowFactor
 		if med == 0 {
 			// A p99 that was pinned at zero and moved is a real tail
 			// regression, not noise a factor could scale.
@@ -220,10 +202,10 @@ func Analyze(traj *Trajectory, cfg AnalysisConfig) *Analysis {
 		if math.IsNaN(med) {
 			continue
 		}
-		if t.Latest() < med-cfg.SuccessDrop {
+		if t.Latest() < med-successDrop {
 			a.Regressions = append(a.Regressions, fmt.Sprintf(
 				"success ratio of %s fell to %.3f (prior median %.3f, gate %.3f)",
-				t.Key, t.Latest(), med, med-cfg.SuccessDrop))
+				t.Key, t.Latest(), med, med-successDrop))
 		}
 	}
 	for _, t := range a.Footprints {
@@ -231,7 +213,7 @@ func Analyze(traj *Trajectory, cfg AnalysisConfig) *Analysis {
 		if math.IsNaN(med) || med <= 0 {
 			continue
 		}
-		if t.Latest() > med*cfg.QuantileGrowFactor {
+		if t.Latest() > med*quantileGrowFactor {
 			a.Regressions = append(a.Regressions, fmt.Sprintf(
 				"slot-table footprint of %s grew to %.0f B (prior median %.0f B)",
 				t.Key, t.Latest(), med))

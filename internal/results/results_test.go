@@ -68,7 +68,7 @@ func TestDecodeV1Fixture(t *testing.T) {
 	}
 	// And the analysis pipeline runs on it without findings (single
 	// run → no verdict).
-	a := Analyze(traj, AnalysisConfig{})
+	a := Analyze(traj)
 	if a.Regressed() {
 		t.Fatalf("single v1 run produced regressions: %v", a.Regressions)
 	}
@@ -153,14 +153,14 @@ func TestAnalyzeVerdicts(t *testing.T) {
 	stable := &Trajectory{Schema: TrajectorySchema, Runs: []Report{
 		run(t, "1", 100, 5), run(t, "2", 100, 5), run(t, "3", 100, 5),
 	}}
-	if a := Analyze(stable, AnalysisConfig{}); a.Regressed() {
+	if a := Analyze(stable); a.Regressed() {
 		t.Fatalf("stable trajectory regressed: %v", a.Regressions)
 	}
 
 	slow := &Trajectory{Schema: TrajectorySchema, Runs: []Report{
 		run(t, "1", 100, 5), run(t, "2", 100, 5), run(t, "3", 100, 1.5),
 	}}
-	a := Analyze(slow, AnalysisConfig{})
+	a := Analyze(slow)
 	if !a.Regressed() || !strings.Contains(a.Regressions[0], "speedup") {
 		t.Fatalf("speedup drop not flagged: %v", a.Regressions)
 	}
@@ -168,14 +168,14 @@ func TestAnalyzeVerdicts(t *testing.T) {
 	tail := &Trajectory{Schema: TrajectorySchema, Runs: []Report{
 		run(t, "1", 100, 5), run(t, "2", 100, 5), run(t, "3", 1000, 5),
 	}}
-	a = Analyze(tail, AnalysisConfig{})
+	a = Analyze(tail)
 	if !a.Regressed() || !strings.Contains(strings.Join(a.Regressions, ";"), "p99") {
 		t.Fatalf("p99 growth not flagged: %v", a.Regressions)
 	}
 
-	// Below MinRuns nothing fires even on a bad latest run.
+	// Below minRuns nothing fires even on a bad latest run.
 	single := &Trajectory{Schema: TrajectorySchema, Runs: []Report{run(t, "1", 1000, 0.1)}}
-	if a := Analyze(single, AnalysisConfig{}); a.Regressed() {
+	if a := Analyze(single); a.Regressed() {
 		t.Fatalf("single run regressed: %v", a.Regressions)
 	}
 }
@@ -186,7 +186,7 @@ func TestAnalyzeSuccessDrop(t *testing.T) {
 	bad := run(t, "2", 100, 5)
 	bad.SweepSketches[0].SuccessRatio = 0.80
 	traj := &Trajectory{Schema: TrajectorySchema, Runs: []Report{good, bad}}
-	a := Analyze(traj, AnalysisConfig{})
+	a := Analyze(traj)
 	if !a.Regressed() || !strings.Contains(strings.Join(a.Regressions, ";"), "success ratio") {
 		t.Fatalf("success drop not flagged: %v", a.Regressions)
 	}
@@ -198,7 +198,7 @@ func TestRenderShape(t *testing.T) {
 	traj := &Trajectory{Schema: TrajectorySchema, Runs: []Report{
 		run(t, "1", 100, 5), run(t, "2", 100, 5),
 	}}
-	out := Render(Analyze(traj, AnalysisConfig{}))
+	out := Render(Analyze(traj))
 	for _, want := range []string{
 		"benchmark trajectory report", "Sweep latency distributions",
 		"Response p99 trend", "Speedup pairs", "Verdict", "OK",
@@ -210,7 +210,7 @@ func TestRenderShape(t *testing.T) {
 	}
 	reg := Render(Analyze(&Trajectory{Schema: TrajectorySchema, Runs: []Report{
 		run(t, "1", 100, 5), run(t, "2", 100, 0.5),
-	}}, AnalysisConfig{}))
+	}}))
 	if !strings.Contains(reg, "REGRESSION") {
 		t.Fatalf("regressed report missing REGRESSION:\n%s", reg)
 	}

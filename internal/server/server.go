@@ -31,9 +31,6 @@ import (
 type Config struct {
 	Batcher BatcherConfig
 	Jobs    JobStoreConfig
-	// RetryAfter is the hint returned with 429 responses (default
-	// 250ms; the header rounds up to whole seconds).
-	RetryAfter time.Duration
 	// DefaultMetrics fills requests that omit the metrics field — the
 	// server-side half of the shared -metrics flag (internal/cliflags).
 	DefaultMetrics string
@@ -58,9 +55,6 @@ func New(cfg Config) *Server {
 // newServer builds the service around b — the test seam for a batcher
 // whose collector is not started yet. cfg.Batcher is not read.
 func newServer(cfg Config, b *Batcher) *Server {
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 250 * time.Millisecond
-	}
 	s := &Server{
 		cfg:     cfg,
 		batcher: b,
@@ -98,6 +92,10 @@ func (s *Server) Batcher() *Batcher { return s.batcher }
 // Jobs exposes the asynchronous path's store.
 func (s *Server) Jobs() *JobStore { return s.jobs }
 
+// retryAfter is the hint returned with 429 responses; the header
+// rounds it up to whole seconds.
+const retryAfter = 250 * time.Millisecond
+
 // errorBody is the JSON error envelope.
 type errorBody struct {
 	Error        string `json:"error"`
@@ -111,18 +109,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func (s *Server) writeSaturated(w http.ResponseWriter) {
+func writeSaturated(w http.ResponseWriter) {
 	// Retry-After only speaks whole seconds; round up so the client
 	// never retries earlier than the hint, and carry the precise hint
 	// in the body.
-	secs := int64((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
+	secs := int64((retryAfter + time.Second - 1) / time.Second)
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	writeJSON(w, http.StatusTooManyRequests, errorBody{
 		Error:        ErrSaturated.Error(),
-		RetryAfterMs: int64(s.cfg.RetryAfter / time.Millisecond),
+		RetryAfterMs: retryAfter.Milliseconds(),
 	})
 }
 
@@ -158,7 +153,7 @@ func (s *Server) handleTrials(w http.ResponseWriter, r *http.Request) {
 	cells := rq.Cells()
 	units, err := s.batcher.Enqueue(cells)
 	if err == ErrSaturated {
-		s.writeSaturated(w)
+		writeSaturated(w)
 		return
 	}
 	if err != nil {
@@ -194,7 +189,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.jobs.Submit(rq)
 	if err == ErrSaturated {
-		s.writeSaturated(w)
+		writeSaturated(w)
 		return
 	}
 	if err != nil {

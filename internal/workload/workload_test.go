@@ -3,9 +3,11 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"ioguard/internal/slot"
 	"ioguard/internal/task"
 )
 
@@ -88,30 +90,72 @@ func TestUUniFastPanicsOnZero(t *testing.T) {
 	UUniFast(rand.New(rand.NewSource(1)), 0, 0.5)
 }
 
-func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(Config{VMs: 0, TargetUtil: 0.5}); err == nil {
-		t.Error("zero VMs accepted")
-	}
-	if _, err := Generate(Config{VMs: 4, TargetUtil: 1.5}); err == nil {
-		t.Error("utilization > 1 accepted")
-	}
-	for _, u := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := Generate(Config{VMs: 4, TargetUtil: u}); err == nil {
-			t.Errorf("utilization %v accepted", u)
-		}
-	}
+// generateCases are Generate's validation cases; FuzzWorkloadConfig
+// is seeded from them.
+var generateCases = []struct {
+	name string
+	cfg  Config
+	ok   bool
+}{
+	{"zero VMs", Config{VMs: 0, TargetUtil: 0.5}, false},
+	{"negative VMs", Config{VMs: -1, TargetUtil: 0.5}, false},
+	{"utilization > 1", Config{VMs: 4, TargetUtil: 1.5}, false},
+	{"NaN utilization", Config{VMs: 4, TargetUtil: math.NaN()}, false},
+	{"+Inf utilization", Config{VMs: 4, TargetUtil: math.Inf(1)}, false},
+	{"-Inf utilization", Config{VMs: 4, TargetUtil: math.Inf(-1)}, false},
 	// The catalogue fixes a ≈0.40 per-device floor: targets below it
 	// must fail loudly (sub-floor sets come from Stretch/StretchToUtil),
 	// not silently produce the floor workload.
-	if _, err := Generate(Config{VMs: 4, TargetUtil: 0.3}); err == nil {
-		t.Error("sub-floor target utilization accepted")
+	{"sub-floor target utilization", Config{VMs: 4, TargetUtil: 0.3}, false},
+	{"zero target utilization", Config{VMs: 4, TargetUtil: 0}, false},
+	{"the floor itself", Config{VMs: 4, TargetUtil: 0.4, Seed: 1}, true},
+	{"jittered case-study point", Config{VMs: 4, TargetUtil: 0.7, Seed: 1, SyntheticJitter: 80}, true},
+}
+
+func TestGenerateValidation(t *testing.T) {
+	for _, c := range generateCases {
+		if _, err := Generate(c.cfg); (err == nil) != c.ok {
+			t.Errorf("%s: Generate(%+v) error %v, want ok=%v", c.name, c.cfg, err, c.ok)
+		}
 	}
-	if _, err := Generate(Config{VMs: 4, TargetUtil: 0}); err == nil {
-		t.Error("zero target utilization accepted")
+}
+
+// FuzzWorkloadConfig checks Generate's contract for an arbitrary
+// config: it either returns an error or a set that passes Validate,
+// holds the whole safety and function catalogue, keeps every VM index
+// in [0, VMs), and equals the set a second call returns.
+func FuzzWorkloadConfig(f *testing.F) {
+	for _, c := range generateCases {
+		f.Add(c.cfg.VMs, c.cfg.TargetUtil, c.cfg.Seed, int64(c.cfg.SyntheticJitter))
 	}
-	if _, err := Generate(Config{VMs: 4, TargetUtil: 0.4, Seed: 1}); err != nil {
-		t.Errorf("the floor itself must stay generable: %v", err)
-	}
+	f.Fuzz(func(t *testing.T, vms int, util float64, seed, jitter int64) {
+		cfg := Config{VMs: vms, TargetUtil: util, Seed: seed, SyntheticJitter: slot.Time(jitter)}
+		ts, err := Generate(cfg)
+		if err != nil {
+			return
+		}
+		if err := ts.Validate(); err != nil {
+			t.Fatalf("%+v: generated set fails Validate: %v", cfg, err)
+		}
+		byName := map[string]task.Sporadic{}
+		for _, tk := range ts {
+			if tk.VM < 0 || tk.VM >= vms {
+				t.Fatalf("%+v: task %d on VM %d, outside [0, %d)", cfg, tk.ID, tk.VM, vms)
+			}
+			byName[tk.Name] = tk
+		}
+		for _, e := range append(SafetyEntries(), FunctionEntries()...) {
+			tk, ok := byName[e.Name]
+			if !ok || tk.Kind != e.Kind || tk.Device != e.Device || tk.Period != e.Period ||
+				tk.WCET != e.WCET || tk.Deadline != e.Period || tk.OpBytes != e.OpBytes || tk.Jitter != 0 {
+				t.Fatalf("%+v: catalogue entry %+v generated as %+v (present %v)", cfg, e, tk, ok)
+			}
+		}
+		again, err := Generate(cfg)
+		if err != nil || !reflect.DeepEqual(again, ts) {
+			t.Fatalf("%+v: a second call gave a different set (%v)", cfg, err)
+		}
+	})
 }
 
 func TestStretchValidation(t *testing.T) {
