@@ -11,8 +11,8 @@
 // merged cross-trial response/tardiness sketches (results.SweepSketch)
 // so the trajectory accumulates a true latency distribution over time.
 // With -append the report is appended to a trajectory file (schema
-// ioguard/bench_sim_trajectory/v2; v1 files are upgraded in place,
-// their runs preserved) whose runs array accumulates one entry per
+// ioguard/bench_sim_trajectory/v2; a single v2 report is wrapped as
+// its first run) whose runs array accumulates one entry per
 // invocation — the nightly CI job uses this to track the sweep's
 // performance PR over PR, and cmd/ioguard-report renders and gates
 // the accumulated trajectory.

@@ -50,7 +50,8 @@ func main() {
 
 	// The bulk write arrives first; the urgent read arrives later with
 	// a tighter deadline and preempts it on the next free slot.
-	for now := slot.Time(0); now < 48; now++ {
+	const horizon = 48
+	for now := slot.Time(0); now < horizon; now++ {
 		if now == 1 {
 			mgr.Submit(now, task.NewJob(bulk, 0, now))
 		}
@@ -61,10 +62,10 @@ func main() {
 	}
 
 	fmt.Println()
-	fmt.Print(rec.Gantt(0, 48))
+	fmt.Print(rec.Gantt(0, horizon))
 	st := mgr.Stats()
 	fmt.Printf("\nP-slots used=%d  R-slots used=%d  idle=%d  preemptions=%d\n",
-		st.PSlotsUsed, st.RSlotsUsed, st.SlotsIdle+st.PSlotsIdle, st.Preemptions)
+		st.PSlotsUsed, st.RSlotsUsed, horizon-st.PSlotsUsed-st.RSlotsUsed, st.Preemptions)
 }
 
 func missOrMet(at, deadline slot.Time) string {

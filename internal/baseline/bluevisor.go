@@ -64,9 +64,6 @@ func (s *bvShard) NextWork(now slot.Time) slot.Time {
 	return min(s.st.nextWork(now), s.pending.next())
 }
 
-// SkipTo implements sim.Skipper over a span NextWork proved idle.
-func (s *bvShard) SkipTo(from, to slot.Time) { s.st.skipTo(from, to) }
-
 // Pending visits jobs on the hardware path or queued at the
 // controller.
 func (s *bvShard) Pending(visit func(j *task.Job)) {

@@ -10,7 +10,6 @@ import (
 
 	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
-	"ioguard/internal/sim"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/task"
@@ -28,7 +27,6 @@ type Legacy struct {
 var (
 	_ system.ShardedSystem = (*Legacy)(nil)
 	_ system.Shard         = (*Legacy)(nil)
-	_ sim.Skipper          = (*Legacy)(nil)
 )
 
 // devicesOf returns the sorted device names used by a workload.
@@ -139,9 +137,6 @@ func (l *Legacy) Devices() []string { return l.devices }
 func (l *Legacy) NextWork(now slot.Time) slot.Time {
 	return min(l.t.nextWork(now), l.pending.next())
 }
-
-// SkipTo implements sim.Skipper over a span NextWork proved idle.
-func (l *Legacy) SkipTo(from, to slot.Time) { l.t.skipTo(from, to) }
 
 // Pending visits jobs still inside the system.
 func (l *Legacy) Pending(visit func(j *task.Job)) {

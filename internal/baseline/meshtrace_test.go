@@ -37,8 +37,8 @@ func traceDeliveries(t *testing.T, build system.Builder, tr system.Trial) []deli
 // TestMeshDeliveryTraceEquivalence pins the fast-forwarded mesh
 // transport to per-slot stepping at per-delivery granularity for both
 // mesh-coupled baselines: every packet must arrive at the same slot,
-// in the same order, whether the one shard jumps with NextWork/SkipTo
-// or systemtest.Dense steps every slot. A single swapped or shifted
+// in the same order, whether the one shard jumps with NextWork or
+// systemtest.Dense steps every slot. A single swapped or shifted
 // delivery changes station FIFO order and cascades into divergent
 // completions. The seeded workloads span 2–4 VMs and target
 // utilizations 0.5–1.0; the last one also delays and duplicates

@@ -3,7 +3,6 @@ package baseline
 import (
 	"testing"
 
-	"ioguard/internal/sim"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/task"
@@ -12,7 +11,6 @@ import (
 // countingShard counts the slots the run loop steps a shard in.
 type countingShard struct {
 	system.Shard
-	sk    sim.Skipper
 	steps int
 }
 
@@ -20,8 +18,6 @@ func (c *countingShard) Step(now slot.Time) {
 	c.steps++
 	c.Shard.Step(now)
 }
-
-func (c *countingShard) SkipTo(from, to slot.Time) { c.sk.SkipTo(from, to) }
 
 // countedSystem hands the run loop counting shards.
 type countedSystem struct {
@@ -79,11 +75,7 @@ func TestBaselinesQuiesce(t *testing.T) {
 						if got := sh.NextWork(0); got != slot.Never {
 							t.Errorf("idle: shard %d: NextWork(0) = %d, want Never", i, got)
 						}
-						sk, ok := sh.(sim.Skipper)
-						if !ok {
-							t.Fatalf("shard %d is no sim.Skipper", i)
-						}
-						c := &countingShard{Shard: sh, sk: sk}
+						c := &countingShard{Shard: sh}
 						shards = append(shards, c)
 						cs.shards = append(cs.shards, c)
 					}

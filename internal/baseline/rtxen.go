@@ -13,7 +13,6 @@ import (
 
 	"ioguard/internal/queue"
 	"ioguard/internal/rtos"
-	"ioguard/internal/sim"
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/task"
@@ -41,7 +40,6 @@ type RTXen struct {
 var (
 	_ system.ShardedSystem = (*RTXen)(nil)
 	_ system.Shard         = (*RTXen)(nil)
-	_ sim.Skipper          = (*RTXen)(nil)
 )
 
 // NewRTXen builds the RT-Xen baseline. quantum ≤ 0 selects
@@ -187,9 +185,6 @@ func (x *RTXen) pipeNextWork(now slot.Time) slot.Time {
 	}
 	return next
 }
-
-// SkipTo implements sim.Skipper over a span NextWork proved idle.
-func (x *RTXen) SkipTo(from, to slot.Time) { x.t.skipTo(from, to) }
 
 // Pending visits jobs anywhere in the software or transport pipeline.
 func (x *RTXen) Pending(visit func(j *task.Job)) {

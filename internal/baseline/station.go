@@ -48,6 +48,10 @@ type station struct {
 	perVM   []*queue.FIFO[*task.Job]
 	rrNext  int
 	current *task.Job
+	// lastSlot is the current operation's last service slot, fixed
+	// when service starts: the controller is non-preemptive, so the
+	// operation's end is known then.
+	lastSlot slot.Time
 	// respond is called when an operation completes; finished is the
 	// first slot after the last service slot.
 	respond func(j *task.Job, finished slot.Time)
@@ -108,47 +112,39 @@ func (st *station) next() *task.Job {
 	return nil
 }
 
-// step advances the controller one slot: non-preemptive service of
-// the current operation, pulling the next one when idle.
+// step advances the controller one slot: it pulls the next operation
+// when idle and completes the current one in its last service slot.
+// The slots in between change nothing, so stepping them is optional.
 func (st *station) step(now slot.Time) {
 	if st.current == nil {
 		st.current = st.next()
-		if st.current != nil {
-			st.current.Remaining += st.setup
+		if st.current == nil {
+			return
 		}
+		st.current.Remaining += st.setup
+		st.lastSlot = now + st.current.Remaining - 1
 	}
-	if st.current == nil {
+	if now < st.lastSlot {
 		return
 	}
-	st.current.Tick(now)
-	if st.current.Done() {
-		j := st.current
-		st.current = nil
-		st.served++
-		st.respond(j, now+1)
-	}
+	j := st.current
+	j.Advance(j.Remaining, now)
+	st.current = nil
+	st.served++
+	st.respond(j, now+1)
 }
 
 // nextWork is the station's next state change at or after now: the
-// slot its in-service operation completes (service is non-preemptive,
-// so the end is known), now when it must pull from a backlog, and
-// slot.Never when drained.
+// last service slot of its in-service operation, now when it must
+// pull from a backlog, and slot.Never when drained.
 func (st *station) nextWork(now slot.Time) slot.Time {
 	switch {
 	case st.current != nil:
-		return now + st.current.Remaining - 1
+		return st.lastSlot
 	case st.backlog() > 0:
 		return now
 	}
 	return slot.Never
-}
-
-// skipTo serves the in-service operation across [from, to), a span
-// nextWork(from) proved ends before its completion slot.
-func (st *station) skipTo(from, to slot.Time) {
-	if st.current != nil {
-		st.current.Remaining -= to - from
-	}
 }
 
 // pendingJobs visits queued and in-service operations.

@@ -184,24 +184,15 @@ func (t *meshTransport) step(now slot.Time) {
 	}
 }
 
-// nextWork is the earliest slot ≥ now at which step changes more than
-// countdowns: the mesh's next pull or hop completion, or a station's
-// next service start or end; slot.Never when both are drained.
+// nextWork is the earliest slot ≥ now at which step changes any state:
+// the mesh's next pull or hop completion, or a station's next service
+// start or end; slot.Never when both are drained.
 func (t *meshTransport) nextWork(now slot.Time) slot.Time {
 	next := t.mesh.NextWork(now)
 	for _, st := range t.stations {
 		next = min(next, st.nextWork(now))
 	}
 	return next
-}
-
-// skipTo fast-forwards the in-service operations over [from, to), a
-// span nextWork(from) proved idle. The mesh needs no fast-forward: its
-// hops complete at absolute slots.
-func (t *meshTransport) skipTo(from, to slot.Time) {
-	for _, st := range t.stations {
-		st.skipTo(from, to)
-	}
 }
 
 // pendingJobs visits all in-flight jobs (in the mesh or at stations).

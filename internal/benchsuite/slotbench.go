@@ -109,7 +109,7 @@ func slotBuild(b *testing.B, dense bool) {
 
 // slotQueriesPerCycle is how many supply queries follow each
 // index-invalidating mutation in the query benchmarks — roughly the
-// number of NextWork/SkipTo probes the manager issues per device
+// number of NextWork probes the manager issues per device
 // between R-channel admissions.
 const slotQueriesPerCycle = 64
 

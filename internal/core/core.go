@@ -319,9 +319,6 @@ func (d *deviceShard) Step(now slot.Time) { d.mgr.Step(now) }
 // NextWork is the manager's quiescence bound on its local clock.
 func (d *deviceShard) NextWork(now slot.Time) slot.Time { return d.mgr.NextWork(now) }
 
-// SkipTo bulk-accounts a fast-forwarded idle span.
-func (d *deviceShard) SkipTo(from, to slot.Time) { d.mgr.SkipTo(from, to) }
-
 // Pending visits jobs buffered inside the manager.
 func (d *deviceShard) Pending(visit func(j *task.Job)) { d.mgr.PendingJobs(visit) }
 

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ioguard/internal/core"
 	"ioguard/internal/hypervisor"
 	"ioguard/internal/metrics"
+	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/system/systemtest"
 	"ioguard/internal/task"
@@ -74,6 +77,64 @@ func TestDenseFastForwardEquivalence(t *testing.T) {
 	}
 }
 
+// pendingState is one job still inside a system at the horizon.
+type pendingState struct {
+	task, seq         int
+	release           slot.Time
+	remaining, finish slot.Time
+}
+
+// runPending runs tr on build and returns the state of every job the
+// system still holds at the horizon, sorted (the mesh baselines visit
+// their in-flight jobs in map order).
+func runPending(t *testing.T, build system.Builder, tr system.Trial) []pendingState {
+	t.Helper()
+	var sys system.System
+	capture := func(tr system.Trial, col *system.Collector) (system.System, error) {
+		s, err := build(tr, col)
+		sys = s
+		return s, err
+	}
+	if _, err := system.Run(capture, tr); err != nil {
+		t.Fatal(err)
+	}
+	var out []pendingState
+	sys.Pending(func(j *task.Job) {
+		out = append(out, pendingState{j.Task.ID, j.Seq, j.Release, j.Remaining, j.Finish})
+	})
+	slices.SortFunc(out, func(a, b pendingState) int {
+		return cmp.Or(cmp.Compare(a.task, b.task), cmp.Compare(a.seq, b.seq), cmp.Compare(a.release, b.release),
+			cmp.Compare(a.remaining, b.remaining), cmp.Compare(a.finish, b.finish))
+	})
+	return out
+}
+
+// TestDenseFastForwardPendingState: a skipped slot changes nothing, so
+// the jobs every system still holds at the horizon — queued, in
+// service or part-executed — carry the same Remaining and Finish
+// whether the run loop stepped every slot or jumped between events.
+// The horizon falls mid-hyper-period so that work is left in flight.
+func TestDenseFastForwardPendingState(t *testing.T) {
+	ts, err := workload.Generate(workload.Config{VMs: 4, TargetUtil: 1.0, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := system.Trial{VMs: 4, Tasks: ts, Horizon: ts.Hyperperiod() + 777, Seed: 1}
+	builders := Builders()
+	for _, name := range AllSystemNames() {
+		build := builders[name]
+		t.Run(name, func(t *testing.T) {
+			dense, ff := runPending(t, systemtest.Dense(build), tr), runPending(t, build, tr)
+			if len(dense) == 0 {
+				t.Fatal("no job pending at the horizon; the test is vacuous")
+			}
+			if !reflect.DeepEqual(dense, ff) {
+				t.Errorf("pending jobs diverge:\ndense: %+v\nff:    %+v", dense, ff)
+			}
+		})
+	}
+}
+
 // TestDenseFastForwardEquivalenceModes covers the scheduler modes the
 // case study does not exercise: ServerEDF with synthesized servers
 // (strict budget polling) and work-conserving slack reclaiming, both
@@ -108,8 +169,8 @@ func TestDenseFastForwardEquivalenceModes(t *testing.T) {
 
 // TestDenseFastForwardEquivalenceSparse exercises deep skips: the
 // stretched case-study workload leaves most slots idle, so nearly all
-// progress happens through SkipTo spans rather than Step calls —
-// exactly the regime the fast-forward exists for.
+// of the horizon is jumped over rather than stepped — exactly the
+// regime the fast-forward exists for.
 func TestDenseFastForwardEquivalenceSparse(t *testing.T) {
 	ts, err := workload.Generate(workload.Config{VMs: 4, TargetUtil: 0.4, Seed: 11})
 	if err != nil {

@@ -71,12 +71,11 @@ type Config struct {
 	RespLatency slot.Time
 }
 
-// Stats aggregates one manager's execution counters.
+// Stats aggregates one manager's execution counters. Every slot
+// outside PSlotsUsed + RSlotsUsed is idle.
 type Stats struct {
 	PSlotsUsed  int64 // table-owned slots that executed their task
-	PSlotsIdle  int64 // table-owned slots whose task had no work
-	RSlotsUsed  int64 // free slots granted to run-time jobs
-	SlotsIdle   int64 // slots with no work at all
+	RSlotsUsed  int64 // slots granted to run-time jobs, Reclaimed included
 	Reclaimed   int64 // table slots reclaimed by the R-channel
 	Completed   int64 // jobs finished (both channels)
 	Preemptions int64 // job switches while the previous job was unfinished
@@ -224,8 +223,8 @@ type delivery struct {
 	job *task.Job
 }
 
-// Manager is one device's virtualization manager. It implements
-// sim.Stepper: call Step exactly once per slot.
+// Manager is one device's virtualization manager. Step it at most
+// once per slot, and at least in every slot NextWork asks for.
 type Manager struct {
 	cfg     Config
 	pools   []*Pool
@@ -480,22 +479,14 @@ func (m *Manager) execute(now slot.Time) {
 				return
 			}
 		}
-		// Owned slot with no pending work.
-		if !m.cfg.WorkConserving {
-			m.stats.PSlotsIdle++
-			m.lastJob = nil
-			return
-		}
-		if m.runRChannel(now) {
+		// Owned slot with no pending work: idle unless the R-channel
+		// may reclaim it.
+		if m.cfg.WorkConserving && m.runRChannel(now) {
 			m.stats.Reclaimed++
-		} else {
-			m.stats.PSlotsIdle++
 		}
 		return
 	}
-	if !m.runRChannel(now) {
-		m.stats.SlotsIdle++
-	}
+	m.runRChannel(now)
 }
 
 // runPre executes one slot of a P-channel job.
@@ -661,30 +652,6 @@ func (m *Manager) NextWork(now slot.Time) slot.Time {
 		}
 	}
 	return next
-}
-
-// SkipTo accounts a fast-forwarded span [from, to) in bulk. The
-// engine only skips slots NextWork declared idle, so per-slot
-// execution state cannot change across the span; what remains is the
-// idle bookkeeping Step would have done: free slots count as
-// SlotsIdle, table-owned slots as PSlotsIdle, and (non-work-conserving
-// only) an owned idle slot resets the preemption tracker exactly as
-// execute() does densely.
-func (m *Manager) SkipTo(from, to slot.Time) {
-	span := to - from
-	if span <= 0 {
-		return
-	}
-	free := span
-	if m.cfg.Table.Len() > 0 {
-		free = m.cfg.Table.FreeIn(from, span)
-	}
-	m.stats.SlotsIdle += int64(free)
-	owned := span - free
-	m.stats.PSlotsIdle += int64(owned)
-	if owned > 0 && !m.cfg.WorkConserving {
-		m.lastJob = nil
-	}
 }
 
 // account tracks preemptions: a switch away from an unfinished job.

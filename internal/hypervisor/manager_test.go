@@ -262,8 +262,8 @@ func TestServerEDFWastesIdleGrant(t *testing.T) {
 	if m.Stats().Completed != 0 {
 		t.Error("VM without server must not run in ServerEDF mode")
 	}
-	if m.Stats().SlotsIdle != 10 {
-		t.Errorf("SlotsIdle = %d, want 10", m.Stats().SlotsIdle)
+	if st := m.Stats(); st.PSlotsUsed+st.RSlotsUsed != 0 {
+		t.Errorf("idle slots = %d, want 10 (%+v)", 10-st.PSlotsUsed-st.RSlotsUsed, st)
 	}
 }
 
@@ -293,8 +293,57 @@ func TestWorkConservingReclaim(t *testing.T) {
 	if mWC.Stats().Reclaimed == 0 {
 		t.Error("work-conserving run should count reclaimed slots")
 	}
-	if mStrict.Stats().PSlotsIdle == 0 {
-		t.Error("strict run should count idle P-slots")
+	// No task ever runs in the owned slots, so the strict run idles
+	// every one of them.
+	owned := int64(30 - tab.FreeIn(0, 30))
+	if st := mStrict.Stats(); st.PSlotsUsed != 0 || st.Reclaimed != 0 || owned != 15 {
+		t.Errorf("strict run: %d owned slots, %+v; want 15 owned, none used or reclaimed", owned, st)
+	}
+}
+
+// TestPreemptionAcrossIdleOwnedSlot: a job switch away from an
+// unfinished job is a preemption even when an idle table-owned slot
+// lies between the two jobs' slots.
+func TestPreemptionAcrossIdleOwnedSlot(t *testing.T) {
+	// Slot 0 of every 4 is owned; the pre-loaded task has period 8, so
+	// the owned slots 4, 12, … idle.
+	tab, _, err := slot.Build([]slot.Requirement{{ID: 0, Period: 4, WCET: 1, Deadline: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{VMs: 2, Mode: DirectEDF, Table: tab})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Preload(&task.Sporadic{ID: 9, VM: 0, Period: 8, WCET: 1, Deadline: 8}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	var log completionLog
+	m.OnComplete = log.hook()
+	long := &task.Sporadic{ID: 1, VM: 0, Period: 100, WCET: 5, Deadline: 50}
+	urgent := &task.Sporadic{ID: 2, VM: 1, Period: 100, WCET: 1, Deadline: 6}
+	for now := slot.Time(0); now < 16; now++ {
+		switch now {
+		case 1:
+			m.Submit(now, task.NewJob(long, 0, now)) // runs slots 1–3
+		case 4:
+			m.Submit(now, task.NewJob(urgent, 0, now)) // slot 4 idles; runs slot 5
+		}
+		m.Step(now)
+	}
+	// The pre-defined jobs finish at 1 and 9, the urgent job at 6 and
+	// the long one, resumed in slots 6–7, at 8.
+	var done []slot.Time
+	for i, j := range log.jobs {
+		if j.Task.ID != 9 {
+			done = append(done, log.at[i])
+		}
+	}
+	if len(done) != 2 || done[0] != 6 || done[1] != 8 {
+		t.Fatalf("run-time completions at %v, want [6 8]", done)
+	}
+	if got := m.Stats().Preemptions; got != 1 {
+		t.Errorf("Preemptions = %d, want 1: the urgent job preempts the unfinished long one", got)
 	}
 }
 
@@ -391,21 +440,30 @@ func TestAnalysisSimulationAgreement(t *testing.T) {
 }
 
 func TestStatsSlotAccounting(t *testing.T) {
-	// Every slot must be accounted exactly once.
+	// Every executed slot is counted once, in the channel whose supply
+	// it came from; the rest of the horizon is idle.
+	const horizon = 64
 	tab, _, _ := slot.Build([]slot.Requirement{{ID: 0, Period: 4, WCET: 1, Deadline: 4}})
 	m, _ := New(Config{VMs: 1, Mode: DirectEDF, Table: tab})
 	spec := &task.Sporadic{ID: 9, VM: 0, Period: 8, WCET: 1, Deadline: 8} // every other owned slot idles
 	m.Preload(spec, 0, 0)
 	tk := &task.Sporadic{ID: 0, VM: 0, Period: 16, WCET: 2, Deadline: 16}
-	for now := slot.Time(0); now < 64; now++ {
+	for now := slot.Time(0); now < horizon; now++ {
 		if now%16 == 0 {
 			m.Submit(now, task.NewJob(tk, int(now/16), now))
 		}
 		m.Step(now)
 	}
 	st := m.Stats()
-	total := st.PSlotsUsed + st.PSlotsIdle + st.RSlotsUsed + st.SlotsIdle + st.Reclaimed
-	if total != 64 {
-		t.Errorf("accounted slots = %d, want 64 (%+v)", total, st)
+	free := int64(tab.FreeIn(0, horizon))
+	owned := horizon - free
+	// The pre-defined task runs one of every two owned slots; the four
+	// run-time jobs take two free slots each and reclaim nothing.
+	if owned != 16 || st.PSlotsUsed != 8 || st.RSlotsUsed != 8 || st.Reclaimed != 0 {
+		t.Fatalf("owned = %d, %+v; want 16 owned, 8 P-slots, 8 R-slots, none reclaimed", owned, st)
+	}
+	if idle := horizon - st.PSlotsUsed - st.RSlotsUsed; idle != (owned-st.PSlotsUsed)+(free-st.RSlotsUsed) {
+		t.Errorf("idle = %d, want the unused owned (%d) plus unused free (%d) slots",
+			idle, owned-st.PSlotsUsed, free-st.RSlotsUsed)
 	}
 }

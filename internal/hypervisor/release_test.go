@@ -125,7 +125,7 @@ func relScenario(rng *rand.Rand, horizon slot.Time) (reqs []slot.Requirement, op
 }
 
 // relRun drives one manager through the scenario, densely or by
-// NextWork/SkipTo skipping (with the scripted op slots as horizon, the
+// NextWork jumps (with the scripted op slots as horizon, the
 // way system.Run wakes a shard at each submission), checking every
 // released job against the scan oracle and the manager's internal
 // invariants after every call. It returns the completion log and final
@@ -248,7 +248,6 @@ func relRun(t *testing.T, name string, reqs []slot.Requirement, ops []relOp, mod
 			nw = horizon
 		}
 		if nw > now {
-			m.SkipTo(now, nw)
 			now = nw
 			apply(now)
 		}
@@ -307,7 +306,7 @@ func checkRelInvariants(t *testing.T, name string, m *Manager) {
 // retired before their first Step, R-channel traffic), the release
 // heap must emit exactly the scan oracle's (task, seq, release) jobs
 // at exactly the oracle's slots, both stepped densely and driven by
-// NextWork/SkipTo. NextWork must never lie past the oracle's next
+// NextWork jumps. NextWork must never lie past the oracle's next
 // release, and the skipping run must end with the dense run's
 // completions and stats.
 func TestReleaseHeapVsScan(t *testing.T) {

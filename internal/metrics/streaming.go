@@ -181,8 +181,9 @@ func (s *Streaming) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes a recorder, revalidating every wire claim:
 // the sketch's own invariants (see KLL.UnmarshalJSON), the moment
-// fields' finiteness, m2 ≥ 0, min ≤ max, and n equal to the sketch's
-// recomputed observation count. See
+// fields' finiteness, m2 ≥ 0, min ≤ max, every sketch value within
+// [min, max], and n equal to the sketch's recomputed observation
+// count. See
 // TestStreamingUnmarshalRejectsMalformed for the case table.
 func (s *Streaming) UnmarshalJSON(data []byte) error {
 	var w streamingJSON
@@ -212,6 +213,15 @@ func (s *Streaming) UnmarshalJSON(data []byte) error {
 	}
 	if w.N == 0 && (w.Mean != 0 || w.M2 != 0 || w.Min != 0 || w.Max != 0) {
 		return fmt.Errorf("metrics: recorder wire empty but moments nonzero")
+	}
+	// The sketch retains observed values, so each lies within the
+	// exact extrema; otherwise a percentile could fall outside them.
+	for i, lv := range k.levels {
+		for _, v := range lv {
+			if v < w.Min || v > w.Max {
+				return fmt.Errorf("metrics: recorder wire sketch value %g at level %d outside [min=%g, max=%g]", v, i, w.Min, w.Max)
+			}
+		}
 	}
 	s.n = w.N
 	s.mean = w.Mean

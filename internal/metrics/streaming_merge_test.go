@@ -127,6 +127,8 @@ func TestStreamingUnmarshalRejectsMalformed(t *testing.T) {
 		{"min above max", `{"n":3,"mean":2,"m2":2,"min":5,"max":3,"sketch":` + sketch + `}`, "exceeds"},
 		{"overflow mean", `{"n":3,"mean":1e999,"m2":2,"min":1,"max":3,"sketch":` + sketch + `}`, ""},
 		{"empty with moments", `{"n":0,"mean":7,"m2":0,"min":0,"max":0,"sketch":{"eps":0.01,"k":300,"n":0,"rng":1,"levels":[[]]}}`, "empty"},
+		{"sketch value above max", `{"n":3,"mean":2,"m2":2,"min":1,"max":2,"sketch":` + sketch + `}`, "outside"},
+		{"sketch value below min", `{"n":3,"mean":2,"m2":2,"min":2,"max":3,"sketch":` + sketch + `}`, "outside"},
 		{"bad sketch", `{"n":3,"mean":2,"m2":2,"min":1,"max":3,"sketch":{"eps":9,"k":300,"n":3,"rng":1,"levels":[[1,2,3]]}}`, "ε"},
 	}
 	for _, tc := range cases {

@@ -5,14 +5,13 @@
 // Schema history:
 //
 //   - ioguard/bench_sim/v1 — one benchmark run: results, derived
-//     speedup pairs, slot-table footprints.
+//     speedup pairs, slot-table footprints. No longer decoded: the
+//     committed BENCH_sim.json carries no v1 run.
 //   - ioguard/bench_sim/v2 — v1 plus sweep_sketches: serialized
 //     merged KLL recorders of the nightly sweeps' response/tardiness
 //     distributions, so the trajectory accumulates true cross-trial
 //     latency distributions over time instead of only wall-clock
-//     numbers. v1 payloads (reports and trajectories, and the mixed
-//     trajectories a v1→v2 transition produces) still decode — the
-//     new fields are additive.
+//     numbers.
 //
 // Decoding never trusts wire state: schemas must be known, embedded
 // sketches revalidate their own invariants (metrics.Streaming /
@@ -30,13 +29,11 @@ import (
 	"ioguard/internal/metrics"
 )
 
-// Schema identifiers. Encoding always writes the current (v2) forms;
-// decoding accepts both versions.
+// Schema identifiers. Encoding writes them and decoding accepts only
+// them.
 const (
-	ReportSchemaV1     = "ioguard/bench_sim/v1"
-	ReportSchema       = "ioguard/bench_sim/v2"
-	TrajectorySchemaV1 = "ioguard/bench_sim_trajectory/v1"
-	TrajectorySchema   = "ioguard/bench_sim_trajectory/v2"
+	ReportSchema     = "ioguard/bench_sim/v2"
+	TrajectorySchema = "ioguard/bench_sim_trajectory/v2"
 )
 
 // Result is one benchmark measurement.
@@ -121,7 +118,7 @@ type Report struct {
 	// latency pairs in Speedups.
 	SlotTables []footprint.SlotTableRow `json:"slot_tables,omitempty"`
 	// SweepSketches are the nightly sweeps' merged latency
-	// distributions (v2; absent from v1 runs).
+	// distributions (nightly suite only).
 	SweepSketches []SweepSketch `json:"sweep_sketches,omitempty"`
 	// Robustness holds the fault-injection sweep's per-(scenario,
 	// system) rows (additive; absent from pre-fault runs).
@@ -138,7 +135,7 @@ type Trajectory struct {
 // Validate sanity-checks one run beyond what decoding enforced.
 func (r *Report) Validate() error {
 	switch r.Schema {
-	case ReportSchema, ReportSchemaV1:
+	case ReportSchema:
 	default:
 		return fmt.Errorf("results: run has unknown schema %q", r.Schema)
 	}
@@ -204,9 +201,9 @@ func (s *SweepSketch) Key() string {
 	return suite + "/" + s.Sweep + "/" + s.System
 }
 
-// DecodeTrajectory parses data as either a trajectory (v1 or v2) or a
-// bare single report (v1 or v2), normalizing the latter into a
-// one-run trajectory. Every run is validated.
+// DecodeTrajectory parses data as either a trajectory or a bare single
+// report, normalizing the latter into a one-run trajectory. Every run
+// is validated.
 func DecodeTrajectory(data []byte) (*Trajectory, error) {
 	var probe struct {
 		Schema string `json:"schema"`
@@ -216,11 +213,11 @@ func DecodeTrajectory(data []byte) (*Trajectory, error) {
 	}
 	traj := &Trajectory{Schema: TrajectorySchema}
 	switch probe.Schema {
-	case TrajectorySchema, TrajectorySchemaV1:
+	case TrajectorySchema:
 		if err := json.Unmarshal(data, traj); err != nil {
 			return nil, fmt.Errorf("results: bad trajectory: %w", err)
 		}
-	case ReportSchema, ReportSchemaV1:
+	case ReportSchema:
 		var rep Report
 		if err := json.Unmarshal(data, &rep); err != nil {
 			return nil, fmt.Errorf("results: bad report: %w", err)

@@ -2,6 +2,7 @@ package results
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -43,78 +44,37 @@ func run(t *testing.T, stamp string, sweepP99Scale float64, speedup float64) Rep
 	}
 }
 
-// TestDecodeV1Fixture: the pre-change BENCH_sim.json (committed
-// before the v2 schema existed) must keep decoding — the back-compat
-// contract of the schema bump.
-func TestDecodeV1Fixture(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "bench_sim_v1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj, err := DecodeTrajectory(data)
-	if err != nil {
-		t.Fatalf("v1 fixture rejected: %v", err)
-	}
-	if len(traj.Runs) != 1 {
-		t.Fatalf("fixture decoded to %d runs, want 1", len(traj.Runs))
-	}
-	r := traj.Runs[0]
-	if r.Schema != ReportSchemaV1 || len(r.Results) == 0 || len(r.Speedups) == 0 {
-		t.Fatalf("fixture run lost content: schema=%q results=%d speedups=%d",
-			r.Schema, len(r.Results), len(r.Speedups))
-	}
-	if len(r.SweepSketches) != 0 {
-		t.Fatalf("v1 run decoded phantom sweep sketches")
-	}
-	// And the analysis pipeline runs on it without findings (single
-	// run → no verdict).
-	a := Analyze(traj)
-	if a.Regressed() {
-		t.Fatalf("single v1 run produced regressions: %v", a.Regressions)
-	}
-}
-
-// TestAppendUpgradesV1: appending a v2 run onto the v1 single-report
-// fixture wraps it as run 0 and writes a v2 trajectory whose old run
-// survives a second decode.
-func TestAppendUpgradesV1(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_sim.json")
-	src, err := os.ReadFile(filepath.Join("testdata", "bench_sim_v1.json"))
+// TestAppendWrapsSingleReport: appending onto a file holding a single
+// report wraps it as run 0 of a trajectory, and appending onto that
+// trajectory extends it, every earlier run preserved.
+func TestAppendWrapsSingleReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	first := run(t, "2026-01-01T00:00:00Z", 100, 5)
+	src, err := json.Marshal(first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data, err := AppendRun(path, run(t, "2026-01-02T00:00:00Z", 100, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj, err := DecodeTrajectory(data)
-	if err != nil {
-		t.Fatalf("appended trajectory rejected: %v", err)
-	}
-	if traj.Schema != TrajectorySchema || len(traj.Runs) != 2 {
-		t.Fatalf("append produced schema=%q runs=%d, want v2/2", traj.Schema, len(traj.Runs))
-	}
-	if traj.Runs[0].Schema != ReportSchemaV1 {
-		t.Fatalf("v1 run 0 rewritten to %q", traj.Runs[0].Schema)
-	}
-	if len(traj.Runs[1].SweepSketches) != 1 {
-		t.Fatalf("v2 run lost its sweep sketches")
-	}
-	// Round-trip again: append on top of the mixed file.
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data2, err := AppendRun(path, run(t, "2026-01-03T00:00:00Z", 100, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj2, err := DecodeTrajectory(data2)
-	if err != nil || len(traj2.Runs) != 3 {
-		t.Fatalf("second append: %v, runs=%d", err, len(traj2.Runs))
+	for want := 2; want <= 3; want++ {
+		data, err := AppendRun(path, run(t, fmt.Sprintf("2026-01-0%dT00:00:00Z", want), 100, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		traj, err := DecodeTrajectory(data)
+		if err != nil {
+			t.Fatalf("appended trajectory rejected: %v", err)
+		}
+		if traj.Schema != TrajectorySchema || len(traj.Runs) != want {
+			t.Fatalf("append produced schema=%q runs=%d, want %q/%d", traj.Schema, len(traj.Runs), TrajectorySchema, want)
+		}
+		if r := traj.Runs[0]; r.Timestamp != first.Timestamp || len(r.SweepSketches) != 1 {
+			t.Fatalf("run 0 rewritten: %q with %d sketches", r.Timestamp, len(r.SweepSketches))
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -125,6 +85,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}{
 		{"unknown schema", `{"schema":"ioguard/other/v9"}`, "unknown schema"},
 		{"no schema", `{"runs":[]}`, "unknown schema"},
+		{"v1 report", `{"schema":"ioguard/bench_sim/v1","results":[{"name":"x","iterations":1,"ns_per_op":1}]}`, "unknown schema"},
+		{"v1 trajectory", `{"schema":"ioguard/bench_sim_trajectory/v1","runs":[]}`, "unknown schema"},
+		{"v1 run in a trajectory", `{"schema":"ioguard/bench_sim_trajectory/v2","runs":[{"schema":"ioguard/bench_sim/v1"}]}`, "unknown schema"},
 		{"negative ns", `{"schema":"ioguard/bench_sim/v2","results":[{"name":"x","ns_per_op":-1}]}`, "negative"},
 		{"empty result name", `{"schema":"ioguard/bench_sim/v2","results":[{"name":""}]}`, "empty name"},
 		{"sketch missing key", `{"schema":"ioguard/bench_sim/v2","sweep_sketches":[{"sweep":"","system":"x"}]}`, "missing sweep/system"},

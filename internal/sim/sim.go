@@ -1,9 +1,10 @@
-// Package sim holds the clock protocol that stands in for the global
-// timer of the VC709 FPGA platform of the paper's evaluation. All
-// system elements synchronize to a single global timer (assumption
-// (iii) of Sec. II); system.Run models that timer as one loop over a
-// system's shards, each stepped only in the slots it has work or input
-// in. The interfaces here are what a component offers that loop.
+// Package sim holds the clock-protocol interfaces that stand in for
+// the global timer of the VC709 FPGA platform of the paper's
+// evaluation. All system elements synchronize to a single global timer
+// (assumption (iii) of Sec. II); system.Run models that timer as one
+// loop over a system's shards, each stepped only in the slots it has
+// work or input in. The loop itself speaks system.Shard, whose
+// NextWork is the Quiescer contract below.
 //
 // Determinism matters: the paper re-runs each configuration 1000
 // times with identical inputs across systems, so "the data input to
@@ -15,8 +16,9 @@
 // Independent of how time advances, the observable order of work is
 // fixed:
 //
-//   - a component is stepped at most once per slot, and every slot it
-//     is not stepped in is reported to its Skipper;
+//   - a component is stepped at most once per slot, and its state
+//     changes only in the slots it is stepped in: a skipped slot is one
+//     in which a step would have changed nothing;
 //   - (slot, component) pairs execute in lexicographic order, so
 //     equal-slot components step in registration order, as a dense
 //     loop steps them;
@@ -25,40 +27,27 @@
 //     invisible to the simulated system: dense stepping and
 //     fast-forward stepping produce identical results, bit for bit.
 //
-// # Quiescence protocol
-//
-// A component opts into fast-forward by implementing Quiescer:
-// NextWork(now) returns the earliest slot ≥ now at which the component
-// needs to be stepped (now itself if it is busy, slot.Never if it is
-// fully drained), assuming every slot before now has been stepped.
-// Components that account per-slot statistics over idle spans (e.g.
-// table-idle counters) additionally implement Skipper; SkipTo observes
-// the skipped span [from, to) in bulk.
+// No component in this module implements Skipper, and the run loop
+// calls no SkipTo. Both interfaces stay declared because the
+// end-to-end benchmark's tracer (perfbench/trace.go) type-asserts them
+// when it wraps a system.
 package sim
 
 import "ioguard/internal/slot"
 
-// Stepper is a hardware component clocked by the global timer: Step
-// is called exactly once per executed slot.
-type Stepper interface {
-	Step(now slot.Time)
-}
-
-// Quiescer is the optional fast-forward extension of Stepper.
-// NextWork(now) returns the earliest slot ≥ now at which the
-// component has work, under the assumption that every slot before now
-// has been stepped: now itself when busy, slot.Never when fully
-// drained. The scheduler may then skip the slots in between without
-// stepping the component. Implementations must be conservative — a
-// slot that would change any observable state counts as work.
+// Quiescer is the fast-forward contract. NextWork(now) returns the
+// earliest slot ≥ now at which the component has work, assuming it was
+// stepped in every earlier slot it asked for: now itself when busy,
+// slot.Never when fully drained. The scheduler may then
+// skip the slots in between without stepping the component.
+// Implementations must be conservative — a slot that would change any
+// observable state counts as work.
 type Quiescer interface {
 	NextWork(now slot.Time) slot.Time
 }
 
-// Skipper is the optional bulk-accounting extension for components
-// that maintain per-slot counters even while idle. When the scheduler
-// fast-forwards, SkipTo(from, to) reports the skipped span [from, to)
-// so the component can account it in O(1) instead of O(span).
+// Skipper reports a skipped span [from, to) to a component. Nothing in
+// this module implements or calls it; see the package doc.
 type Skipper interface {
 	SkipTo(from, to slot.Time)
 }

@@ -17,8 +17,9 @@
 // binary searches. This is what makes ARINC-653-style workloads with
 // hyper-periods in the millions of slots tractable: their tables are
 // sparse (long partition periods, short windows), so R ≪ H. The
-// fast-forward stack consumes the runs directly — FreeRuns/OwnedRuns
-// spans become sim.Skipper jumps without per-slot scans.
+// fast-forward stack consumes the runs directly: NextFree and the
+// owned runs turn idle spans into NextWork jumps without per-slot
+// scans.
 package slot
 
 import (

@@ -28,8 +28,8 @@ type DeviceShard interface {
 // order. Embedding it supplies System.Submit, System.Step,
 // System.Pending, System.Dropped and ShardedSystem.Shards, so the
 // monolithic path a hand-driven test calls is the shard path Run
-// drives. It defines none of NextWork, SkipTo and Devices: the system
-// itself is never a shard.
+// drives. It defines neither NextWork nor Devices: the system itself
+// is never a shard.
 type PerDevice[S DeviceShard] struct {
 	devs   []string // devs[i] is the device shards[i] owns
 	shards []S

@@ -17,23 +17,16 @@ import (
 
 // call is one call the run loop made into a probe.
 type call struct {
-	kind     string // "step", "skip" or "submit"
-	at, to   slot.Time
+	kind     string // "step", "submit" or "next"
+	at       slot.Time
 	shard    int
 	released slot.Time // submit: the job's release slot
-}
-
-// end is the clock a step or skip leaves its shard at.
-func (c call) end() slot.Time {
-	if c.kind == "skip" {
-		return c.to
-	}
-	return c.at + 1
+	answer   slot.Time // next: what NextWork(at) returned
 }
 
 // probe is a test shard with a fixed plan of internal work slots. It
 // logs every call it receives and fails the test if a planned slot is
-// skipped over.
+// stepped late.
 type probe struct {
 	t       *testing.T
 	idx     int
@@ -43,7 +36,6 @@ type probe struct {
 	stale   bool    // NextWork always answers slot 0
 	log     *[]call // shared by every probe of a run; nil: log nothing
 	steps   int64
-	skips   slot.Time
 	queries int // NextWork calls
 }
 
@@ -73,21 +65,26 @@ func (p *probe) Step(now slot.Time) {
 
 func (p *probe) NextWork(now slot.Time) slot.Time {
 	p.queries++
-	if p.stale {
-		return 0
+	next := slot.Never
+	switch {
+	case p.stale:
+		next = 0
+	case p.wi < len(p.work):
+		next = max(p.work[p.wi], now)
 	}
-	if p.wi >= len(p.work) {
-		return slot.Never
-	}
-	return max(p.work[p.wi], now)
+	p.record(call{kind: "next", at: now, answer: next})
+	return next
 }
 
-func (p *probe) SkipTo(from, to slot.Time) {
-	p.skips += to - from
-	p.record(call{kind: "skip", at: from, to: to})
-	if p.wi < len(p.work) && p.work[p.wi] < to {
-		p.t.Errorf("shard %d: SkipTo(%d,%d) jumps over work at %d", p.idx, from, to, p.work[p.wi])
+// stepsOf returns the slots shard i was stepped in, in call order.
+func stepsOf(log []call, i int) []slot.Time {
+	var at []slot.Time
+	for _, c := range log {
+		if c.shard == i && c.kind == "step" {
+			at = append(at, c.at)
+		}
 	}
+	return at
 }
 
 // probeShards numbers the probes and routes each probe's device to it.
@@ -151,23 +148,30 @@ func randomPlan(rng *rand.Rand, horizon slot.Time, maxGap int) []slot.Time {
 	return plan
 }
 
-// requireTiling checks that each shard's steps plus its skipped spans
-// cover [0, horizon) exactly once, in order.
-func requireTiling(t *testing.T, log []call, shards int, horizon slot.Time) {
+// requireWakeSteps checks that each shard is stepped exactly in its
+// wake slots below the horizon, in order: first slot 0, then after a
+// step at s the slot max(NextWork(s+1), s+1), pulled back to the slot
+// of any later submission. A shard still owed a step below the horizon
+// fails.
+func requireWakeSteps(t *testing.T, log []call, shards int, horizon slot.Time) {
 	t.Helper()
-	next := make([]slot.Time, shards)
+	wake := make([]slot.Time, shards)
 	for _, c := range log {
-		if c.kind == "submit" {
-			continue
+		switch c.kind {
+		case "submit":
+			wake[c.shard] = min(wake[c.shard], c.at)
+		case "next":
+			wake[c.shard] = max(c.answer, c.at)
+		case "step":
+			if c.at != wake[c.shard] || c.at >= horizon {
+				t.Fatalf("shard %d: stepped at %d, its wake slot was %d (horizon %d)", c.shard, c.at, wake[c.shard], horizon)
+			}
+			wake[c.shard] = slot.Never // until NextWork answers
 		}
-		if c.at != next[c.shard] || c.end() <= c.at {
-			t.Fatalf("shard %d: %s [%d,%d), its clock was at %d", c.shard, c.kind, c.at, c.end(), next[c.shard])
-		}
-		next[c.shard] = c.end()
 	}
-	for i, n := range next {
-		if n != horizon {
-			t.Errorf("shard %d stepped or skipped up to %d, want %d", i, n, horizon)
+	for i, w := range wake {
+		if w < horizon {
+			t.Errorf("shard %d: never stepped in its wake slot %d < horizon %d", i, w, horizon)
 		}
 	}
 }
@@ -178,7 +182,6 @@ type periodic struct{ period slot.Time }
 func (p periodic) Devices() []string           { return nil }
 func (p periodic) Submit(slot.Time, *task.Job) {}
 func (p periodic) Step(slot.Time)              {}
-func (p periodic) SkipTo(from, to slot.Time)   {}
 func (p periodic) NextWork(now slot.Time) slot.Time {
 	return (now + p.period - 1) / p.period * p.period
 }
@@ -200,14 +203,13 @@ func TestRunLoop(t *testing.T) {
 			t.Errorf("busy stepped %d of %d; work done: busy %d/%d, idle %d/%d",
 				busy.steps, horizon, busy.wi, len(busy.work), idle.wi, len(idle.work))
 		}
-		if idle.steps != 3 || idle.steps+int64(idle.skips) != horizon {
-			t.Errorf("idle shard stepped %d + skipped %d of %d slots next to a busy peer, want 3 steps",
-				idle.steps, idle.skips, horizon)
+		if idle.steps != 3 {
+			t.Errorf("idle shard stepped %d of %d slots next to a busy peer, want 3", idle.steps, horizon)
 		}
 	})
 
 	// Steps run in lexicographic (slot, shard) order, a dense run's
-	// order, and every shard's steps and skips tile the horizon.
+	// order, and each shard is stepped exactly in its wake slots.
 	t.Run("order", func(t *testing.T) {
 		const horizon = 2000
 		rng := rand.New(rand.NewSource(99))
@@ -234,11 +236,11 @@ func TestRunLoop(t *testing.T) {
 				t.Errorf("shard %d finished %d/%d work items", i, p.wi, len(p.work))
 			}
 		}
-		requireTiling(t, log, len(probes), horizon)
+		requireWakeSteps(t, log, len(probes), horizon)
 	})
 
 	// Through systemtest.Dense the loop steps every inner shard in
-	// every slot and never asks it NextWork or skips it.
+	// every slot and never asks it NextWork.
 	t.Run("dense", func(t *testing.T) {
 		const horizon = 3000
 		rng := rand.New(rand.NewSource(5))
@@ -249,53 +251,51 @@ func TestRunLoop(t *testing.T) {
 		shards, route := probeShards(probes)
 		system.RunLoop(denseShards(t, shards), route, idleFleet(t), horizon, nil)
 		for i, p := range probes {
-			if p.steps != horizon || p.skips != 0 || p.queries != 0 {
-				t.Errorf("shard %d: %d steps, %d skipped slots, %d NextWork calls; want %d, 0, 0", i, p.steps, p.skips, p.queries, horizon)
+			if p.steps != horizon || p.queries != 0 {
+				t.Errorf("shard %d: %d steps, %d NextWork calls; want %d, 0", i, p.steps, p.queries, horizon)
 			}
 		}
 	})
 
 	// A NextWork answer below now+1 degrades to stepping every slot,
-	// once each, in order; it never rewinds the clock.
+	// once each, in order; it never steps a slot twice.
 	t.Run("stale-next-work", func(t *testing.T) {
 		const horizon = 200
 		var log []call
 		bad := &probe{t: t, device: "bad", stale: true, log: &log}
 		peer := &probe{t: t, device: "peer", work: []slot.Time{0, 150}, log: &log}
 		loopRun([]*probe{bad, peer}, idleFleet(t), horizon)
-		var at slot.Time
-		for _, c := range log {
-			if c.shard != 0 {
-				continue
+		steps := stepsOf(log, 0)
+		for i, at := range steps {
+			if at != slot.Time(i) {
+				t.Fatalf("stale shard: step %d at slot %d, want slot %d", i, at, i)
 			}
-			if c.kind != "step" || c.at != at {
-				t.Fatalf("stale shard: %s at %d, want a step at %d", c.kind, c.at, at)
-			}
-			at++
 		}
-		if at != horizon || peer.wi != len(peer.work) {
-			t.Errorf("stale shard stepped %d of %d slots; peer finished %d/%d", at, horizon, peer.wi, len(peer.work))
+		if len(steps) != horizon || peer.wi != len(peer.work) {
+			t.Errorf("stale shard stepped %d of %d slots; peer finished %d/%d", len(steps), horizon, peer.wi, len(peer.work))
 		}
-		requireTiling(t, log, 2, horizon)
+		requireWakeSteps(t, log, 2, horizon)
 	})
 
-	// Only slot 0 and the declared-busy slots are stepped, and the
-	// skipped spans fill the gaps exactly, up to the horizon.
+	// Only slot 0 and the declared-busy slots are stepped; NextWork is
+	// asked once after each step.
 	t.Run("skips-idle-regions", func(t *testing.T) {
 		var log []call
 		p := &probe{t: t, device: "p", work: []slot.Time{5, 6, 100}, log: &log}
 		loopRun([]*probe{p}, idleFleet(t), 1000)
 		want := []call{
-			{kind: "step", at: 0}, {kind: "skip", at: 1, to: 5}, {kind: "step", at: 5}, {kind: "step", at: 6},
-			{kind: "skip", at: 7, to: 100}, {kind: "step", at: 100}, {kind: "skip", at: 101, to: 1000},
+			{kind: "step", at: 0}, {kind: "next", at: 1, answer: 5},
+			{kind: "step", at: 5}, {kind: "next", at: 6, answer: 6},
+			{kind: "step", at: 6}, {kind: "next", at: 7, answer: 100},
+			{kind: "step", at: 100}, {kind: "next", at: 101, answer: slot.Never},
 		}
 		if !reflect.DeepEqual(log, want) {
 			t.Errorf("calls %v, want %v", log, want)
 		}
 	})
 
-	// A shard idle after slot 0 is skipped in one span that ends
-	// exactly at the horizon, while a peer keeps working up to the last
+	// A shard idle after slot 0 is never stepped again, nor called at
+	// all at the horizon, while a peer keeps working up to the last
 	// slot.
 	t.Run("skip-exactly-to-horizon", func(t *testing.T) {
 		const horizon = 1000
@@ -303,28 +303,25 @@ func TestRunLoop(t *testing.T) {
 		early := &probe{t: t, device: "early", work: []slot.Time{0}, log: &log}
 		late := &probe{t: t, device: "late", work: []slot.Time{0, 500, 999}, log: &log}
 		loopRun([]*probe{early, late}, idleFleet(t), horizon)
-		if early.steps != 1 || early.skips != horizon-1 {
-			t.Errorf("early shard stepped %d, skipped %d; want 1, %d", early.steps, early.skips, horizon-1)
-		}
 		var earlyCalls []call
 		for _, c := range log {
 			if c.shard == 0 {
 				earlyCalls = append(earlyCalls, c)
 			}
 		}
-		want := []call{{kind: "step", at: 0}, {kind: "skip", at: 1, to: horizon}}
+		want := []call{{kind: "step", at: 0}, {kind: "next", at: 1, answer: slot.Never}}
 		if !reflect.DeepEqual(earlyCalls, want) {
 			t.Errorf("early shard calls %v, want %v", earlyCalls, want)
 		}
-		if late.wi != len(late.work) {
-			t.Errorf("late shard finished %d/%d work items", late.wi, len(late.work))
+		if got := stepsOf(log, 1); !reflect.DeepEqual(got, []slot.Time{0, 500, 999}) || late.wi != len(late.work) {
+			t.Errorf("late shard stepped at %v and finished %d/%d work items, want steps at 0, 500, 999", got, late.wi, len(late.work))
 		}
-		requireTiling(t, log, 2, horizon)
+		requireWakeSteps(t, log, 2, horizon)
 	})
 
-	// Every shard's clock ends exactly at the horizon, whether its last
-	// call is a step or a skip and whatever work lies past the horizon;
-	// a zero horizon moves no shard at all.
+	// Every shard is stepped in each of its wake slots below the
+	// horizon and in none at or past it, whatever work lies past the
+	// horizon; a zero horizon calls no shard at all.
 	t.Run("advances-time", func(t *testing.T) {
 		for _, horizon := range []slot.Time{0, 1, 3, 4, 10} {
 			var log []call
@@ -340,7 +337,7 @@ func TestRunLoop(t *testing.T) {
 				}
 				continue
 			}
-			requireTiling(t, log, len(probes), horizon)
+			requireWakeSteps(t, log, len(probes), horizon)
 			if p := probes[0]; (p.wi == 1) != (horizon > 3) {
 				t.Errorf("horizon %d: work at 3 done = %v", horizon, p.wi == 1)
 			}
@@ -350,9 +347,8 @@ func TestRunLoop(t *testing.T) {
 		}
 	})
 
-	// Every release reaches its shard in its release slot. A
-	// submission to an idle shard first skips the shard's clock up to
-	// the slot, then submits, then steps it in that slot.
+	// Every release reaches its shard in its release slot, after the
+	// shard's previous step and before its step in that slot.
 	t.Run("submissions", func(t *testing.T) {
 		const horizon = 50_000
 		rng := rand.New(rand.NewSource(7))
@@ -379,12 +375,12 @@ func TestRunLoop(t *testing.T) {
 			if c.at != c.released {
 				t.Fatalf("job released at %d submitted at %d", c.released, c.at)
 			}
-			// The shard's previous call brought its clock to the slot,
-			// and its next call that is not a submission steps it there.
+			// The shard's previous step was in an earlier slot, and its
+			// next call that is not a submission steps it in this one.
 			for j := i - 1; j >= 0; j-- {
-				if d := log[j]; d.shard == c.shard && d.kind != "submit" {
-					if d.end() != c.at {
-						t.Fatalf("shard %d: submit at %d follows a %s ending at %d", c.shard, c.at, d.kind, d.end())
+				if d := log[j]; d.shard == c.shard && d.kind == "step" {
+					if d.at >= c.at {
+						t.Fatalf("shard %d: submit at %d follows a step at %d", c.shard, c.at, d.at)
 					}
 					break
 				}
@@ -406,7 +402,7 @@ func TestRunLoop(t *testing.T) {
 				t.Errorf("shard %d stepped %d of %d slots", i, p.steps, horizon)
 			}
 		}
-		requireTiling(t, log, len(probes), horizon)
+		requireWakeSteps(t, log, len(probes), horizon)
 	})
 
 	// The loop allocates the same amount whatever the horizon, with

@@ -8,27 +8,28 @@ package system
 import (
 	"ioguard/internal/faults"
 	"ioguard/internal/queue"
-	"ioguard/internal/sim"
 	"ioguard/internal/slot"
 	"ioguard/internal/task"
 	"ioguard/internal/vm"
 )
 
-// Shard is one independently-clocked component of a ShardedSystem. It
-// is a sim.Stepper and a sim.Quiescer; implementations that keep
-// per-slot counters over idle spans additionally implement sim.Skipper.
+// Shard is one independently-clocked component of a ShardedSystem.
+// Its state changes only in the slots it is stepped in: a slot the run
+// loop skips is one in which stepping would have changed nothing.
 type Shard interface {
 	// Devices returns the device names whose released jobs this shard
 	// consumes. Every residual device must be owned by exactly one
 	// shard; Run rejects a system that leaves one unowned.
 	Devices() []string
 	// Submit delivers a job released at slot now. The runner calls it
-	// with now equal to the shard's clock, before Step(now) — exactly
-	// the order a dense run presents submissions in.
+	// before Step(now) — exactly the order a dense run presents
+	// submissions in.
 	Submit(now slot.Time, j *task.Job)
-	// Step advances the shard one slot of its local clock.
+	// Step runs slot now of the shard's local clock.
 	Step(now slot.Time)
-	// NextWork is the sim.Quiescer contract against the local clock.
+	// NextWork returns the earliest slot ≥ now in which Step would
+	// change the shard's state: now itself when busy, slot.Never when
+	// fully drained. It must be conservative, never optimistic.
 	NextWork(now slot.Time) slot.Time
 }
 
@@ -60,24 +61,6 @@ func faultedEmit(fs *faults.Stream, put func(due slot.Time, j *task.Job)) func(j
 	}
 }
 
-// clocked is one shard's state in the run loop.
-type clocked struct {
-	sh    Shard
-	sk    sim.Skipper // nil: nothing to account over skipped spans
-	clock slot.Time   // first slot not yet stepped or skipped
-	wake  slot.Time   // next slot the shard must be stepped in
-}
-
-// catchUp reports the span [clock, now) as skipped.
-func (c *clocked) catchUp(now slot.Time) {
-	if c.clock < now {
-		if c.sk != nil {
-			c.sk.SkipTo(c.clock, now)
-		}
-		c.clock = now
-	}
-}
-
 // run drives one trial on one global clock. In each visited slot it
 // delivers the delayed jobs now due, then the slot's fresh releases,
 // then steps, in registration order, every shard whose wake slot has
@@ -94,17 +77,12 @@ func (c *clocked) catchUp(now slot.Time) {
 // shards are busy in every slot (systemtest.Dense), and produces
 // byte-identical results.
 func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Time, fs *faults.Stream) *queue.PQ[*task.Job] {
-	cs := make([]clocked, len(shards))
-	for i, sh := range shards {
-		cs[i].sh = sh
-		cs[i].sk, _ = sh.(sim.Skipper)
-	}
+	wake := make([]slot.Time, len(shards)) // next slot each shard must be stepped in
 	var now slot.Time
 	submit := func(j *task.Job) {
-		c := &cs[route[j.Task.Device]]
-		c.catchUp(now)
-		c.sh.Submit(now, j)
-		c.wake = now
+		i := route[j.Task.Device]
+		shards[i].Submit(now, j)
+		wake[i] = now
 	}
 	emit := submit
 	// Delayed jobs wait in one due-ordered queue. They are delivered
@@ -130,23 +108,17 @@ func run(shards []Shard, route map[string]int, fleet *vm.Fleet, horizon slot.Tim
 		}
 		fleet.Release(now, emit)
 		next := fleet.NextRelease()
-		for i := range cs {
-			c := &cs[i]
-			if c.wake <= now {
-				c.catchUp(now)
-				c.sh.Step(now)
-				c.clock = now + 1
-				c.wake = max(c.sh.NextWork(now+1), now+1)
+		for i, sh := range shards {
+			if wake[i] <= now {
+				sh.Step(now)
+				wake[i] = max(sh.NextWork(now+1), now+1)
 			}
-			next = min(next, c.wake)
+			next = min(next, wake[i])
 		}
 		if due, _, ok := delayed.Min(); ok {
 			next = min(next, due)
 		}
 		now = next
-	}
-	for i := range cs {
-		cs[i].catchUp(horizon)
 	}
 	return &delayed
 }

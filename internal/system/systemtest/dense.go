@@ -9,11 +9,12 @@ import (
 )
 
 // Dense returns a builder whose systems the run loop steps in every
-// slot. Each shard of the built system answers NextWork(now) = now and
-// is not a sim.Skipper, so the loop wakes it at now+1 after every step,
-// never skips a span and never queries the inner shard's NextWork or
-// SkipTo. Because a skipped slot is one nothing observable happens in,
-// a dense run produces results byte-identical to the plain builder's.
+// slot. Each shard of the built system answers NextWork(now) = now, so
+// the loop wakes it at now+1 after every step, never skips a slot and
+// never queries the inner shard's NextWork. A shard's state changes
+// only in slots it is stepped in, and a skipped slot is one in which a
+// step would have changed nothing, so a dense run produces results
+// byte-identical to the plain builder's.
 //
 // Apply it outermost: the wrapped system exposes only the
 // system.ShardedSystem methods, so a builder wrapper that type-asserts
@@ -45,7 +46,7 @@ func (d denseSystem) Shards() []system.Shard {
 }
 
 // denseShard is busy in every slot. Embedding the Shard interface
-// forwards only its methods, so an inner SkipTo stays hidden.
+// forwards only its methods.
 type denseShard struct{ system.Shard }
 
 func (denseShard) NextWork(now slot.Time) slot.Time { return now }

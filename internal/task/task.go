@@ -274,14 +274,18 @@ func (j *Job) ResponseTime() slot.Time {
 	return j.Finish - j.Release
 }
 
-// Tick consumes one slot of execution at time now, recording the
-// finish time when the job completes. Calling Tick on a finished job
-// panics: the executor must never grant slots to completed jobs.
-func (j *Job) Tick(now slot.Time) {
-	if j.Remaining <= 0 {
-		panic(fmt.Sprintf("task: Tick on completed job %v", j))
+// Tick consumes one slot of execution at time now: Advance(1, now).
+func (j *Job) Tick(now slot.Time) { j.Advance(1, now) }
+
+// Advance consumes n slots of execution, the last of them slot now,
+// recording the finish time when the job completes. Advancing a job by
+// n ≤ 0 or past its remaining work panics: the executor must never
+// grant slots to completed jobs.
+func (j *Job) Advance(n, now slot.Time) {
+	if n <= 0 || n > j.Remaining {
+		panic(fmt.Sprintf("task: Advance(%d) on %v", n, j))
 	}
-	j.Remaining--
+	j.Remaining -= n
 	if j.Remaining == 0 {
 		j.Finish = now + 1 // completes at the end of this slot
 	}

@@ -229,6 +229,29 @@ func TestJobTickPanicsWhenDone(t *testing.T) {
 	j.Tick(1)
 }
 
+func TestJobAdvance(t *testing.T) {
+	tk := valid(0, 0, 10, 5, 8)
+	j := NewJob(&tk, 0, 20)
+	j.Advance(3, 22)
+	if j.Remaining != 2 || j.Done() || j.Finish != slot.Never {
+		t.Fatalf("after 3 of 5 slots: %+v", j)
+	}
+	j.Advance(2, 30)
+	if !j.Done() || j.Finish != 31 {
+		t.Errorf("finish = %d, want 31 (the slot after the last one advanced)", j.Finish)
+	}
+	for _, n := range []slot.Time{0, -1, 6} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Advance(%d) on a job with 5 slots left should panic", n)
+				}
+			}()
+			NewJob(&tk, 0, 0).Advance(n, 0)
+		}()
+	}
+}
+
 func TestJobString(t *testing.T) {
 	tk := valid(7, 0, 10, 1, 8)
 	j := NewJob(&tk, 2, 5)
