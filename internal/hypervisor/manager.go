@@ -96,29 +96,24 @@ type VMStats struct {
 type preTask struct {
 	spec        *task.Sporadic
 	id          slot.TaskID
-	offset      slot.Time
 	nextRelease slot.Time
 	seq         int
 	pending     *queue.FIFO[*task.Job] // released, unfinished jobs (in order)
 	owned       []slot.Run             // maximal table runs owned by id, ascending in [0,H)
-	// relIdx is the task's position in the release heap, or -1 while
-	// it waits on the not-yet-started list.
-	relIdx int
 	// busyIdx is the task's position in the manager's busy list (tasks
 	// with pending jobs), or -1 while its backlog is empty.
 	busyIdx int
 }
 
-// firstRelease returns the task's first release at or after now when
-// it starts there: a task loaded mid-run begins at its next
-// table-aligned release and must not back-fill jobs from before it was
-// loaded.
-func (pt *preTask) firstRelease(now slot.Time) slot.Time {
-	nr := pt.nextRelease
-	if nr < now {
-		nr += ((now - nr + pt.spec.Period - 1) / pt.spec.Period) * pt.spec.Period
+// firstRelease returns the first release at or after now of a task
+// released every period from offset: a task loaded mid-run begins at
+// its next table-aligned release and must not back-fill jobs from
+// before it was loaded.
+func firstRelease(offset, period, now slot.Time) slot.Time {
+	if offset < now {
+		offset += ((now - offset + period - 1) / period) * period
 	}
-	return nr
+	return offset
 }
 
 // nextOwned returns the first slot ≥ from of the infinite table σ that
@@ -137,77 +132,6 @@ func (pt *preTask) nextOwned(from, h slot.Time) slot.Time {
 		return from + (pt.owned[i].Start - idx)
 	}
 	return from + (h - idx) + pt.owned[0].Start
-}
-
-// releaseHeap orders started pre-defined tasks by (next release, task
-// id), so Step touches only the tasks due this slot and NextWork reads
-// the earliest release at the head. Every element's relIdx tracks its
-// position, so a retired task is removed in place.
-type releaseHeap []*preTask
-
-func (h releaseHeap) before(i, j int) bool {
-	if h[i].nextRelease != h[j].nextRelease {
-		return h[i].nextRelease < h[j].nextRelease
-	}
-	return h[i].id < h[j].id
-}
-
-func (h releaseHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].relIdx = i
-	h[j].relIdx = j
-}
-
-func (h releaseHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.before(i, p) {
-			return
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-// down restores the heap property below position i after the key at
-// i increased (a released task's next release only moves later).
-func (h releaseHeap) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && h.before(l, m) {
-			m = l
-		}
-		if r < len(h) && h.before(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
-
-func (h *releaseHeap) push(pt *preTask) {
-	pt.relIdx = len(*h)
-	*h = append(*h, pt)
-	h.up(pt.relIdx)
-}
-
-// remove deletes pt, which must be in the heap.
-func (h *releaseHeap) remove(pt *preTask) {
-	i, last := pt.relIdx, len(*h)-1
-	if i != last {
-		h.swap(i, last)
-	}
-	(*h)[last] = nil
-	*h = (*h)[:last]
-	pt.relIdx = -1
-	if i < last {
-		h.down(i)
-		h.up(i)
-	}
 }
 
 // serverState is the run-time state of one periodic server.
@@ -230,19 +154,17 @@ type Manager struct {
 	pools   []*Pool
 	servers []*serverState
 	// P-channel registry: pre holds every pre-defined task sorted by
-	// id (lookup, deterministic iteration). Started tasks sit in the
-	// release heap; a task loaded since the last Step waits on
-	// unstarted until that Step fast-forwards its first release. busy
-	// holds the tasks with pending jobs, in no particular order.
-	pre       []*preTask
-	rel       releaseHeap
-	unstarted []*preTask
-	busy      []*preTask
-	inbox     *queue.FIFO[delivery]
-	stats     Stats
-	vmStats   []VMStats
-	lastJob   *task.Job
-	adm       *admission
+	// id (lookup, deterministic iteration), rel the same tasks keyed by
+	// next release, and busy the tasks with pending jobs, in no
+	// particular order.
+	pre     []*preTask
+	rel     queue.PQ[*preTask]
+	busy    []*preTask
+	inbox   *queue.FIFO[delivery]
+	stats   Stats
+	vmStats []VMStats
+	lastJob *task.Job
+	adm     *admission
 
 	// OnComplete, when non-nil, receives every finished job after the
 	// response path: at is the slot at which the requester observes
@@ -329,11 +251,18 @@ func (m *Manager) Pool(vm int) (*Pool, error) {
 	return m.pools[vm], nil
 }
 
-// Preload registers a pre-defined task with the P-channel. The task
-// must already own slots in the manager's Time Slot Table under id
-// (built with slot.Build); the manager releases its jobs periodically
-// from offset and executes them in the owned slots.
+// Preload registers a pre-defined task with the P-channel before the
+// first Step. The task must already own slots in the manager's Time
+// Slot Table under id (built with slot.Build); the manager releases its
+// jobs periodically from offset and executes them in the owned slots.
+// LoadPre loads a task into a running manager.
 func (m *Manager) Preload(spec *task.Sporadic, id slot.TaskID, offset slot.Time) error {
+	return m.register(0, spec, id, offset)
+}
+
+// register adds a pre-defined task whose first release is the first
+// one at or after now.
+func (m *Manager) register(now slot.Time, spec *task.Sporadic, id slot.TaskID, offset slot.Time) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -348,15 +277,13 @@ func (m *Manager) Preload(spec *task.Sporadic, id slot.TaskID, offset slot.Time)
 	pt := &preTask{
 		spec:        spec,
 		id:          id,
-		offset:      offset,
-		nextRelease: offset,
+		nextRelease: firstRelease(offset, spec.Period, now),
 		pending:     queue.NewFIFO[*task.Job](0),
 		owned:       owned,
-		relIdx:      -1,
 		busyIdx:     -1,
 	}
 	m.pre = slices.Insert(m.pre, i, pt)
-	m.unstarted = append(m.unstarted, pt)
+	m.rel.Push(pt.nextRelease, pt)
 	return nil
 }
 
@@ -429,7 +356,7 @@ func (m *Manager) PendingJobs(visit func(j *task.Job)) {
 //
 // Pools and pre-defined tasks with nothing due this slot are not
 // touched: a pool's shadow register is its heap minimum, and the
-// release heap yields only the tasks whose release is due.
+// release queue yields only the tasks whose release is due.
 func (m *Manager) Step(now slot.Time) {
 	for {
 		d, ok := m.inbox.Peek()
@@ -445,20 +372,18 @@ func (m *Manager) Step(now slot.Time) {
 			m.vmStats[d.job.Task.VM].Dropped++
 		}
 	}
-	for _, pt := range m.unstarted {
-		pt.nextRelease = pt.firstRelease(now)
-		m.rel.push(pt)
-	}
-	clear(m.unstarted)
-	m.unstarted = m.unstarted[:0]
-	for len(m.rel) > 0 && m.rel[0].nextRelease <= now {
-		pt := m.rel[0]
+	for {
+		nr, pt, ok := m.rel.Min()
+		if !ok || nr > now {
+			break
+		}
+		m.rel.PopMin()
 		for pt.nextRelease <= now {
 			pt.pending.Push(task.NewJob(pt.spec, pt.seq, pt.nextRelease))
 			pt.seq++
 			pt.nextRelease += pt.spec.Period
 		}
-		m.rel.down(0)
+		m.rel.Push(pt.nextRelease, pt)
 		m.setBusy(pt)
 	}
 	for _, s := range m.servers {
@@ -569,9 +494,8 @@ func (m *Manager) runRChannel(now slot.Time) bool {
 // due delivery holds R-channel work; a pending P-channel job only
 // pins its task's next owned table slot (it cannot execute anywhere
 // else). The remaining candidates are the request path's head
-// delivery, the earliest pre-defined release (the release heap's
-// head, or the first release of a task loaded since the last Step),
-// and — in ServerEDF mode — the next server period boundary
+// delivery, the earliest pre-defined release (the release queue's
+// head), and — in ServerEDF mode — the next server period boundary
 // (replenishment mutates budgets and deadlines) plus, while any budget
 // remains, the next slot that would drain it. The bound is
 // conservative, never optimistic: fast-forwarding on it is invisible
@@ -603,18 +527,7 @@ func (m *Manager) NextWork(now slot.Time) slot.Time {
 			next = no
 		}
 	}
-	if len(m.rel) > 0 {
-		nr := m.rel[0].nextRelease
-		if nr <= now {
-			return now
-		}
-		if nr < next {
-			next = nr
-		}
-	}
-	for _, pt := range m.unstarted {
-		// Mirror Step's start-up fast-forward without mutating.
-		nr := pt.firstRelease(now)
+	if nr, _, ok := m.rel.Min(); ok {
 		if nr <= now {
 			return now
 		}

@@ -10,15 +10,18 @@ import (
 	"fmt"
 	"slices"
 
+	"ioguard/internal/queue"
 	"ioguard/internal/slot"
 	"ioguard/internal/task"
 )
 
 // LoadPre allocates table slots for spec at run time and registers it
-// with the P-channel. The task's period must divide the table length.
-// Existing reservations and R-channel state are untouched; on any
-// failure the table is left unchanged.
-func (m *Manager) LoadPre(spec *task.Sporadic, id slot.TaskID, offset slot.Time) error {
+// with the P-channel at slot now, before that slot's Step. The task's
+// period must divide the table length. Its first release is the first
+// one at or after now, so it never back-fills jobs from before its
+// load. Existing reservations and R-channel state are untouched; on
+// any failure the table is left unchanged.
+func (m *Manager) LoadPre(now slot.Time, spec *task.Sporadic, id slot.TaskID, offset slot.Time) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -35,7 +38,7 @@ func (m *Manager) LoadPre(spec *task.Sporadic, id slot.TaskID, offset slot.Time)
 	if err != nil {
 		return err
 	}
-	if err := m.Preload(spec, id, offset); err != nil {
+	if err := m.register(now, spec, id, offset); err != nil {
 		m.cfg.Table.Release(id)
 		return err
 	}
@@ -46,7 +49,8 @@ func (m *Manager) LoadPre(spec *task.Sporadic, id slot.TaskID, offset slot.Time)
 // (and counted — a discarded job is a lost I/O operation, visible in
 // Stats.Dropped and the owning VM's audit counters like any other
 // loss), its registration removed, and its table slots freed for the
-// R-channel.
+// R-channel. The release queue is rebuilt without the task: a retirement
+// is a rare control-plane operation.
 func (m *Manager) UnloadPre(id slot.TaskID) error {
 	i, ok := m.preIndex(id)
 	if !ok {
@@ -65,12 +69,13 @@ func (m *Manager) UnloadPre(id slot.TaskID) error {
 	}
 	m.setBusy(pt)
 	m.pre = slices.Delete(m.pre, i, i+1)
-	if pt.relIdx >= 0 {
-		m.rel.remove(pt)
-	} else {
-		k := slices.Index(m.unstarted, pt)
-		m.unstarted = slices.Delete(m.unstarted, k, k+1)
-	}
+	var rel queue.PQ[*preTask]
+	m.rel.Each(func(nr slot.Time, q *preTask) {
+		if q != pt {
+			rel.Push(nr, q)
+		}
+	})
+	m.rel = rel
 	m.cfg.Table.Release(id)
 	return nil
 }

@@ -19,7 +19,7 @@ func TestLoadPreAtRuntime(t *testing.T) {
 		m.Step(now)
 	}
 	spec := &task.Sporadic{ID: 1, Name: "hot", VM: 0, Period: 8, WCET: 2, Deadline: 8}
-	if err := m.LoadPre(spec, 0, 0); err != nil {
+	if err := m.LoadPre(20, spec, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for now := slot.Time(20); now < 100; now++ {
@@ -38,33 +38,84 @@ func TestLoadPreAtRuntime(t *testing.T) {
 	}
 }
 
+// TestLoadPreByNextWorkJumps loads a task into a manager driven only by
+// NextWork jumps, the way system.Run steps a shard: nothing steps the
+// slots between the load and the first release. That release is the
+// first table-aligned one at or after the load slot, NextWork names it
+// exactly, and the job runs to completion without a dense step.
+func TestLoadPreByNextWorkJumps(t *testing.T) {
+	cases := []struct {
+		load, offset, period, want slot.Time
+	}{
+		{load: 0, offset: 7, period: 16, want: 7},
+		{load: 5, offset: 0, period: 16, want: 16},
+		{load: 16, offset: 0, period: 16, want: 16},
+		{load: 17, offset: 3, period: 8, want: 19},
+		{load: 100, offset: 4, period: 16, want: 100},
+		{load: 101, offset: 4, period: 16, want: 116},
+	}
+	for _, tc := range cases {
+		m, err := New(Config{VMs: 1, Table: slot.NewTable(48), Mode: DirectEDF})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log completionLog
+		m.OnComplete = log.hook()
+		m.Step(0)
+		if nw := m.NextWork(1); nw != slot.Never {
+			t.Fatalf("load at %d: empty manager NextWork = %d, want Never", tc.load, nw)
+		}
+		spec := &task.Sporadic{ID: 1, Name: "hot", VM: 0, Period: tc.period, WCET: 2, Deadline: tc.period}
+		if err := m.LoadPre(tc.load, spec, 0, tc.offset); err != nil {
+			t.Fatal(err)
+		}
+		if nw := m.NextWork(tc.load); nw != tc.want {
+			t.Fatalf("load at %d: NextWork = %d, want first release %d", tc.load, nw, tc.want)
+		}
+		steps := 0
+		for now := tc.want; len(log.jobs) == 0 && now < tc.want+tc.period; now = max(m.NextWork(now+1), now+1) {
+			m.Step(now)
+			steps++
+		}
+		if len(log.jobs) == 0 {
+			t.Fatalf("load at %d: first job never completed", tc.load)
+		}
+		if got := log.jobs[0].Release; got != tc.want {
+			t.Errorf("load at %d: first release %d, want %d", tc.load, got, tc.want)
+		}
+		if steps > 2*int(spec.WCET) {
+			t.Errorf("load at %d: %d steps to finish a %d-slot job", tc.load, steps, spec.WCET)
+		}
+	}
+}
+
 func TestLoadPreRejectsConflicts(t *testing.T) {
 	tab := slot.NewTable(16)
 	m, _ := New(Config{VMs: 1, Table: tab, Mode: DirectEDF})
 	spec := &task.Sporadic{ID: 1, VM: 0, Period: 8, WCET: 2, Deadline: 8}
-	if err := m.LoadPre(spec, 0, 0); err != nil {
+	if err := m.LoadPre(0, spec, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadPre(spec, 0, 0); err == nil {
+	if err := m.LoadPre(0, spec, 0, 0); err == nil {
 		t.Error("duplicate id accepted")
 	}
 	bad := &task.Sporadic{ID: 2, VM: 0, Period: 0, WCET: 1, Deadline: 1}
-	if err := m.LoadPre(bad, 1, 0); err == nil {
+	if err := m.LoadPre(0, bad, 1, 0); err == nil {
 		t.Error("invalid spec accepted")
 	}
 	odd := &task.Sporadic{ID: 3, VM: 0, Period: 5, WCET: 1, Deadline: 5}
-	if err := m.LoadPre(odd, 2, 0); err == nil {
+	if err := m.LoadPre(0, odd, 2, 0); err == nil {
 		t.Error("non-dividing period accepted")
 	}
 	// Fill the remaining bandwidth so the next allocation fails and
 	// must not leak slots.
 	hog := &task.Sporadic{ID: 4, VM: 0, Period: 8, WCET: 6, Deadline: 8}
-	if err := m.LoadPre(hog, 3, 0); err != nil {
+	if err := m.LoadPre(0, hog, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	free := tab.FreeCount()
 	full := &task.Sporadic{ID: 5, VM: 0, Period: 8, WCET: 2, Deadline: 8}
-	if err := m.LoadPre(full, 4, 0); err == nil {
+	if err := m.LoadPre(0, full, 4, 0); err == nil {
 		t.Error("infeasible load accepted")
 	}
 	if tab.FreeCount() != free {
@@ -76,7 +127,7 @@ func TestUnloadPreFreesEverything(t *testing.T) {
 	tab := slot.NewTable(16)
 	m, _ := New(Config{VMs: 1, Table: tab, Mode: DirectEDF})
 	spec := &task.Sporadic{ID: 1, VM: 0, Period: 8, WCET: 4, Deadline: 8}
-	if err := m.LoadPre(spec, 0, 0); err != nil {
+	if err := m.LoadPre(0, spec, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Step(0) // release one job
@@ -116,7 +167,7 @@ func TestUnloadPreCountsDroppedJobs(t *testing.T) {
 	tab := slot.NewTable(16)
 	m, _ := New(Config{VMs: 1, Table: tab, Mode: DirectEDF})
 	spec := &task.Sporadic{ID: 1, Name: "doomed", VM: 0, Period: 16, WCET: 2, Deadline: 16}
-	if err := m.LoadPre(spec, 0, 0); err != nil {
+	if err := m.LoadPre(0, spec, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Step slot 0 to release the first job, then starve the P-channel
@@ -170,7 +221,7 @@ func TestReloadRecyclesTaskIDCleanly(t *testing.T) {
 	var log completionLog
 	m.OnComplete = log.hook()
 	alpha := &task.Sporadic{ID: 1, Name: "alpha", VM: 0, Period: 8, WCET: 2, Deadline: 8}
-	if err := m.LoadPre(alpha, 0, 0); err != nil {
+	if err := m.LoadPre(0, alpha, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for now := slot.Time(0); now < 16; now++ {
@@ -194,7 +245,7 @@ func TestReloadRecyclesTaskIDCleanly(t *testing.T) {
 	}
 	// Recycle TaskID 0 immediately for a different spec.
 	beta := &task.Sporadic{ID: 2, Name: "beta", VM: 0, Period: 16, WCET: 4, Deadline: 16}
-	if err := m.LoadPre(beta, 0, 0); err != nil {
+	if err := m.LoadPre(17, beta, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.CheckInvariants(); err != nil {
@@ -245,7 +296,7 @@ func TestModeChangeUnderLoad(t *testing.T) {
 	var log completionLog
 	m.OnComplete = log.hook()
 	base := &task.Sporadic{ID: 1, Name: "base", VM: 0, Period: 16, WCET: 2, Deadline: 16}
-	if err := m.LoadPre(base, 0, 0); err != nil {
+	if err := m.LoadPre(0, base, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	baseFree := tab.FreeCount()
@@ -256,7 +307,7 @@ func TestModeChangeUnderLoad(t *testing.T) {
 	for now := slot.Time(0); now < 200; now++ {
 		switch now {
 		case 40:
-			if err := m.LoadPre(hiA, 1, 0); err != nil {
+			if err := m.LoadPre(now, hiA, 1, 0); err != nil {
 				t.Fatalf("slot %d: %v", now, err)
 			}
 		case 96:
@@ -264,7 +315,7 @@ func TestModeChangeUnderLoad(t *testing.T) {
 				t.Fatalf("slot %d: %v", now, err)
 			}
 		case 120:
-			if err := m.LoadPre(hiB, 1, 0); err != nil {
+			if err := m.LoadPre(now, hiB, 1, 0); err != nil {
 				t.Fatalf("slot %d: %v", now, err)
 			}
 		}
@@ -308,7 +359,7 @@ func TestModeChangeCycle(t *testing.T) {
 	m, _ := New(Config{VMs: 1, Table: tab, Mode: DirectEDF})
 	for cycle := 0; cycle < 10; cycle++ {
 		spec := &task.Sporadic{ID: cycle, VM: 0, Period: 16, WCET: 3, Deadline: 16}
-		if err := m.LoadPre(spec, slot.TaskID(cycle), slot.Time(cycle)%16); err != nil {
+		if err := m.LoadPre(0, spec, slot.TaskID(cycle), slot.Time(cycle)%16); err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 		if err := m.UnloadPre(slot.TaskID(cycle)); err != nil {

@@ -10,7 +10,7 @@ import (
 	"ioguard/internal/task"
 )
 
-// scanPre is the reference P-channel release engine the release heap
+// scanPre is the reference P-channel release engine the release queue
 // replaced: every slot it walks every loaded task in id order,
 // fast-forwarding a task's first release to the slot it is first
 // stepped at and then emitting its due jobs. Kept here (test-only) as
@@ -192,7 +192,7 @@ func relRun(t *testing.T, name string, reqs []slot.Requirement, ops []relOp, mod
 				rjob++
 			case op.load:
 				spec := newSpec(op.id, op.period, op.wcet, 1)
-				if m.LoadPre(spec, op.id, op.offset) == nil {
+				if m.LoadPre(now, spec, op.id, op.offset) == nil {
 					ids[spec] = op.id
 					oracle.load(op.id, op.period, op.offset)
 				}
@@ -256,11 +256,9 @@ func relRun(t *testing.T, name string, reqs []slot.Requirement, ops []relOp, mod
 }
 
 // checkRelInvariants asserts the P-channel registry's internal
-// consistency: pre is id-sorted, every task is on exactly one of the
-// release heap and the not-yet-started list, the heap is ordered with
-// correct back-indices, the busy list holds exactly the tasks with
-// pending jobs, and every pool's shadow register shows its queue's
-// earliest deadline (what a per-slot L-Sched refresh would load).
+// consistency: pre is id-sorted, the release queue holds exactly the
+// loaded tasks, each once and keyed by its next release, and the busy
+// list holds exactly the tasks with pending jobs.
 func checkRelInvariants(t *testing.T, name string, m *Manager) {
 	t.Helper()
 	for i := 1; i < len(m.pre); i++ {
@@ -268,24 +266,18 @@ func checkRelInvariants(t *testing.T, name string, m *Manager) {
 			t.Fatalf("%s: pre not id-sorted at %d", name, i)
 		}
 	}
-	if len(m.rel)+len(m.unstarted) != len(m.pre) {
-		t.Fatalf("%s: %d heap + %d unstarted tasks, %d loaded", name, len(m.rel), len(m.unstarted), len(m.pre))
-	}
-	for i, pt := range m.rel {
-		if m.lookupPre(pt.id) != pt {
-			t.Fatalf("%s: heap holds task %d, which is not loaded", name, pt.id)
+	queued := make(map[*preTask]bool)
+	m.rel.Each(func(nr slot.Time, pt *preTask) {
+		if m.lookupPre(pt.id) != pt || queued[pt] {
+			t.Fatalf("%s: release queue holds task %d twice or while it is not loaded", name, pt.id)
 		}
-		if pt.relIdx != i {
-			t.Fatalf("%s: task %d at heap %d has relIdx %d", name, pt.id, i, pt.relIdx)
+		if nr != pt.nextRelease {
+			t.Fatalf("%s: task %d queued at %d, next release %d", name, pt.id, nr, pt.nextRelease)
 		}
-		if i > 0 && m.rel.before(i, (i-1)/2) {
-			t.Fatalf("%s: heap order broken at %d", name, i)
-		}
-	}
-	for _, pt := range m.unstarted {
-		if m.lookupPre(pt.id) != pt || pt.relIdx != -1 {
-			t.Fatalf("%s: unstarted task %d is unloaded or in the heap", name, pt.id)
-		}
+		queued[pt] = true
+	})
+	if len(queued) != len(m.pre) {
+		t.Fatalf("%s: release queue holds %d tasks, %d loaded", name, len(queued), len(m.pre))
 	}
 	busy := 0
 	for _, pt := range m.pre {
@@ -304,7 +296,7 @@ func checkRelInvariants(t *testing.T, name string, m *Manager) {
 // TestReleaseHeapVsScan: across random tables and scripts of
 // Preload/LoadPre/UnloadPre at random slots (TaskID recycling, tasks
 // retired before their first Step, R-channel traffic), the release
-// heap must emit exactly the scan oracle's (task, seq, release) jobs
+// queue must emit exactly the scan oracle's (task, seq, release) jobs
 // at exactly the oracle's slots, both stepped densely and driven by
 // NextWork jumps. NextWork must never lie past the oracle's next
 // release, and the skipping run must end with the dense run's

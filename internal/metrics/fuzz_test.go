@@ -83,8 +83,9 @@ func FuzzKLLJSON(f *testing.F) {
 }
 
 // FuzzStreamingJSON: decoding arbitrary bytes as a streaming recorder
-// either fails or yields one whose percentiles stay within its
-// [Min, Max] and whose encoding is canonical.
+// either fails or yields one whose percentiles and mean (up to
+// meanSlackUlps) stay within its [Min, Max] and whose encoding is
+// canonical.
 func FuzzStreamingJSON(f *testing.F) {
 	for _, n := range []int{0, 1, 50, 5000} {
 		addJSON(f, fuzzStreaming(n, uint64(n)))
@@ -97,6 +98,9 @@ func FuzzStreamingJSON(f *testing.F) {
 		}
 		if s.N() > 0 {
 			requireQuantilesIn(t, func(q float64) float64 { return s.Percentile(100 * q) }, s.Min(), s.Max())
+			if !meanWithin(s.Mean(), s.Min(), s.Max()) {
+				t.Fatalf("mean %g outside [%g, %g]", s.Mean(), s.Min(), s.Max())
+			}
 		}
 		requireStableEncoding(t, &s, func() any { return new(Streaming) })
 	})

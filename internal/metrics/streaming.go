@@ -179,11 +179,25 @@ func (s *Streaming) MarshalJSON() ([]byte, error) {
 	})
 }
 
+// meanSlackUlps is how far a recorder's mean may lie outside its
+// [min, max], in ulps of the larger extremum's magnitude. The
+// parallel-Welford update in Merge rounds, so an honest merged mean
+// may land a rounding step past an extremum.
+const meanSlackUlps = 4
+
+// meanWithin reports whether mean lies in [min, max] up to
+// meanSlackUlps.
+func meanWithin(mean, min, max float64) bool {
+	m := math.Max(math.Abs(min), math.Abs(max))
+	slack := meanSlackUlps * (math.Nextafter(m, math.Inf(1)) - m)
+	return mean >= min-slack && mean <= max+slack
+}
+
 // UnmarshalJSON decodes a recorder, revalidating every wire claim:
 // the sketch's own invariants (see KLL.UnmarshalJSON), the moment
-// fields' finiteness, m2 ≥ 0, min ≤ max, every sketch value within
-// [min, max], and n equal to the sketch's recomputed observation
-// count. See
+// fields' finiteness, m2 ≥ 0, min ≤ max, mean within [min, max] (up to
+// meanSlackUlps), every sketch value within [min, max], and n equal to
+// the sketch's recomputed observation count. See
 // TestStreamingUnmarshalRejectsMalformed for the case table.
 func (s *Streaming) UnmarshalJSON(data []byte) error {
 	var w streamingJSON
@@ -210,6 +224,9 @@ func (s *Streaming) UnmarshalJSON(data []byte) error {
 	}
 	if w.N > 0 && w.Min > w.Max {
 		return fmt.Errorf("metrics: recorder wire min=%g exceeds max=%g", w.Min, w.Max)
+	}
+	if w.N > 0 && !meanWithin(w.Mean, w.Min, w.Max) {
+		return fmt.Errorf("metrics: recorder wire mean=%g outside [min=%g, max=%g]", w.Mean, w.Min, w.Max)
 	}
 	if w.N == 0 && (w.Mean != 0 || w.M2 != 0 || w.Min != 0 || w.Max != 0) {
 		return fmt.Errorf("metrics: recorder wire empty but moments nonzero")

@@ -114,8 +114,9 @@ func TestStreamingJSONRoundTrip(t *testing.T) {
 }
 
 // TestStreamingUnmarshalRejectsMalformed: the recorder's wire
-// invariants (finiteness, m2 ≥ 0, min ≤ max, n consistency with the
-// embedded sketch, empty-means-zero) each have a hostile case.
+// invariants (finiteness, m2 ≥ 0, min ≤ max, mean within [min, max],
+// n consistency with the embedded sketch, empty-means-zero) each have a
+// hostile case.
 func TestStreamingUnmarshalRejectsMalformed(t *testing.T) {
 	sketch := `{"eps":0.01,"k":300,"n":3,"rng":1,"levels":[[1,2,3]]}`
 	cases := []struct {
@@ -125,6 +126,8 @@ func TestStreamingUnmarshalRejectsMalformed(t *testing.T) {
 		{"n mismatch", `{"n":4,"mean":2,"m2":2,"min":1,"max":3,"sketch":` + sketch + `}`, "disagrees"},
 		{"negative m2", `{"n":3,"mean":2,"m2":-1,"min":1,"max":3,"sketch":` + sketch + `}`, "negative"},
 		{"min above max", `{"n":3,"mean":2,"m2":2,"min":5,"max":3,"sketch":` + sketch + `}`, "exceeds"},
+		{"mean above max", `{"n":3,"mean":110,"m2":2,"min":1,"max":100,"sketch":` + sketch + `}`, "mean"},
+		{"mean below min", `{"n":3,"mean":0.5,"m2":2,"min":1,"max":3,"sketch":` + sketch + `}`, "mean"},
 		{"overflow mean", `{"n":3,"mean":1e999,"m2":2,"min":1,"max":3,"sketch":` + sketch + `}`, ""},
 		{"empty with moments", `{"n":0,"mean":7,"m2":0,"min":0,"max":0,"sketch":{"eps":0.01,"k":300,"n":0,"rng":1,"levels":[[]]}}`, "empty"},
 		{"sketch value above max", `{"n":3,"mean":2,"m2":2,"min":1,"max":2,"sketch":` + sketch + `}`, "outside"},
@@ -148,6 +151,61 @@ func TestStreamingUnmarshalRejectsMalformed(t *testing.T) {
 	}
 	if s.N() != 3 || s.Mean() != 2 || s.Min() != 1 || s.Max() != 3 {
 		t.Fatalf("valid payload decoded wrong: %s", s.String())
+	}
+}
+
+// TestStreamingHonestMergeRoundTrips: a recorder built only by Add and
+// Merge always survives an encode/decode round trip, however its
+// values sit. The draws crowd the extrema, where a rounded merged mean
+// would first step outside [min, max], at magnitudes from 1e-300 to
+// 1e100, across merge chains and merges of merged recorders.
+func TestStreamingHonestMergeRoundTrips(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	scales := []float64{1e-300, 1e-9, 0.1, 1, 3, 1e6, 1e15, 1e100}
+	for trial := 0; trial < 3000; trial++ {
+		scale := scales[rng.Intn(len(scales))]
+		lo := (rng.Float64() - 0.5) * scale
+		hi := lo + rng.Float64()*scale
+		draw := func() float64 {
+			switch k := rng.Intn(10); {
+			case k < 4:
+				return hi
+			case k < 7:
+				return lo
+			case k < 8:
+				return math.Nextafter(hi, lo)
+			default:
+				return lo + rng.Float64()*(hi-lo)
+			}
+		}
+		build := func(seed uint64) *Streaming {
+			acc := NewStreaming(0.05, seed)
+			for p := rng.Intn(12); p >= 0; p-- {
+				part := NewStreaming(0.05, seed+uint64(p)+1)
+				for i := rng.Intn(30); i >= 0; i-- {
+					part.Add(draw())
+				}
+				if err := acc.Merge(part); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return acc
+		}
+		s := build(uint64(trial) * 100)
+		if rng.Intn(2) == 0 {
+			if err := s.Merge(build(uint64(trial)*100 + 50)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Streaming
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("trial %d: honest recorder (n=%d mean=%g min=%g max=%g) refused: %v",
+				trial, s.N(), s.Mean(), s.Min(), s.Max(), err)
+		}
 	}
 }
 

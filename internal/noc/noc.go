@@ -150,7 +150,8 @@ type hop struct {
 
 // hopHeap is a binary min-heap of hops keyed by (done, port). Each
 // port has at most one hop in flight, so the key is unique and equal
-// slots pop in port index order.
+// slots pop in port index order. It is not a queue.PQ, which would
+// pop equal slots in insertion order instead.
 type hopHeap []hop
 
 func (a hop) before(b hop) bool {

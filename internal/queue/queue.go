@@ -7,7 +7,9 @@
 //     queue whose local scheduler maps the earliest-deadline entry
 //     into a shadow register; a queued key never changes, so the
 //     register is always the heap minimum and the heap is all the
-//     simulator needs.
+//     simulator needs. The same heap keys other slot-ordered work:
+//     the manager's pre-defined tasks by next release, and delayed
+//     jobs by due slot.
 //   - FIFO is the conventional bounded first-in/first-out queue found
 //     in traditional I/O controllers and the baseline systems; it
 //     forbids context switches at the hardware level.

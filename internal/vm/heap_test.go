@@ -8,9 +8,9 @@ import (
 	"ioguard/internal/task"
 )
 
-// scanGuest is the reference release engine the heap replaced: it
-// scans every task on every call, emitting a task's due jobs in task
-// order. Kept here (test-only) as the oracle for the heap-vs-scan
+// scanGuest is one VM of the reference release engine the fleet's
+// heap replaced: it scans every task on every call, emitting a task's
+// due jobs in task order. Kept here (test-only) as the oracle for the heap-vs-scan
 // property test.
 type scanGuest struct {
 	specs []*task.Sporadic
@@ -153,11 +153,11 @@ func TestHeapVsScanEmissionOrder(t *testing.T) {
 }
 
 // TestScanGuestMatchesNextRelease pins the oracle itself: its
-// nextRelease must agree with the heap guest's NextRelease when both
+// nextRelease must agree with a 1-VM fleet's NextRelease when both
 // consume the same RNG stream.
 func TestScanGuestMatchesNextRelease(t *testing.T) {
 	ts := jittered(0, 0)
-	heap, err := NewGuest(0, ts, rand.New(rand.NewSource(42)))
+	heap, err := NewFleet(1, ts, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}

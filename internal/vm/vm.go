@@ -1,6 +1,6 @@
 // Package vm models the guest virtual machines of the evaluation
-// platform: each VM runs an RTOS hosting a set of I/O tasks, and its
-// release engine generates the tasks' jobs — periodically for
+// platform: each VM runs an RTOS hosting a set of I/O tasks, and the
+// fleet's release engine generates the tasks' jobs — periodically for
 // pre-defined-style tasks, sporadically (period plus bounded jitter)
 // for run-time tasks (Sec. II-B).
 //
@@ -9,17 +9,18 @@
 // systems in each execution" as required for the paper's fair
 // comparisons.
 //
-// Release generation is heap-batched: every guest keeps a min-heap
-// over its tasks' next-release slots and the fleet keeps a min-heap
-// over its guests' earliest releases, so a release slot costs
+// Release generation is heap-batched: the fleet keeps one min-heap
+// over every task's next-release slot, so a release slot costs
 // O(log tasks) per released job (instead of scanning every task of
-// every guest) and NextRelease is O(1). Emission order is unchanged:
-// within one slot, guests release in VM order and each guest's due
-// tasks release in task order, exactly like the scan they replace
-// (enforced by the heap-vs-scan property test).
+// every VM) and NextRelease is O(1). Heap ties break by VM-major task
+// position, so within one slot VMs release in VM order and each VM's
+// due tasks in task order, exactly like the per-VM scan the heap
+// replaced (enforced by the heap-vs-scan property test). The heap is
+// not a queue.PQ because a PQ breaks ties by insertion order.
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -35,15 +36,15 @@ import (
 // Stream.ReleaseJitter satisfies this signature).
 type JitterFunc func(t *task.Sporadic, seq int) slot.Time
 
-// Guest is one virtual machine's release engine.
-type Guest struct {
-	id    int
+// Fleet is the release engine of a set of VMs numbered 0..vms-1. Its
+// task arrays are indexed by VM-major position: VM 0's tasks in
+// task-set order, then VM 1's, and so on.
+type Fleet struct {
 	specs []*task.Sporadic
 	next  []slot.Time
 	seq   []int
-	// heap holds task indices ordered by (next[i], i): the earliest
-	// upcoming release first, ties broken by task order so same-slot
-	// emissions match the task-scan order.
+	// heap holds task positions ordered by (next[i], i): the earliest
+	// upcoming release first, ties broken by position.
 	heap []int32
 	rng  *rand.Rand
 	// jitter, when set, adds fault-injected delay to each job's
@@ -53,148 +54,35 @@ type Guest struct {
 	released int64
 }
 
-// NewGuest builds a guest for VM id owning the given tasks. Every
-// task's first release is drawn uniformly from [0, Period) to
+// NewFleet builds the release engine of vms VMs owning the tasks of
+// ts; VMs without tasks release nothing. Every task's first release is
+// drawn from rng uniformly in [0, Period), in VM-major order, to
 // desynchronize the VMs; subsequent releases respect the sporadic
 // minimum separation plus up to Jitter extra delay.
-func NewGuest(id int, ts task.Set, rng *rand.Rand) (*Guest, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("vm: guest %d needs a random source", id)
-	}
-	g := &Guest{id: id, rng: rng}
-	for i := range ts {
-		t := ts[i]
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		if t.VM != id {
-			return nil, fmt.Errorf("vm: task %d belongs to vm %d, not %d", t.ID, t.VM, id)
-		}
-		spec := t
-		g.specs = append(g.specs, &spec)
-		g.next = append(g.next, slot.Time(rng.Int63n(int64(t.Period))))
-		g.seq = append(g.seq, 0)
-		g.heap = append(g.heap, int32(i))
-	}
-	for i := len(g.heap)/2 - 1; i >= 0; i-- {
-		g.siftDown(i)
-	}
-	return g, nil
-}
-
-// taskBefore orders the guest's release heap by (next slot, task
-// index).
-func (g *Guest) taskBefore(a, b int32) bool {
-	if g.next[a] != g.next[b] {
-		return g.next[a] < g.next[b]
-	}
-	return a < b
-}
-
-// siftDown restores the heap property below position i after the key
-// at i increased (a task's next release only ever moves later).
-func (g *Guest) siftDown(i int) {
-	h := g.heap
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && g.taskBefore(h[l], h[m]) {
-			m = l
-		}
-		if r < len(h) && g.taskBefore(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// ID returns the VM index.
-func (g *Guest) ID() int { return g.id }
-
-// Tasks returns the guest's task specs (shared pointers: the jobs the
-// guest releases reference them).
-func (g *Guest) Tasks() []*task.Sporadic { return g.specs }
-
-// Released returns how many jobs the guest has released so far.
-func (g *Guest) Released() int64 { return g.released }
-
-// Release emits every job due at slot now, in (release slot, task
-// index) order. Call in increasing time order — once per slot, or
-// jumping straight between NextRelease slots.
-func (g *Guest) Release(now slot.Time, emit func(j *task.Job)) {
-	for len(g.heap) > 0 {
-		i := g.heap[0]
-		if g.next[i] > now {
-			return
-		}
-		spec := g.specs[i]
-		j := task.NewJob(spec, g.seq[i], g.next[i])
-		g.seq[i]++
-		g.released++
-		gap := spec.Period
-		if spec.Jitter > 0 {
-			gap += slot.Time(g.rng.Int63n(int64(spec.Jitter) + 1))
-		}
-		if g.jitter != nil {
-			// Fault-injected extra delay for the *next* job (the one
-			// whose release this gap determines): keyed by its sequence
-			// number so the draw is independent of materialization order.
-			gap += g.jitter(spec, g.seq[i])
-		}
-		g.next[i] += gap
-		g.siftDown(0)
-		emit(j)
-	}
-}
-
-// NextRelease returns the earliest upcoming release slot across the
-// guest's tasks in O(1), or slot.Never for a guest without tasks. It
-// is exact, not a bound: release jitter is materialized into the heap
-// when the previous job is released, so the runner may fast-forward
-// straight to this slot without missing a release.
-func (g *Guest) NextRelease() slot.Time {
-	if len(g.heap) == 0 {
-		return slot.Never
-	}
-	return g.next[g.heap[0]]
-}
-
-// Fleet is a set of guests released in VM order. It keeps a min-heap
-// over the guests' earliest releases so NextRelease is O(1) for any
-// fleet size.
-type Fleet struct {
-	guests []*Guest
-	// heap holds guest indices ordered by (guest NextRelease, guest
-	// ID): ties release in VM order, matching the guest-scan order.
-	heap []int32
-
-	released int64
-}
-
-// NewFleet partitions ts by VM and builds one guest per VM, numbered
-// 0..vms-1. VMs without tasks get an empty guest. All guests share
-// the given random source.
 func NewFleet(vms int, ts task.Set, rng *rand.Rand) (*Fleet, error) {
 	if vms <= 0 {
 		return nil, fmt.Errorf("vm: need at least one VM, got %d", vms)
 	}
-	byVM := ts.ByVM()
-	f := &Fleet{guests: make([]*Guest, 0, vms)}
-	for id := 0; id < vms; id++ {
-		g, err := NewGuest(id, byVM[id], rng)
-		if err != nil {
-			return nil, err
-		}
-		f.guests = append(f.guests, g)
-		f.heap = append(f.heap, int32(id))
+	if rng == nil {
+		return nil, errors.New("vm: fleet needs a random source")
 	}
+	byVM := ts.ByVM()
 	for vmID := range byVM {
-		if vmID >= vms {
-			return nil, fmt.Errorf("vm: task set references vm %d beyond fleet of %d", vmID, vms)
+		if vmID < 0 || vmID >= vms {
+			return nil, fmt.Errorf("vm: task set references vm %d outside fleet of %d", vmID, vms)
+		}
+	}
+	f := &Fleet{rng: rng}
+	for id := 0; id < vms; id++ {
+		for _, t := range byVM[id] {
+			if err := t.Validate(); err != nil {
+				return nil, err
+			}
+			spec := t
+			f.heap = append(f.heap, int32(len(f.specs)))
+			f.specs = append(f.specs, &spec)
+			f.next = append(f.next, slot.Time(rng.Int63n(int64(t.Period))))
+			f.seq = append(f.seq, 0)
 		}
 	}
 	for i := len(f.heap)/2 - 1; i >= 0; i-- {
@@ -203,40 +91,32 @@ func NewFleet(vms int, ts task.Set, rng *rand.Rand) (*Fleet, error) {
 	return f, nil
 }
 
-// Guests returns the fleet's guests in VM order.
-func (f *Fleet) Guests() []*Guest { return f.guests }
-
-// SetReleaseJitter installs a fault-injection jitter source on every
-// guest. Call before the first Release: jitter is materialized into
-// the release heap as gaps are computed, so a late install would leave
+// SetReleaseJitter installs a fault-injection jitter source. Call
+// before the first Release: jitter is materialized into the release
+// heap as gaps are computed, so a late install would leave
 // already-scheduled releases unperturbed. First releases (sequence 0)
 // are drawn uniformly in [0, Period) and are not perturbed further.
-func (f *Fleet) SetReleaseJitter(fn JitterFunc) {
-	for _, g := range f.guests {
-		g.jitter = fn
-	}
-}
+func (f *Fleet) SetReleaseJitter(fn JitterFunc) { f.jitter = fn }
 
-// guestBefore orders the fleet's heap by (guest NextRelease, VM ID).
-func (f *Fleet) guestBefore(a, b int32) bool {
-	na, nb := f.guests[a].NextRelease(), f.guests[b].NextRelease()
-	if na != nb {
-		return na < nb
+// before orders the release heap by (next slot, task position).
+func (f *Fleet) before(a, b int32) bool {
+	if f.next[a] != f.next[b] {
+		return f.next[a] < f.next[b]
 	}
 	return a < b
 }
 
 // siftDown restores the heap property below position i after the key
-// at i increased.
+// at i increased (a task's next release only ever moves later).
 func (f *Fleet) siftDown(i int) {
 	h := f.heap
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < len(h) && f.guestBefore(h[l], h[m]) {
+		if l < len(h) && f.before(h[l], h[m]) {
 			m = l
 		}
-		if r < len(h) && f.guestBefore(h[r], h[m]) {
+		if r < len(h) && f.before(h[r], h[m]) {
 			m = r
 		}
 		if m == i {
@@ -247,28 +127,46 @@ func (f *Fleet) siftDown(i int) {
 	}
 }
 
-// Release emits all due jobs across the fleet at slot now, guests in
-// VM order within the slot. Call in increasing time order.
+// Release emits every job due at slot now. Call it at every
+// NextRelease slot, in increasing time order — once per slot, or
+// jumping straight between NextRelease slots. A slot's jobs then come
+// out in VM order, and each VM's in task order.
 func (f *Fleet) Release(now slot.Time, emit func(j *task.Job)) {
 	for len(f.heap) > 0 {
-		g := f.guests[f.heap[0]]
-		if g.NextRelease() > now {
+		i := f.heap[0]
+		if f.next[i] > now {
 			return
 		}
-		before := g.released
-		g.Release(now, emit)
-		f.released += g.released - before
+		spec := f.specs[i]
+		j := task.NewJob(spec, f.seq[i], f.next[i])
+		f.seq[i]++
+		f.released++
+		gap := spec.Period
+		if spec.Jitter > 0 {
+			gap += slot.Time(f.rng.Int63n(int64(spec.Jitter) + 1))
+		}
+		if f.jitter != nil {
+			// Fault-injected extra delay for the *next* job (the one
+			// whose release this gap determines): keyed by its sequence
+			// number so the draw is independent of materialization order.
+			gap += f.jitter(spec, f.seq[i])
+		}
+		f.next[i] += gap
 		f.siftDown(0)
+		emit(j)
 	}
 }
 
 // NextRelease returns the earliest upcoming release slot across the
-// fleet in O(1), or slot.Never when no guest has tasks.
+// fleet in O(1), or slot.Never when no VM has tasks. It is exact, not
+// a bound: release jitter is materialized into the heap when the
+// previous job is released, so the runner may fast-forward straight to
+// this slot without missing a release.
 func (f *Fleet) NextRelease() slot.Time {
 	if len(f.heap) == 0 {
 		return slot.Never
 	}
-	return f.guests[f.heap[0]].NextRelease()
+	return f.next[f.heap[0]]
 }
 
 // Released returns the fleet-wide release count.

@@ -15,27 +15,9 @@ func set(vmID int) task.Set {
 	}
 }
 
-func TestNewGuestValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := NewGuest(0, set(0), nil); err == nil {
-		t.Error("nil rng accepted")
-	}
-	if _, err := NewGuest(1, set(0), rng); err == nil {
-		t.Error("foreign VM tasks accepted")
-	}
-	bad := task.Set{{ID: 0, VM: 0, Period: 0, WCET: 1, Deadline: 1}}
-	if _, err := NewGuest(0, bad, rng); err == nil {
-		t.Error("invalid task accepted")
-	}
-	g, err := NewGuest(3, nil, rng)
-	if err != nil || g.ID() != 3 || len(g.Tasks()) != 0 {
-		t.Error("empty guest should be fine")
-	}
-}
-
 func TestReleaseRespectsMinimumSeparation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g, err := NewGuest(0, set(0), rng)
+	g, err := NewFleet(1, set(0), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +43,10 @@ func TestReleaseRespectsMinimumSeparation(t *testing.T) {
 func TestReleaseJitterBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ts := task.Set{{ID: 0, VM: 0, Period: 10, WCET: 1, Deadline: 10, Jitter: 4}}
-	g, _ := NewGuest(0, ts, rng)
+	g, err := NewFleet(1, ts, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var gaps []slot.Time
 	var prev slot.Time = -1
 	for now := slot.Time(0); now < 2000; now++ {
@@ -89,7 +74,10 @@ func TestReleaseJitterBounded(t *testing.T) {
 func TestReleaseDeterministicPerSeed(t *testing.T) {
 	releases := func(seed int64) []slot.Time {
 		rng := rand.New(rand.NewSource(seed))
-		g, _ := NewGuest(0, set(0), rng)
+		g, err := NewFleet(1, set(0), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var out []slot.Time
 		for now := slot.Time(0); now < 200; now++ {
 			g.Release(now, func(j *task.Job) { out = append(out, j.Release) })
@@ -123,7 +111,10 @@ func TestReleaseDeterministicPerSeed(t *testing.T) {
 func TestJobSequenceNumbers(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ts := task.Set{{ID: 0, VM: 0, Period: 10, WCET: 1, Deadline: 10}}
-	g, _ := NewGuest(0, ts, rng)
+	g, err := NewFleet(1, ts, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := 0
 	for now := slot.Time(0); now < 100; now++ {
 		g.Release(now, func(j *task.Job) {
@@ -145,12 +136,16 @@ func TestFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fleet.Guests()) != 3 {
-		t.Fatalf("fleet size = %d", len(fleet.Guests()))
-	}
 	n := 0
+	byVM := map[int]int{}
 	for now := slot.Time(0); now < 100; now++ {
-		fleet.Release(now, func(j *task.Job) { n++ })
+		fleet.Release(now, func(j *task.Job) {
+			n++
+			byVM[j.Task.VM]++
+		})
+	}
+	if byVM[0] == 0 || byVM[2] == 0 || len(byVM) != 2 {
+		t.Errorf("releases per VM = %v, want VMs 0 and 2 only", byVM)
 	}
 	if int64(n) != fleet.Released() {
 		t.Errorf("emitted %d ≠ Released() %d", n, fleet.Released())
@@ -160,13 +155,37 @@ func TestFleet(t *testing.T) {
 	}
 }
 
+// TestFleetValidation: NewFleet refuses an empty fleet, a nil random
+// source, an invalid task and a task outside the fleet; a fleet whose
+// VMs hold no tasks never releases.
 func TestFleetValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	if _, err := NewFleet(0, nil, rng); err == nil {
 		t.Error("zero VMs accepted")
 	}
+	if _, err := NewFleet(1, set(0), nil); err == nil {
+		t.Error("nil rng accepted")
+	}
+	bad := task.Set{{ID: 0, VM: 0, Period: 0, WCET: 1, Deadline: 1}}
+	if _, err := NewFleet(1, bad, rng); err == nil {
+		t.Error("invalid task accepted")
+	}
+	if _, err := NewFleet(1, set(1), rng); err == nil {
+		t.Error("task of vm 1 accepted by a 1-VM fleet")
+	}
 	ts := task.Set{{ID: 0, VM: 5, Period: 10, WCET: 1, Deadline: 10}}
 	if _, err := NewFleet(2, ts, rng); err == nil {
 		t.Error("task beyond fleet accepted")
+	}
+	if _, err := NewFleet(2, set(-1), rng); err == nil {
+		t.Error("task of a negative vm accepted")
+	}
+	f, err := NewFleet(4, nil, rng)
+	if err != nil {
+		t.Fatalf("fleet without tasks refused: %v", err)
+	}
+	f.Release(0, func(*task.Job) { t.Error("fleet without tasks released a job") })
+	if got := f.NextRelease(); got != slot.Never || f.Released() != 0 {
+		t.Errorf("fleet without tasks: NextRelease %d, Released %d; want Never, 0", got, f.Released())
 	}
 }
