@@ -155,30 +155,20 @@ func TestFleet(t *testing.T) {
 	}
 }
 
-// TestFleetValidation: NewFleet refuses an empty fleet, a nil random
-// source, an invalid task and a task outside the fleet; a fleet whose
-// VMs hold no tasks never releases.
-func TestFleetValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	if _, err := NewFleet(0, nil, rng); err == nil {
-		t.Error("zero VMs accepted")
-	}
+// TestNewGuestValidation: NewFleet checks each VM's tasks as a guest's
+// were checked: it refuses a nil random source, an invalid task and a
+// task of a VM outside the fleet; a VM without tasks never releases.
+func TestNewGuestValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	if _, err := NewFleet(1, set(0), nil); err == nil {
 		t.Error("nil rng accepted")
-	}
-	bad := task.Set{{ID: 0, VM: 0, Period: 0, WCET: 1, Deadline: 1}}
-	if _, err := NewFleet(1, bad, rng); err == nil {
-		t.Error("invalid task accepted")
 	}
 	if _, err := NewFleet(1, set(1), rng); err == nil {
 		t.Error("task of vm 1 accepted by a 1-VM fleet")
 	}
-	ts := task.Set{{ID: 0, VM: 5, Period: 10, WCET: 1, Deadline: 10}}
-	if _, err := NewFleet(2, ts, rng); err == nil {
-		t.Error("task beyond fleet accepted")
-	}
-	if _, err := NewFleet(2, set(-1), rng); err == nil {
-		t.Error("task of a negative vm accepted")
+	bad := task.Set{{ID: 0, VM: 0, Period: 0, WCET: 1, Deadline: 1}}
+	if _, err := NewFleet(1, bad, rng); err == nil {
+		t.Error("invalid task accepted")
 	}
 	f, err := NewFleet(4, nil, rng)
 	if err != nil {
@@ -187,5 +177,21 @@ func TestFleetValidation(t *testing.T) {
 	f.Release(0, func(*task.Job) { t.Error("fleet without tasks released a job") })
 	if got := f.NextRelease(); got != slot.Never || f.Released() != 0 {
 		t.Errorf("fleet without tasks: NextRelease %d, Released %d; want Never, 0", got, f.Released())
+	}
+}
+
+// TestFleetValidation: NewFleet refuses an empty fleet, a task beyond
+// the fleet and a task of a negative VM.
+func TestFleetValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	if _, err := NewFleet(0, nil, rng); err == nil {
+		t.Error("zero VMs accepted")
+	}
+	ts := task.Set{{ID: 0, VM: 5, Period: 10, WCET: 1, Deadline: 10}}
+	if _, err := NewFleet(2, ts, rng); err == nil {
+		t.Error("task beyond fleet accepted")
+	}
+	if _, err := NewFleet(2, set(-1), rng); err == nil {
+		t.Error("task of a negative vm accepted")
 	}
 }
