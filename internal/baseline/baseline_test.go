@@ -18,7 +18,7 @@ func lightWorkload() task.Set {
 
 func TestStationGlobalFIFOOrder(t *testing.T) {
 	var done []*task.Job
-	st, err := newStation("dev", globalFIFO, 0, 0, func(j *task.Job, at slot.Time) {
+	st, err := newStation("dev", false, 0, 0, func(j *task.Job, at slot.Time) {
 		done = append(done, j)
 	})
 	if err != nil {
@@ -46,7 +46,7 @@ func TestStationGlobalFIFOOrder(t *testing.T) {
 func TestStationNonPreemptive(t *testing.T) {
 	// A long op in service is never preempted by a later short one.
 	var doneOrder []int
-	st, _ := newStation("dev", globalFIFO, 0, 0, func(j *task.Job, at slot.Time) {
+	st, _ := newStation("dev", false, 0, 0, func(j *task.Job, at slot.Time) {
 		doneOrder = append(doneOrder, j.Task.ID)
 	})
 	long := &task.Sporadic{ID: 0, VM: 0, Period: 1000, WCET: 10, Deadline: 1000}
@@ -64,7 +64,7 @@ func TestStationNonPreemptive(t *testing.T) {
 
 func TestStationRoundRobinFairness(t *testing.T) {
 	var done []int // VM ids in completion order
-	st, err := newStation("dev", perVMRoundRobin, 3, 0, func(j *task.Job, at slot.Time) {
+	st, err := newStation("dev", true, 3, 0, func(j *task.Job, at slot.Time) {
 		done = append(done, j.Task.VM)
 	})
 	if err != nil {
@@ -87,21 +87,18 @@ func TestStationRoundRobinFairness(t *testing.T) {
 }
 
 func TestStationValidation(t *testing.T) {
-	if _, err := newStation("d", perVMRoundRobin, 0, 0, nil); err == nil {
+	if _, err := newStation("d", true, 0, 0, nil); err == nil {
 		t.Error("round-robin without VMs accepted")
 	}
-	if _, err := newStation("d", discipline(9), 0, 0, nil); err == nil {
-		t.Error("unknown discipline accepted")
-	}
-	st, _ := newStation("d", perVMRoundRobin, 1, 0, func(*task.Job, slot.Time) {})
+	st, _ := newStation("d", true, 1, 0, func(*task.Job, slot.Time) {})
 	tk := &task.Sporadic{ID: 0, VM: 5, Period: 10, WCET: 1, Deadline: 10}
-	if err := st.enqueue(task.NewJob(tk, 0, 0)); err == nil {
+	if st.enqueue(task.NewJob(tk, 0, 0)) {
 		t.Error("out-of-range VM accepted")
 	}
 }
 
 func TestStationPendingJobs(t *testing.T) {
-	st, _ := newStation("d", globalFIFO, 0, 0, func(*task.Job, slot.Time) {})
+	st, _ := newStation("d", false, 0, 0, func(*task.Job, slot.Time) {})
 	tk := &task.Sporadic{ID: 0, VM: 0, Period: 100, WCET: 5, Deadline: 100}
 	st.enqueue(task.NewJob(tk, 0, 0))
 	st.enqueue(task.NewJob(tk, 1, 0))
@@ -265,6 +262,17 @@ func TestBlueVisorValidation(t *testing.T) {
 	if b.Name() != "BS|BV" || b.Arch() != rtos.BlueVisor {
 		t.Error("identity wrong")
 	}
+	// A one-VM BlueVisor has no pool for VM 1: a job of VM 1
+	// submitted by hand is dropped at the controller.
+	ts := lightWorkload()
+	b1, _ := NewBlueVisor(1, ts, nil)
+	b1.Submit(0, task.NewJob(&ts[1], 0, 0))
+	for now := slot.Time(0); now < 100; now++ {
+		b1.Step(now)
+	}
+	if b1.Dropped() != 1 {
+		t.Errorf("1-VM BlueVisor dropped %d jobs of VM 1, want 1", b1.Dropped())
+	}
 }
 
 func TestBaselinesPendingTracksInFlight(t *testing.T) {
@@ -305,7 +313,7 @@ func TestBaselinesPendingTracksInFlight(t *testing.T) {
 // internal/hypervisor's TestDirectEDFOrdering) meets the deadline.
 func TestFIFOPriorityInversion(t *testing.T) {
 	var observed []slot.Time
-	st, _ := newStation("dev", globalFIFO, 0, 0, func(j *task.Job, at slot.Time) {
+	st, _ := newStation("dev", false, 0, 0, func(j *task.Job, at slot.Time) {
 		observed = append(observed, at)
 	})
 	long := &task.Sporadic{ID: 0, VM: 0, Period: 1000, WCET: 50, Deadline: 1000}

@@ -27,7 +27,7 @@ type bvShard struct {
 	dev     string
 	st      *station
 	pending delayLine // hardware path, toward the pools
-	dropped int64     // full-queue rejections
+	dropped int64     // jobs of a VM without a pool
 }
 
 // Devices returns the single device this shard owns.
@@ -42,7 +42,7 @@ func (s *bvShard) Submit(now slot.Time, j *task.Job) {
 // Step admits due jobs to their pools and services the controller.
 func (s *bvShard) Step(now slot.Time) {
 	for j, ok := s.pending.popDue(now); ok; j, ok = s.pending.popDue(now) {
-		if err := s.st.enqueue(j); err != nil {
+		if !s.st.enqueue(j) {
 			s.dropped++
 		}
 	}
@@ -104,7 +104,7 @@ func NewBlueVisor(vms int, ts task.Set, col *system.Collector) (*BlueVisor, erro
 	var shards []*bvShard
 	for _, dev := range devicesOf(ts) {
 		sh := &bvShard{owner: b, dev: dev}
-		st, err := newStation(dev, perVMRoundRobin, vms, bvSetupSlots, sh.complete)
+		st, err := newStation(dev, true, vms, bvSetupSlots, sh.complete)
 		if err != nil {
 			return nil, err
 		}

@@ -88,7 +88,7 @@ func NewLegacy(vms int, ts task.Set, col *system.Collector) (*Legacy, error) {
 	}
 	path := rtos.Costs(rtos.Legacy)
 	devices := devicesOf(ts)
-	t, err := newMeshTransport(vms, devices, col, path.Response)
+	t, err := newMeshTransport(devices, col, path.Response)
 	if err != nil {
 		return nil, err
 	}

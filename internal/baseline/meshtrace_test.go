@@ -8,15 +8,16 @@ import (
 	"ioguard/internal/slot"
 	"ioguard/internal/system"
 	"ioguard/internal/system/systemtest"
+	"ioguard/internal/task"
 	"ioguard/internal/workload"
 )
 
-// delivRec is one packet delivery as seen by the transport, the
+// delivRec is one mesh delivery as seen by the transport, the
 // finest-grained observable of the mesh baselines.
 type delivRec struct {
 	kind     packet.Kind
-	task     uint16
-	seq      uint32
+	task     int
+	seq      int
 	injected slot.Time
 	now      slot.Time
 }
@@ -24,8 +25,12 @@ type delivRec struct {
 func traceDeliveries(t *testing.T, build system.Builder, tr system.Trial) []delivRec {
 	t.Helper()
 	var out []delivRec
-	debugDeliver = func(kind packet.Kind, task uint16, seq uint32, injected, now slot.Time) {
-		out = append(out, delivRec{kind, task, seq, injected, now})
+	debugDeliver = func(response bool, j *task.Job, injected, now slot.Time) {
+		kind := packet.Request
+		if response {
+			kind = packet.Response
+		}
+		out = append(out, delivRec{kind, j.Task.ID, j.Seq, injected, now})
 	}
 	defer func() { debugDeliver = nil }()
 	if _, err := system.Run(build, tr); err != nil {
@@ -36,7 +41,7 @@ func traceDeliveries(t *testing.T, build system.Builder, tr system.Trial) []deli
 
 // TestMeshDeliveryTraceEquivalence pins the fast-forwarded mesh
 // transport to per-slot stepping at per-delivery granularity for both
-// mesh-coupled baselines: every packet must arrive at the same slot,
+// mesh-coupled baselines: every request and response must arrive at the same slot,
 // in the same order, whether the one shard jumps with NextWork or
 // systemtest.Dense steps every slot. A single swapped or shifted
 // delivery changes station FIFO order and cascades into divergent
@@ -54,15 +59,7 @@ func TestMeshDeliveryTraceEquivalence(t *testing.T) {
 		cells = append(cells, cell{vms: 2 + i%3, util: 0.5 + 0.5*float64(i)/7})
 	}
 	cells = append(cells, cell{vms: 3, util: 0.8, faults: faults.Plan{Seed: 5, DupProb: 0.1, DelayProb: 0.2, DelayMax: 40}})
-	builders := map[string]system.Builder{
-		"legacy": func(tr system.Trial, col *system.Collector) (system.System, error) {
-			return NewLegacy(tr.VMs, tr.Tasks, col)
-		},
-		"rtxen": func(tr system.Trial, col *system.Collector) (system.System, error) {
-			return NewRTXen(tr.VMs, tr.Tasks, col, 0)
-		},
-	}
-	for name, build := range builders {
+	for name, build := range meshBuilders() {
 		t.Run(name, func(t *testing.T) {
 			for i, c := range cells {
 				seed := int64(40 + i)

@@ -56,7 +56,7 @@ func NewRTXen(vms int, ts task.Set, col *system.Collector, quantum slot.Time) (*
 	}
 	path := rtos.Costs(rtos.RTXen)
 	devices := devicesOf(ts)
-	t, err := newMeshTransport(vms, devices, col, path.Response)
+	t, err := newMeshTransport(devices, col, path.Response)
 	if err != nil {
 		return nil, err
 	}

@@ -19,18 +19,6 @@ import (
 	"ioguard/internal/task"
 )
 
-// discipline selects how a station queues waiting operations.
-type discipline uint8
-
-const (
-	// globalFIFO is a single first-come queue shared by all VMs
-	// (legacy I/O controllers).
-	globalFIFO discipline = iota
-	// perVMRoundRobin keeps one FIFO per VM and serves their heads
-	// round-robin (BlueVisor's parallel per-VM buffering).
-	perVMRoundRobin
-)
-
 // controllerSetupSlots is the per-operation setup cost a software-
 // driven conventional controller pays before the transfer starts
 // (register programming, descriptor fetch). It occupies the device,
@@ -39,13 +27,16 @@ const controllerSetupSlots slot.Time = 3
 
 // station models one I/O device with a conventional (non-preemptive)
 // controller: at most one operation in service; waiting operations
-// queue under the configured discipline.
+// queue in FIFOs whose heads are served round-robin.
 type station struct {
-	name    string
-	disc    discipline
-	setup   slot.Time // per-operation controller setup, charged at service start
-	global  *queue.FIFO[*task.Job]
-	perVM   []*queue.FIFO[*task.Job]
+	setup slot.Time // per-operation controller setup, charged at service start
+	// queues holds the waiting operations: one FIFO shared by all VMs
+	// (the legacy controllers' global FIFO) or one per VM
+	// (BlueVisor's parallel per-VM buffering).
+	queues []*queue.FIFO[*task.Job]
+	// perVM files each operation under its VM's queue and rejects a
+	// VM that has none.
+	perVM   bool
 	rrNext  int
 	current *task.Job
 	// lastSlot is the current operation's last service slot, fixed
@@ -59,54 +50,44 @@ type station struct {
 	served int64
 }
 
-// newStation builds a station. vms is required for perVMRoundRobin.
-func newStation(name string, disc discipline, vms int, setup slot.Time, respond func(*task.Job, slot.Time)) (*station, error) {
-	st := &station{name: name, disc: disc, setup: setup, respond: respond}
-	switch disc {
-	case globalFIFO:
-		st.global = queue.NewFIFO[*task.Job](0)
-	case perVMRoundRobin:
+// newStation builds a station with one global FIFO, or with one FIFO
+// for each of vms VMs when perVM is set.
+func newStation(name string, perVM bool, vms int, setup slot.Time, respond func(*task.Job, slot.Time)) (*station, error) {
+	n := 1
+	if perVM {
 		if vms <= 0 {
 			return nil, fmt.Errorf("baseline: station %s needs VMs for round-robin", name)
 		}
-		for i := 0; i < vms; i++ {
-			st.perVM = append(st.perVM, queue.NewFIFO[*task.Job](0))
-		}
-	default:
-		return nil, fmt.Errorf("baseline: unknown discipline %d", disc)
+		n = vms
+	}
+	st := &station{setup: setup, perVM: perVM, respond: respond}
+	for i := 0; i < n; i++ {
+		st.queues = append(st.queues, queue.NewFIFO[*task.Job](0))
 	}
 	return st, nil
 }
 
-// enqueue admits an operation to the waiting queue(s).
-func (st *station) enqueue(j *task.Job) error {
-	switch st.disc {
-	case globalFIFO:
-		st.global.Push(j)
-	case perVMRoundRobin:
-		vm := j.Task.VM
-		if vm < 0 || vm >= len(st.perVM) {
-			return fmt.Errorf("baseline: station %s: vm %d out of range", st.name, vm)
+// enqueue admits an operation to its waiting queue. It reports false
+// when a per-VM station has no queue for the operation's VM.
+func (st *station) enqueue(j *task.Job) bool {
+	q := 0
+	if st.perVM {
+		q = j.Task.VM
+		if q < 0 || q >= len(st.queues) {
+			return false
 		}
-		st.perVM[vm].Push(j)
 	}
-	return nil
+	st.queues[q].Push(j)
+	return true
 }
 
 // next pops the operation the controller serves next, or nil.
 func (st *station) next() *task.Job {
-	switch st.disc {
-	case globalFIFO:
-		j, _ := st.global.Pop()
-		return j
-	case perVMRoundRobin:
-		n := len(st.perVM)
-		for k := 0; k < n; k++ {
-			q := st.perVM[(st.rrNext+k)%n]
-			if j, ok := q.Pop(); ok {
-				st.rrNext = (st.rrNext + k + 1) % n
-				return j
-			}
+	n := len(st.queues)
+	for k := 0; k < n; k++ {
+		if j, ok := st.queues[(st.rrNext+k)%n].Pop(); ok {
+			st.rrNext = (st.rrNext + k + 1) % n
+			return j
 		}
 	}
 	return nil
@@ -152,27 +133,16 @@ func (st *station) pendingJobs(visit func(j *task.Job)) {
 	if st.current != nil {
 		visit(st.current)
 	}
-	switch st.disc {
-	case globalFIFO:
-		st.global.Each(visit)
-	case perVMRoundRobin:
-		for _, q := range st.perVM {
-			q.Each(visit)
-		}
+	for _, q := range st.queues {
+		q.Each(visit)
 	}
 }
 
 // backlog returns the number of waiting (not in-service) operations.
 func (st *station) backlog() int {
-	switch st.disc {
-	case globalFIFO:
-		return st.global.Len()
-	case perVMRoundRobin:
-		n := 0
-		for _, q := range st.perVM {
-			n += q.Len()
-		}
-		return n
+	n := 0
+	for _, q := range st.queues {
+		n += q.Len()
 	}
-	return 0
+	return n
 }

@@ -1,8 +1,8 @@
 // meshTransport: shared NoC plumbing for the baselines that move I/O
 // over the on-chip network (BS|Legacy, BS|RT-XEN). Processors occupy
 // the upper mesh rows, I/O controllers the bottom row; requests and
-// responses are encapsulated as packets (assumption (ii) of Sec. II)
-// and contend in the routers' FIFO arbiters.
+// responses cross the mesh as packet-sized messages (assumption (ii)
+// of Sec. II) and contend in the routers' FIFO arbiters.
 package baseline
 
 import (
@@ -15,164 +15,100 @@ import (
 	"ioguard/internal/task"
 )
 
-// jobKey identifies an in-flight job across the packet boundary.
-type jobKey struct {
-	task uint16
-	seq  uint32
-}
-
 // maxPacketPayload caps the command/descriptor payload carried across
 // the NoC per operation; bulk data moves by DMA outside the request
 // path, so only the descriptor contends in the routers.
 const maxPacketPayload = 64
 
-// zeroPayload backs every packet's payload. Only its length matters
-// (it sets the flit count); nothing reads the bytes, so all packets
-// share this one array through capacity-capped slices.
-var zeroPayload [maxPacketPayload]byte
+// packetBytes is the size of j's request and response packets: a
+// header plus its operation size capped at maxPacketPayload.
+func packetBytes(j *task.Job) int {
+	return packet.HeaderBytes + min(j.Task.OpBytes, maxPacketPayload)
+}
 
-// payloadFor returns j's packet payload: its operation size capped at
-// maxPacketPayload.
-func payloadFor(j *task.Job) []byte {
-	n := min(j.Task.OpBytes, maxPacketPayload)
-	return zeroPayload[:n:n]
+// message is what crosses the mesh: a job's request toward its
+// device's station st, or, with st nil, its response back to the VM.
+type message struct {
+	job *task.Job
+	st  *station
 }
 
 // meshTransport carries jobs to per-device stations over a mesh NoC.
 type meshTransport struct {
-	mesh *noc.Mesh
+	mesh *noc.Mesh[message]
 	col  *system.Collector
 	// stations holds one controller per device in tile order: station
-	// i sits on tile devRow+i, the i-th tile of the bottom row.
+	// i sits on the i-th tile of the bottom row.
 	stations []*station
-	devRow   packet.NodeID
-	devTile  map[string]packet.NodeID
-	inflight map[jobKey]*task.Job
+	devIndex map[string]int
 	respCost slot.Time // software response-path cost at the processor
-	// dropped counts jobs lost in transport (unknown device, full
-	// injection queue, unmatched delivery).
+	// dropped counts jobs submitted for a device without a station.
 	dropped int64
 }
 
-// newMeshTransport wires a transport over a fresh default mesh for
-// the given devices, creating one globalFIFO station per device.
-func newMeshTransport(vms int, devices []string, col *system.Collector, respCost slot.Time) (*meshTransport, error) {
-	mesh, err := noc.New(noc.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	cfg := mesh.Config()
-	if len(devices) > cfg.Width {
-		return nil, fmt.Errorf("baseline: %d devices exceed the mesh's device row (%d)", len(devices), cfg.Width)
+// newMeshTransport wires a transport over a fresh mesh for the given
+// devices, creating one global-FIFO station per device.
+func newMeshTransport(devices []string, col *system.Collector, respCost slot.Time) (*meshTransport, error) {
+	if len(devices) > noc.Width {
+		return nil, fmt.Errorf("baseline: %d devices exceed the mesh's device row (%d)", len(devices), noc.Width)
 	}
 	t := &meshTransport{
-		mesh:     mesh,
+		mesh:     noc.New[message](),
 		col:      col,
-		devRow:   mesh.NodeAt(noc.Coord{X: 0, Y: cfg.Height - 1}),
-		devTile:  make(map[string]packet.NodeID),
-		inflight: make(map[jobKey]*task.Job),
+		devIndex: make(map[string]int),
 		respCost: respCost,
 	}
 	for i, dev := range devices {
-		tile := mesh.NodeAt(noc.Coord{X: i, Y: cfg.Height - 1})
-		t.devTile[dev] = tile
-		st, err := newStation(dev, globalFIFO, vms, controllerSetupSlots, func(j *task.Job, finished slot.Time) {
-			t.sendResponse(tile, j, finished)
+		tile := devTile(i)
+		t.devIndex[dev] = i
+		st, err := newStation(dev, false, 0, controllerSetupSlots, func(j *task.Job, finished slot.Time) {
+			t.mesh.Inject(finished, tile, vmTile(j.Task.VM), packetBytes(j), message{job: j})
 		})
 		if err != nil {
 			return nil, err
 		}
 		t.stations = append(t.stations, st)
 	}
-	mesh.OnDeliver = t.onDeliver
+	t.mesh.OnDeliver = t.onDeliver
 	return t, nil
 }
+
+// devTile is the tile of the i-th device: the i-th tile of the bottom
+// row.
+func devTile(i int) packet.NodeID { return noc.NodeAt(noc.Coord{X: i, Y: noc.Height - 1}) }
 
 // vmTile maps a VM to its processor tile (top rows of the mesh; VMs
 // beyond the processor count share cores, as in the prototype's up to
 // three guests per MicroBlaze).
-func (t *meshTransport) vmTile(vmID int) packet.NodeID {
-	cfg := t.mesh.Config()
-	cores := cfg.Width * (cfg.Height - 1)
-	return packet.NodeID(vmID % cores)
+func vmTile(vmID int) packet.NodeID {
+	return packet.NodeID(vmID % (noc.Width * (noc.Height - 1)))
 }
 
-func key(j *task.Job) jobKey {
-	return jobKey{task: uint16(j.Task.ID), seq: uint32(j.Seq)}
-}
-
-// sendRequest injects a job's request packet at its VM's tile.
+// sendRequest injects a job's request at its VM's tile toward its
+// device's station.
 func (t *meshTransport) sendRequest(now slot.Time, j *task.Job) {
-	tile, ok := t.devTile[j.Task.Device]
+	i, ok := t.devIndex[j.Task.Device]
 	if !ok {
 		t.dropped++
 		return
 	}
-	p := packet.New(packet.Header{
-		Src:      t.vmTile(j.Task.VM),
-		Dst:      tile,
-		VM:       uint8(j.Task.VM),
-		Kind:     packet.Request,
-		Op:       packet.Write,
-		Task:     uint16(j.Task.ID),
-		Seq:      uint32(j.Seq),
-		Deadline: j.Deadline,
-	}, payloadFor(j))
-	t.inflight[key(j)] = j
-	if !t.mesh.Inject(now, p) {
-		delete(t.inflight, key(j))
-		t.dropped++
-	}
+	t.mesh.Inject(now, vmTile(j.Task.VM), devTile(i), packetBytes(j), message{job: j, st: t.stations[i]})
 }
 
-// sendResponse injects the completion notification from a device tile
-// back to the VM.
-func (t *meshTransport) sendResponse(tile packet.NodeID, j *task.Job, finished slot.Time) {
-	p := packet.New(packet.Header{
-		Src:      tile,
-		Dst:      t.vmTile(j.Task.VM),
-		VM:       uint8(j.Task.VM),
-		Kind:     packet.Response,
-		Op:       packet.Write,
-		Task:     uint16(j.Task.ID),
-		Seq:      uint32(j.Seq),
-		Deadline: j.Deadline,
-	}, payloadFor(j))
-	if !t.mesh.Inject(finished, p) {
-		t.dropped++
-	}
-}
+// debugDeliver, when set, observes every mesh delivery (test hook).
+var debugDeliver func(response bool, j *task.Job, injected, now slot.Time)
 
-// debugDeliver, when set, observes every packet delivery (test hook).
-var debugDeliver func(kind packet.Kind, task uint16, seq uint32, injected, now slot.Time)
-
-// onDeliver routes delivered packets: requests into the device
+// onDeliver routes delivered messages: requests into their device's
 // station, responses to the collector.
-func (t *meshTransport) onDeliver(p *packet.Packet, injected, now slot.Time) {
+func (t *meshTransport) onDeliver(m message, injected, now slot.Time) {
 	if debugDeliver != nil {
-		debugDeliver(p.Kind, p.Task, p.Seq, injected, now)
+		debugDeliver(m.st == nil, m.job, injected, now)
 	}
-	k := jobKey{task: p.Task, seq: p.Seq}
-	j, ok := t.inflight[k]
-	if !ok {
-		t.dropped++
-		return
-	}
-	switch p.Kind {
-	case packet.Request:
-		i := int(p.Dst) - int(t.devRow)
-		if i < 0 || i >= len(t.stations) {
-			t.dropped++
-			return
-		}
-		if err := t.stations[i].enqueue(j); err != nil {
-			t.dropped++
-		}
-	case packet.Response:
-		delete(t.inflight, k)
-		if t.col != nil {
-			t.col.Complete(j, now+1+t.respCost)
-		}
+	switch {
+	case m.st != nil:
+		m.st.enqueue(m.job) // a global FIFO admits every job
+	case t.col != nil:
+		t.col.Complete(m.job, now+1+t.respCost)
 	}
 }
 
@@ -195,9 +131,11 @@ func (t *meshTransport) nextWork(now slot.Time) slot.Time {
 	return next
 }
 
-// pendingJobs visits all in-flight jobs (in the mesh or at stations).
+// pendingJobs visits all in-flight jobs: those crossing the mesh, then
+// those at the stations in tile order.
 func (t *meshTransport) pendingJobs(visit func(j *task.Job)) {
-	for _, j := range t.inflight {
-		visit(j)
+	t.mesh.Each(func(m message) { visit(m.job) })
+	for _, st := range t.stations {
+		st.pendingJobs(visit)
 	}
 }

@@ -18,21 +18,18 @@ func mkDeadlinePkt(src, dst packet.NodeID, payload int, deadline slot.Time) *pac
 // injected last is delivered last — the router behaviour that makes
 // BS|Legacy unpredictable.
 func TestFIFOArbitrationIgnoresDeadlines(t *testing.T) {
-	m, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := m.NodeAt(Coord{0, 0})
-	dst := m.NodeAt(Coord{4, 0})
+	m := newPktMesh()
+	src := NodeAt(Coord{0, 0})
+	dst := NodeAt(Coord{4, 0})
 	var deliveries []slot.Time // deadlines in delivery order
 	m.OnDeliver = func(p *packet.Packet, injected, now slot.Time) {
 		deliveries = append(deliveries, p.Deadline)
 	}
 	// Three loose-deadline packets first, one urgent last.
 	for i := 0; i < 3; i++ {
-		m.Inject(0, mkDeadlinePkt(src, dst, 64, 100_000))
+		inject(m, 0, mkDeadlinePkt(src, dst, 64, 100_000))
 	}
-	m.Inject(0, mkDeadlinePkt(src, dst, 64, 10))
+	inject(m, 0, mkDeadlinePkt(src, dst, 64, 10))
 	runUntilDelivered(t, m, 4, 2000)
 	if deliveries[3] != 10 {
 		t.Errorf("FIFO should deliver the urgent packet last: %v", deliveries)
@@ -40,11 +37,11 @@ func TestFIFOArbitrationIgnoresDeadlines(t *testing.T) {
 }
 
 func TestStatsForwardedAndDepth(t *testing.T) {
-	m, _ := New(DefaultConfig())
-	src := m.NodeAt(Coord{0, 0})
-	dst := m.NodeAt(Coord{2, 0})
+	m := newPktMesh()
+	src := NodeAt(Coord{0, 0})
+	dst := NodeAt(Coord{2, 0})
 	for i := 0; i < 3; i++ {
-		m.Inject(0, mkDeadlinePkt(src, dst, 16, 1000))
+		inject(m, 0, mkDeadlinePkt(src, dst, 16, 1000))
 	}
 	for now := slot.Time(0); now < 1000 && m.Stats().Delivered < 3; now++ {
 		m.Step(now)

@@ -26,8 +26,7 @@ const deliveryFixture = "testdata/mesh_deliveries.golden"
 // wave of mixed lengths, injected while the first still queues, keeps
 // the contended ports busy across several completions.
 func burstTraffic() []injection {
-	cfg := DefaultConfig()
-	tile := func(x, y int) packet.NodeID { return packet.NodeID(y*cfg.Width + x) }
+	tile := func(x, y int) packet.NodeID { return NodeAt(Coord{x, y}) }
 	var out []injection
 	add := func(at slot.Time, src, dst packet.NodeID, payload int) {
 		seq := len(out)

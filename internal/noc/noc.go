@@ -4,6 +4,12 @@
 // store-and-forward switching, and FIFO arbitration at every router
 // output port.
 //
+// The platform is fixed: 5×5 tiles, 4-byte flits, a one-slot router
+// pipeline and unbounded per-port FIFOs, so the mesh delivers every
+// item it accepts. A Mesh[T] carries the caller's item by value (the
+// baselines send the job itself); the byte size given at injection
+// sets how many flits each hop serializes.
+//
 // The NoC is what makes the baselines unpredictable: in BS|Legacy
 // "the scheduling related to resource management [is left] to the
 // routers", i.e. to these FIFO arbiters, so I/O packets suffer
@@ -57,53 +63,39 @@ func (p Port) String() string {
 	}
 }
 
-// flight is a packet in transit through one router output port.
-type flight struct {
-	pkt      *packet.Packet
-	injected slot.Time // when the packet entered the NoC
+// The evaluation platform's mesh (Sec. V): a 5×5 grid of tiles, 4-byte
+// links and a one-slot router pipeline.
+const (
+	Width, Height = 5, 5
+
+	flitBytes  = 4
+	hopLatency = slot.Time(1)
+)
+
+// flight is one item in transit through a router output port.
+type flight[T any] struct {
+	item T
+	dst  packet.NodeID
+	// link is how long one hop occupies a link: serialization of all
+	// flits plus the router pipeline latency. It is at least 2, so 0
+	// marks an idle link's empty flight.
+	link     slot.Time
+	injected slot.Time // when the item entered the NoC
 }
 
-// outPort is one router output: a FIFO arbiter plus the link
-// currently serializing a packet (current.pkt is nil while the link
-// is idle).
-type outPort struct {
-	waiting *queue.FIFO[flight]
-	current flight
+// outPort is one router output: an unbounded FIFO arbiter plus the
+// link currently serializing an item.
+type outPort[T any] struct {
+	waiting queue.FIFO[flight[T]]
+	current flight[T]
 	done    slot.Time // slot in which the current hop completes
-}
-
-// Config parameterizes the mesh.
-type Config struct {
-	Width, Height int
-	FlitBytes     int       // link width; default 4
-	HopLatency    slot.Time // router pipeline latency per hop; default 1
-	QueueDepth    int       // per-port buffer depth; 0 = unbounded
-}
-
-// DefaultConfig returns the 5×5 mesh of the evaluation platform.
-func DefaultConfig() Config {
-	return Config{Width: 5, Height: 5, FlitBytes: 4, HopLatency: 1, QueueDepth: 0}
-}
-
-// normalized applies the documented defaults to the zero-value fields.
-func (c Config) normalized() (Config, error) {
-	if c.Width <= 0 || c.Height <= 0 {
-		return c, fmt.Errorf("noc: invalid mesh %dx%d", c.Width, c.Height)
-	}
-	if c.FlitBytes <= 0 {
-		c.FlitBytes = 4
-	}
-	if c.HopLatency <= 0 {
-		c.HopLatency = 1
-	}
-	return c, nil
 }
 
 // Stats aggregates delivery statistics.
 type Stats struct {
 	Injected   int64
 	Delivered  int64
-	Dropped    int64 // rejected at injection (full input queue)
+	Dropped    int64 // rejected at injection (a tile outside the mesh)
 	Forwarded  int64 // hop completions (including the final ejection)
 	MaxQueued  int   // deepest per-port backlog observed
 	TotalDelay slot.Time
@@ -118,30 +110,29 @@ func (s Stats) AvgDelay() float64 {
 	return float64(s.TotalDelay) / float64(s.Delivered)
 }
 
-// Mesh is the simulated NoC. It is event-driven: each link holds the
-// absolute slot its current hop completes in, so Step touches only
-// the links it pulls for or whose hop is due, and NextWork reads the
-// next such slot in O(1). Delivered packets are handed to the
-// OnDeliver callback.
-type Mesh struct {
-	cfg Config
+// Mesh is the simulated NoC carrying items of type T. It is
+// event-driven: each link holds the absolute slot its current hop
+// completes in, so Step touches only the links it pulls for or whose
+// hop is due, and NextWork reads the next such slot in O(1). Delivered
+// items are handed to the OnDeliver callback.
+type Mesh[T any] struct {
 	// ports holds every router output port, indexed
 	// router*numPorts+port: the order in which simultaneous hop
 	// completions are applied.
-	ports []outPort
+	ports []outPort[T]
 	// pulls lists the ports whose link is idle while their FIFO holds
-	// a packet; the next Step starts a hop on each.
+	// an item; the next Step starts a hop on each.
 	pulls []int
 	// due orders the in-flight hops by (done, port index).
 	due   hopHeap
 	stats Stats
 
-	// OnDeliver is invoked when a packet reaches its destination's
+	// OnDeliver is invoked when an item reaches its destination's
 	// local port. It may be nil.
-	OnDeliver func(p *packet.Packet, injected, now slot.Time)
+	OnDeliver func(item T, injected, now slot.Time)
 }
 
-// hop is one scheduled hop completion: port's current packet leaves
+// hop is one scheduled hop completion: port's current item leaves
 // its link at slot done.
 type hop struct {
 	done slot.Time
@@ -195,42 +186,27 @@ func (h *hopHeap) pop() hop {
 	return top
 }
 
-// New builds a mesh with the given configuration.
-func New(cfg Config) (*Mesh, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	m := &Mesh{cfg: cfg, ports: make([]outPort, cfg.Width*cfg.Height*int(numPorts))}
-	for i := range m.ports {
-		m.ports[i].waiting = queue.NewFIFO[flight](cfg.QueueDepth)
-	}
-	return m, nil
+// New builds an empty mesh.
+func New[T any]() *Mesh[T] {
+	return &Mesh[T]{ports: make([]outPort[T], Width*Height*int(numPorts))}
 }
-
-// Config returns the mesh configuration.
-func (m *Mesh) Config() Config { return m.cfg }
 
 // Stats returns a snapshot of the delivery statistics.
-func (m *Mesh) Stats() Stats { return m.stats }
+func (m *Mesh[T]) Stats() Stats { return m.stats }
 
 // NodeAt returns the NodeID of the tile at c.
-func (m *Mesh) NodeAt(c Coord) packet.NodeID {
-	return packet.NodeID(c.Y*m.cfg.Width + c.X)
-}
+func NodeAt(c Coord) packet.NodeID { return packet.NodeID(c.Y*Width + c.X) }
 
 // CoordOf returns the tile coordinate of id.
-func (m *Mesh) CoordOf(id packet.NodeID) Coord {
-	return Coord{X: int(id) % m.cfg.Width, Y: int(id) / m.cfg.Width}
+func CoordOf(id packet.NodeID) Coord {
+	return Coord{X: int(id) % Width, Y: int(id) / Width}
 }
 
-// valid reports whether id addresses a tile of this mesh.
-func (m *Mesh) valid(id packet.NodeID) bool {
-	return int(id) < m.cfg.Width*m.cfg.Height
-}
+// valid reports whether id addresses a tile of the mesh.
+func valid(id packet.NodeID) bool { return int(id) < Width*Height }
 
 // route returns the XY dimension-ordered next port from cur toward dst.
-func (m *Mesh) route(cur Coord, dst Coord) Port {
+func route(cur Coord, dst Coord) Port {
 	switch {
 	case dst.X > cur.X:
 		return East
@@ -245,15 +221,15 @@ func (m *Mesh) route(cur Coord, dst Coord) Port {
 	}
 }
 
-// linkSlots returns how long one hop occupies a link for pkt:
-// serialization of all flits plus the router pipeline latency.
-func (m *Mesh) linkSlots(pkt *packet.Packet) slot.Time {
-	return slot.Time(pkt.Flits(m.cfg.FlitBytes)) + m.cfg.HopLatency
+// linkSlots returns how long one hop of a bytes-long item occupies a
+// link: its flits (at least one) plus the router pipeline latency.
+func linkSlots(bytes int) slot.Time {
+	return slot.Time(max(1, (bytes+flitBytes-1)/flitBytes)) + hopLatency
 }
 
 // Hops returns the XY route length between two nodes.
-func (m *Mesh) Hops(src, dst packet.NodeID) int {
-	a, b := m.CoordOf(src), m.CoordOf(dst)
+func Hops(src, dst packet.NodeID) int {
+	a, b := CoordOf(src), CoordOf(dst)
 	dx, dy := a.X-b.X, a.Y-b.Y
 	if dx < 0 {
 		dx = -dx
@@ -264,57 +240,50 @@ func (m *Mesh) Hops(src, dst packet.NodeID) int {
 	return dx + dy
 }
 
-// MinLatency returns the zero-contention delivery latency of pkt.
-func (m *Mesh) MinLatency(pkt *packet.Packet) slot.Time {
-	hops := m.Hops(pkt.Src, pkt.Dst)
-	return slot.Time(hops+1) * m.linkSlots(pkt) // +1 for local ejection
+// MinLatency returns the zero-contention delivery latency of a
+// bytes-long item from src to dst.
+func MinLatency(src, dst packet.NodeID, bytes int) slot.Time {
+	return slot.Time(Hops(src, dst)+1) * linkSlots(bytes) // +1 for local ejection
 }
 
-// Inject submits a packet at its source tile at time now. It reports
-// false (and counts a drop) when the first output port's FIFO is full.
-func (m *Mesh) Inject(now slot.Time, pkt *packet.Packet) bool {
-	if !m.valid(pkt.Src) || !m.valid(pkt.Dst) {
+// Inject submits a bytes-long item at tile src toward tile dst at time
+// now. It reports false, and counts a drop, when either tile lies
+// outside the mesh; otherwise the mesh delivers the item.
+func (m *Mesh[T]) Inject(now slot.Time, src, dst packet.NodeID, bytes int, item T) bool {
+	if !valid(src) || !valid(dst) {
 		m.stats.Dropped++
 		return false
 	}
-	if !m.push(int(pkt.Src), flight{pkt: pkt, injected: now}) {
-		return false
-	}
+	m.push(int(src), flight[T]{item: item, dst: dst, link: linkSlots(bytes), injected: now})
 	m.stats.Injected++
 	return true
 }
 
 // push enqueues fl at router ri's output port toward its destination.
-// A packet landing on an idle link with an empty FIFO schedules a
-// pull; a full FIFO counts a drop.
-func (m *Mesh) push(ri int, fl flight) bool {
-	id := ri*int(numPorts) + int(m.route(m.CoordOf(packet.NodeID(ri)), m.CoordOf(fl.pkt.Dst)))
+// An item landing on an idle link with an empty FIFO schedules a pull.
+func (m *Mesh[T]) push(ri int, fl flight[T]) {
+	id := ri*int(numPorts) + int(route(CoordOf(packet.NodeID(ri)), CoordOf(fl.dst)))
 	op := &m.ports[id]
-	idle := op.current.pkt == nil && op.waiting.Len() == 0
-	if !op.waiting.Push(fl) {
-		m.stats.Dropped++
-		return false
+	if op.current.link == 0 && op.waiting.Len() == 0 {
+		m.pulls = append(m.pulls, id)
 	}
+	op.waiting.Push(fl)
 	if d := op.waiting.Len(); d > m.stats.MaxQueued {
 		m.stats.MaxQueued = d
 	}
-	if idle {
-		m.pulls = append(m.pulls, id)
-	}
-	return true
 }
 
-// Step advances the mesh by one slot. Idle links with a packet waiting
-// start its hop, which completes linkSlots-1 slots later; the hops
-// completing now move their packet to the next router (or deliver it),
+// Step advances the mesh by one slot. Idle links with an item waiting
+// start its hop, which completes link-1 slots later; the hops
+// completing now move their item to the next router (or deliver it),
 // in port index order. Applying each completion as it pops is the same
 // as collecting them all first: a push only schedules a pull, which
 // the next Step serves.
-func (m *Mesh) Step(now slot.Time) {
+func (m *Mesh[T]) Step(now slot.Time) {
 	for _, id := range m.pulls {
 		op := &m.ports[id]
 		op.current, _ = op.waiting.Pop()
-		op.done = now + m.linkSlots(op.current.pkt) - 1
+		op.done = now + op.current.link - 1
 		m.due.push(hop{done: op.done, port: id})
 	}
 	m.pulls = m.pulls[:0]
@@ -322,7 +291,7 @@ func (m *Mesh) Step(now slot.Time) {
 		id := m.due.pop().port
 		op := &m.ports[id]
 		fl := op.current
-		op.current = flight{}
+		op.current = flight[T]{}
 		if op.waiting.Len() > 0 {
 			m.pulls = append(m.pulls, id)
 		}
@@ -332,14 +301,14 @@ func (m *Mesh) Step(now slot.Time) {
 			m.deliver(fl, now)
 			continue
 		}
-		m.push(m.neighbor(ri, port), fl)
+		m.push(neighbor(ri, port), fl)
 	}
 }
 
 // NextWork returns the first slot ≥ now at which Step has work: now
-// when an idle link has a packet waiting, otherwise the earliest hop
+// when an idle link has an item waiting, otherwise the earliest hop
 // completion, and slot.Never when the mesh is empty.
-func (m *Mesh) NextWork(now slot.Time) slot.Time {
+func (m *Mesh[T]) NextWork(now slot.Time) slot.Time {
 	switch {
 	case len(m.pulls) > 0:
 		return now
@@ -350,7 +319,7 @@ func (m *Mesh) NextWork(now slot.Time) slot.Time {
 	}
 }
 
-func (m *Mesh) deliver(fl flight, now slot.Time) {
+func (m *Mesh[T]) deliver(fl flight[T], now slot.Time) {
 	m.stats.Delivered++
 	d := now + 1 - fl.injected
 	m.stats.TotalDelay += d
@@ -358,35 +327,33 @@ func (m *Mesh) deliver(fl flight, now slot.Time) {
 		m.stats.MaxDelay = d
 	}
 	if m.OnDeliver != nil {
-		m.OnDeliver(fl.pkt, fl.injected, now)
+		m.OnDeliver(fl.item, fl.injected, now)
 	}
 }
 
 // neighbor returns the router index one hop from ri through port.
-func (m *Mesh) neighbor(ri int, port Port) int {
+func neighbor(ri int, port Port) int {
 	switch port {
 	case East:
 		return ri + 1
 	case West:
 		return ri - 1
 	case South:
-		return ri + m.cfg.Width
+		return ri + Width
 	case North:
-		return ri - m.cfg.Width
+		return ri - Width
 	default:
 		return ri
 	}
 }
 
-// Pending returns the number of packets currently inside the NoC
-// (queued or on a link).
-func (m *Mesh) Pending() int {
-	n := 0
+// Each visits every item inside the NoC, queued or on a link.
+func (m *Mesh[T]) Each(visit func(item T)) {
 	for i := range m.ports {
-		n += m.ports[i].waiting.Len()
-		if m.ports[i].current.pkt != nil {
-			n++
+		op := &m.ports[i]
+		if op.current.link != 0 {
+			visit(op.current.item)
 		}
+		op.waiting.Each(func(fl flight[T]) { visit(fl.item) })
 	}
-	return n
 }

@@ -7,13 +7,34 @@ import (
 	"ioguard/internal/slot"
 )
 
+// The tests send packets through the mesh as its items: a packet's
+// header names both tiles and its encoded size sets the flit count.
+type pktMesh = Mesh[*packet.Packet]
+
+func newPktMesh() *pktMesh { return New[*packet.Packet]() }
+
+// inject sends p from its source to its destination tile.
+func inject(m *pktMesh, now slot.Time, p *packet.Packet) bool {
+	return m.Inject(now, p.Src, p.Dst, p.Size(), p)
+}
+
+// minLatency is p's zero-contention delivery latency.
+func minLatency(p *packet.Packet) slot.Time { return MinLatency(p.Src, p.Dst, p.Size()) }
+
+// pending counts the packets inside m, queued or on a link.
+func pending(m *pktMesh) int {
+	n := 0
+	m.Each(func(*packet.Packet) { n++ })
+	return n
+}
+
 func mkPkt(src, dst packet.NodeID, payload int) *packet.Packet {
 	return packet.New(packet.Header{
 		Src: src, Dst: dst, Kind: packet.Request, Op: packet.Write,
 	}, make([]byte, payload))
 }
 
-func runUntilDelivered(t *testing.T, m *Mesh, want int64, limit slot.Time) slot.Time {
+func runUntilDelivered(t *testing.T, m *pktMesh, want int64, limit slot.Time) slot.Time {
 	t.Helper()
 	for now := slot.Time(0); now < limit; now++ {
 		m.Step(now)
@@ -25,25 +46,30 @@ func runUntilDelivered(t *testing.T, m *Mesh, want int64, limit slot.Time) slot.
 	return 0
 }
 
+// TestNewValidation: a new mesh is empty and idle, and its last tile,
+// the bottom-right corner of the 5×5 grid, is on the mesh.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Width: 0, Height: 5}); err == nil {
-		t.Error("zero width accepted")
+	m := newPktMesh()
+	if got := m.NextWork(0); got != slot.Never {
+		t.Errorf("new mesh: NextWork = %d, want Never", got)
 	}
-	m, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	if n := pending(m); n != 0 {
+		t.Errorf("new mesh holds %d packets", n)
 	}
-	if m.Config().Width != 5 || m.Config().Height != 5 {
-		t.Error("default config should be 5x5")
+	if m.Stats() != (Stats{}) {
+		t.Errorf("new mesh stats %+v, want zero", m.Stats())
+	}
+	corner := NodeAt(Coord{Width - 1, Height - 1})
+	if corner != 24 || !inject(m, 0, mkPkt(0, corner, 0)) {
+		t.Errorf("corner tile %d rejected; the mesh should be 5x5", corner)
 	}
 }
 
 func TestCoordMapping(t *testing.T) {
-	m, _ := New(DefaultConfig())
-	for y := 0; y < 5; y++ {
-		for x := 0; x < 5; x++ {
+	for y := 0; y < Height; y++ {
+		for x := 0; x < Width; x++ {
 			c := Coord{x, y}
-			if got := m.CoordOf(m.NodeAt(c)); got != c {
+			if got := CoordOf(NodeAt(c)); got != c {
 				t.Fatalf("round trip %v → %v", c, got)
 			}
 		}
@@ -63,38 +89,37 @@ func TestPortString(t *testing.T) {
 }
 
 func TestHops(t *testing.T) {
-	m, _ := New(DefaultConfig())
-	a := m.NodeAt(Coord{0, 0})
-	b := m.NodeAt(Coord{4, 4})
-	if got := m.Hops(a, b); got != 8 {
+	a := NodeAt(Coord{0, 0})
+	b := NodeAt(Coord{4, 4})
+	if got := Hops(a, b); got != 8 {
 		t.Errorf("Hops corner-to-corner = %d, want 8", got)
 	}
-	if got := m.Hops(a, a); got != 0 {
+	if got := Hops(a, a); got != 0 {
 		t.Errorf("Hops self = %d, want 0", got)
 	}
 }
 
 func TestSingleDelivery(t *testing.T) {
-	m, _ := New(DefaultConfig())
+	m := newPktMesh()
 	var got *packet.Packet
 	m.OnDeliver = func(p *packet.Packet, injected, now slot.Time) { got = p }
-	p := mkPkt(m.NodeAt(Coord{0, 0}), m.NodeAt(Coord{2, 1}), 4)
-	if !m.Inject(0, p) {
+	p := mkPkt(NodeAt(Coord{0, 0}), NodeAt(Coord{2, 1}), 4)
+	if !inject(m, 0, p) {
 		t.Fatal("inject failed")
 	}
 	runUntilDelivered(t, m, 1, 1000)
 	if got != p {
 		t.Error("delivered packet mismatch")
 	}
-	if m.Pending() != 0 {
-		t.Errorf("Pending = %d after delivery", m.Pending())
+	if n := pending(m); n != 0 {
+		t.Errorf("%d packets pending after delivery", n)
 	}
 }
 
 func TestSelfDelivery(t *testing.T) {
-	m, _ := New(DefaultConfig())
-	n := m.NodeAt(Coord{3, 3})
-	m.Inject(0, mkPkt(n, n, 0))
+	m := newPktMesh()
+	n := NodeAt(Coord{3, 3})
+	inject(m, 0, mkPkt(n, n, 0))
 	end := runUntilDelivered(t, m, 1, 100)
 	if end > 20 {
 		t.Errorf("self delivery took %d slots", end)
@@ -102,23 +127,23 @@ func TestSelfDelivery(t *testing.T) {
 }
 
 func TestDeliveryLatencyMatchesMinWhenUncontended(t *testing.T) {
-	m, _ := New(DefaultConfig())
-	p := mkPkt(m.NodeAt(Coord{0, 0}), m.NodeAt(Coord{4, 4}), 8)
+	m := newPktMesh()
+	p := mkPkt(NodeAt(Coord{0, 0}), NodeAt(Coord{4, 4}), 8)
 	var lat slot.Time
 	m.OnDeliver = func(pk *packet.Packet, injected, now slot.Time) { lat = now + 1 - injected }
-	m.Inject(0, p)
+	inject(m, 0, p)
 	runUntilDelivered(t, m, 1, 10000)
-	if lat != m.MinLatency(p) {
-		t.Errorf("uncontended latency %d ≠ MinLatency %d", lat, m.MinLatency(p))
+	if lat != minLatency(p) {
+		t.Errorf("uncontended latency %d ≠ MinLatency %d", lat, minLatency(p))
 	}
 }
 
 func TestInvalidNodesDropped(t *testing.T) {
-	m, _ := New(DefaultConfig())
-	if m.Inject(0, mkPkt(99, 0, 0)) {
+	m := newPktMesh()
+	if inject(m, 0, mkPkt(99, 0, 0)) {
 		t.Error("invalid src accepted")
 	}
-	if m.Inject(0, mkPkt(0, 99, 0)) {
+	if inject(m, 0, mkPkt(0, 99, 0)) {
 		t.Error("invalid dst accepted")
 	}
 	if m.Stats().Dropped != 2 {
@@ -126,45 +151,31 @@ func TestInvalidNodesDropped(t *testing.T) {
 	}
 }
 
-func TestBoundedQueueBackpressure(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.QueueDepth = 1
-	m, _ := New(cfg)
-	src := m.NodeAt(Coord{0, 0})
-	dst := m.NodeAt(Coord{4, 0})
-	if !m.Inject(0, mkPkt(src, dst, 64)) {
-		t.Fatal("first inject failed")
-	}
-	if m.Inject(0, mkPkt(src, dst, 64)) {
-		t.Error("second inject into depth-1 FIFO should fail")
-	}
-}
-
 func TestContentionSerializesSharedLink(t *testing.T) {
 	// Two packets from the same source to the same destination must
 	// serialize on the shared outgoing link: the second is delivered
 	// roughly one link-serialization later than the first.
-	m, _ := New(DefaultConfig())
-	src := m.NodeAt(Coord{0, 0})
-	dst := m.NodeAt(Coord{3, 0})
+	m := newPktMesh()
+	src := NodeAt(Coord{0, 0})
+	dst := NodeAt(Coord{3, 0})
 	var deliveries []slot.Time
 	m.OnDeliver = func(p *packet.Packet, injected, now slot.Time) {
 		deliveries = append(deliveries, now+1)
 	}
 	p1 := mkPkt(src, dst, 40)
 	p2 := mkPkt(src, dst, 40)
-	m.Inject(0, p1)
-	m.Inject(0, p2)
+	inject(m, 0, p1)
+	inject(m, 0, p2)
 	runUntilDelivered(t, m, 2, 10000)
 	gap := deliveries[1] - deliveries[0]
-	link := slot.Time(p1.Flits(4)) + 1
+	link := slot.Time(p1.Flits(flitBytes)) + hopLatency
 	if gap != link {
 		t.Errorf("delivery gap %d, want one link time %d", gap, link)
 	}
 }
 
 func TestManyPacketsAllDelivered(t *testing.T) {
-	m, _ := New(DefaultConfig())
+	m := newPktMesh()
 	count := 0
 	m.OnDeliver = func(p *packet.Packet, injected, now slot.Time) { count++ }
 	injected := int64(0)
@@ -173,7 +184,7 @@ func TestManyPacketsAllDelivered(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if m.Inject(0, mkPkt(packet.NodeID(i), packet.NodeID(j), 16)) {
+			if inject(m, 0, mkPkt(packet.NodeID(i), packet.NodeID(j), 16)) {
 				injected++
 			}
 		}
@@ -197,8 +208,8 @@ func TestStatsAvgDelayEmpty(t *testing.T) {
 func TestContentionIncreasesLatency(t *testing.T) {
 	// With background traffic crossing the same column, a packet's
 	// latency must be at least its uncontended latency.
-	m, _ := New(DefaultConfig())
-	probe := mkPkt(m.NodeAt(Coord{0, 2}), m.NodeAt(Coord{4, 2}), 32)
+	m := newPktMesh()
+	probe := mkPkt(NodeAt(Coord{0, 2}), NodeAt(Coord{4, 2}), 32)
 	var probeLat slot.Time
 	m.OnDeliver = func(p *packet.Packet, injected, now slot.Time) {
 		if p == probe {
@@ -207,14 +218,14 @@ func TestContentionIncreasesLatency(t *testing.T) {
 	}
 	// Background: flood the row 2 links.
 	for i := 0; i < 10; i++ {
-		m.Inject(0, mkPkt(m.NodeAt(Coord{0, 2}), m.NodeAt(Coord{4, 2}), 64))
+		inject(m, 0, mkPkt(NodeAt(Coord{0, 2}), NodeAt(Coord{4, 2}), 64))
 	}
-	m.Inject(0, probe)
+	inject(m, 0, probe)
 	for now := slot.Time(0); probeLat == 0 && now < 100000; now++ {
 		m.Step(now)
 	}
-	if probeLat <= m.MinLatency(probe) {
-		t.Errorf("contended latency %d should exceed MinLatency %d", probeLat, m.MinLatency(probe))
+	if probeLat <= minLatency(probe) {
+		t.Errorf("contended latency %d should exceed MinLatency %d", probeLat, minLatency(probe))
 	}
 }
 
@@ -223,12 +234,9 @@ func TestContentionIncreasesLatency(t *testing.T) {
 // packet corner to corner (8 hops plus the ejection) allocates
 // nothing inside the mesh.
 func TestMeshHopAllocs(t *testing.T) {
-	m, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := mkPkt(m.NodeAt(Coord{0, 0}), m.NodeAt(Coord{4, 4}), 32)
-	if hops := m.Hops(pkt.Src, pkt.Dst); hops != 8 {
+	m := newPktMesh()
+	pkt := mkPkt(NodeAt(Coord{0, 0}), NodeAt(Coord{4, 4}), 32)
+	if hops := Hops(pkt.Src, pkt.Dst); hops != 8 {
 		t.Fatalf("route has %d hops, want 8", hops)
 	}
 	delivered := false
@@ -236,7 +244,7 @@ func TestMeshHopAllocs(t *testing.T) {
 	var now slot.Time
 	allocs := testing.AllocsPerRun(20, func() {
 		delivered = false
-		m.Inject(now, pkt)
+		inject(m, now, pkt)
 		for !delivered {
 			now = m.NextWork(now)
 			m.Step(now)

@@ -30,8 +30,7 @@ type injection struct {
 // contention), some are self-deliveries, and the rest travel between
 // random tiles, so every port direction carries traffic.
 func genTraffic(rng *rand.Rand, n int, lastAt slot.Time) []injection {
-	cfg := DefaultConfig()
-	tiles := cfg.Width * cfg.Height
+	tiles := Width * Height
 	hot := rng.Intn(tiles)
 	var out []injection
 	for i := 0; i < n; i++ {
@@ -63,10 +62,7 @@ func genTraffic(rng *rand.Rand, n int, lastAt slot.Time) []injection {
 // executed steps.
 func runMesh(t *testing.T, injs []injection, horizon slot.Time, skip bool) ([]delivery, Stats, int) {
 	t.Helper()
-	m, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newPktMesh()
 	var got []delivery
 	m.OnDeliver = func(p *packet.Packet, injected, now slot.Time) {
 		got = append(got, delivery{p, injected, now})
@@ -74,7 +70,7 @@ func runMesh(t *testing.T, injs []injection, horizon slot.Time, skip bool) ([]de
 	i, steps := 0, 0
 	for now := slot.Time(0); now < horizon; {
 		for i < len(injs) && injs[i].at == now {
-			m.Inject(now, injs[i].pkt)
+			inject(m, now, injs[i].pkt)
 			i++
 		}
 		m.Step(now)
@@ -91,7 +87,7 @@ func runMesh(t *testing.T, injs []injection, horizon slot.Time, skip bool) ([]de
 			now = next
 		}
 	}
-	if n := m.Pending(); n != 0 {
+	if n := pending(m); n != 0 {
 		t.Fatalf("%d packets still in flight at the horizon", n)
 	}
 	return got, m.Stats(), steps
@@ -133,24 +129,21 @@ func TestMeshSkipMatchesStep(t *testing.T) {
 // hop completes.
 func requireExactNextWork(t *testing.T) {
 	t.Helper()
-	m, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newPktMesh()
 	if got := m.NextWork(7); got != slot.Never {
 		t.Fatalf("empty mesh: NextWork = %d, want Never", got)
 	}
-	pkt := mkPkt(m.NodeAt(Coord{0, 0}), m.NodeAt(Coord{3, 2}), 32)
-	link := m.linkSlots(pkt)
+	pkt := mkPkt(NodeAt(Coord{0, 0}), NodeAt(Coord{3, 2}), 32)
+	link := linkSlots(pkt.Size())
 	var delivered slot.Time = -1
 	m.OnDeliver = func(_ *packet.Packet, _, now slot.Time) { delivered = now }
-	m.Inject(0, pkt)
+	inject(m, 0, pkt)
 	if got := m.NextWork(0); got != 0 {
 		t.Fatalf("queued packet: NextWork(0) = %d, want 0 (the link pulls it)", got)
 	}
 	// Each hop is pulled at slot s and completes at s+link-1; the next
 	// router pulls it one slot later.
-	for hop, at := 0, slot.Time(0); hop <= m.Hops(pkt.Src, pkt.Dst); hop++ {
+	for hop, at := 0, slot.Time(0); hop <= Hops(pkt.Src, pkt.Dst); hop++ {
 		m.Step(at)
 		if got, want := m.NextWork(at+1), at+link-1; got != want {
 			t.Fatalf("hop %d: NextWork(%d) = %d, want %d", hop, at+1, got, want)
@@ -158,10 +151,10 @@ func requireExactNextWork(t *testing.T) {
 		m.Step(at + link - 1)
 		at += link
 	}
-	if want := m.MinLatency(pkt) - 1; delivered != want {
+	if want := minLatency(pkt) - 1; delivered != want {
 		t.Fatalf("delivered at %d, want %d", delivered, want)
 	}
-	if got := m.NextWork(m.MinLatency(pkt)); got != slot.Never {
+	if got := m.NextWork(minLatency(pkt)); got != slot.Never {
 		t.Fatalf("drained mesh: NextWork = %d, want Never", got)
 	}
 }
