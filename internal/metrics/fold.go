@@ -30,6 +30,10 @@ import (
 // trials' own buffers avoids the per-fold copy and its growth slack,
 // so a fold that is never read costs no memory beyond the trials'.
 //
+// The concatenated buffer keeps 4 bytes per observation while every
+// folded part does (every slot count fits, see Sample); one widened
+// part makes it float64.
+//
 // The lazy fold answers exactly as an eager value-by-value copy would,
 // even when a part's owner has sorted it in place before the first
 // read (a trial-level Percentile does): N, Max and Quantile do not
@@ -88,26 +92,34 @@ func (f *DistFold) Resolved() bool {
 }
 
 // resolve concatenates the exact buffer and the pending parts, in fold
-// order, into one buffer of exactly their total length.
+// order, into one buffer of exactly their total length: int32 when
+// every part is, float64 when any part has widened.
 func (f *DistFold) resolve() {
 	if len(f.parts) == 0 {
 		return
 	}
-	n := 0
+	parts := f.parts
 	if f.exact != nil {
-		n = f.exact.N()
+		parts = append([]*Sample{f.exact}, parts...)
 	}
-	for _, p := range f.parts {
+	n, wide := 0, false
+	for _, p := range parts {
 		n += p.N()
+		wide = wide || p.wide != nil
 	}
-	values := make([]float64, 0, n)
-	if f.exact != nil {
-		values = append(values, f.exact.values...)
+	if wide {
+		values := make([]float64, 0, n)
+		for _, p := range parts {
+			values = p.appendTo(values)
+		}
+		f.exact = &Sample{wide: values}
+	} else {
+		values := make([]int32, 0, n)
+		for _, p := range parts {
+			values = append(values, p.small...)
+		}
+		f.exact = &Sample{small: values}
 	}
-	for _, p := range f.parts {
-		values = append(values, p.values...)
-	}
-	f.exact = &Sample{values: values}
 	f.parts = nil
 }
 

@@ -10,16 +10,21 @@ import (
 // integer-valued samples (one empty, one sorted in place by a
 // trial-level Percentile after folding, as the server's per-trial
 // response does) and merging a second fold must answer every query
-// identically, and the first read must leave one buffer of exactly the
-// folded length.
+// identically, and the first read must leave one int32 buffer of
+// exactly the folded length.
 func TestDistFoldExactMatchesEagerCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var ref Sample // eager copy, taken at fold time
+	var ref Sample        // eager copy, taken at fold time
+	var added [][]float64 // each part's observations, in Add order
 	newPart := func(n int) *Sample {
 		s := &Sample{}
+		var vs []float64
 		for i := 0; i < n; i++ {
-			s.Add(float64(rng.Intn(5000)))
+			v := float64(rng.Intn(5000))
+			s.Add(v)
+			vs = append(vs, v)
 		}
+		added = append(added, vs)
 		return s
 	}
 	var f, g DistFold
@@ -35,7 +40,9 @@ func TestDistFoldExactMatchesEagerCopy(t *testing.T) {
 	}
 	// The reference folds f's parts, then g's: that is Merge's order.
 	for _, i := range []int{0, 2, 4, 1, 3, 5} {
-		ref.values = append(ref.values, parts[i].values...)
+		for _, v := range added[i] {
+			ref.Add(v)
+		}
 	}
 	parts[4].Percentile(50) // sorts one folded part in place
 	if err := f.Merge(&g); err != nil {
@@ -44,9 +51,9 @@ func TestDistFoldExactMatchesEagerCopy(t *testing.T) {
 	if got, want := f.N(), ref.N(); got != want {
 		t.Fatalf("N = %d, want %d", got, want)
 	}
-	if cap(f.exact.values) != len(f.exact.values) || f.parts != nil {
-		t.Errorf("after the first read: cap %d, len %d, %d parts; want cap == len, no parts",
-			cap(f.exact.values), len(f.exact.values), len(f.parts))
+	if cap(f.exact.small) != len(f.exact.small) || f.exact.wide != nil || f.parts != nil {
+		t.Errorf("after the first read: cap %d, len %d, wide %v, %d parts; want cap == len, int32, no parts",
+			cap(f.exact.small), len(f.exact.small), f.exact.wide != nil, len(f.parts))
 	}
 	if got, want := f.Mean(), ref.Mean(); got != want {
 		t.Errorf("Mean = %v, want %v", got, want)
@@ -67,12 +74,14 @@ func TestDistFoldExactMatchesEagerCopy(t *testing.T) {
 	// resolved buffer.
 	extra := newPart(9)
 	f.AddRecorder(extra)
-	ref.values = append(ref.values, extra.values...)
-	ref.sorted = false
+	for _, v := range added[len(added)-1] {
+		ref.Add(v)
+	}
 	if got, want := f.String(), eager.String(); got != want {
 		t.Errorf("after a second fold: String = %q, want %q", got, want)
 	}
-	if cap(f.exact.values) != len(f.exact.values) {
-		t.Errorf("after a second fold: cap %d, len %d", cap(f.exact.values), len(f.exact.values))
+	if cap(f.exact.small) != len(f.exact.small) || f.exact.wide != nil {
+		t.Errorf("after a second fold: cap %d, len %d, wide %v",
+			cap(f.exact.small), len(f.exact.small), f.exact.wide != nil)
 	}
 }

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ioguard/internal/iodev"
@@ -14,57 +15,112 @@ import (
 )
 
 // Sample accumulates scalar observations (e.g. response times).
+//
+// Slot counts are integers, so a sample stores its observations as
+// int32 while every one converts back to the same float64: an integer
+// within ±(2³¹−1) that is not −0. The first observation that does not
+// (a fraction, NaN, ±Inf, −0 or a larger magnitude) widens the buffer
+// to float64 for good. Either way the values keep their order and every
+// query reads each one as the float64 that was added, so the storage
+// never changes an answer.
 type Sample struct {
-	values []float64
+	small  []int32   // the observations while none has widened the sample
+	wide   []float64 // every observation once one has; then small is nil
 	sorted bool
 }
 
+// number is the element type of a Sample's live buffer.
+type number interface{ int32 | float64 }
+
 // NewSample returns an empty sample with room for n observations.
-func NewSample(n int) *Sample { return &Sample{values: make([]float64, 0, n)} }
+func NewSample(n int) *Sample { return &Sample{small: make([]int32, 0, n)} }
 
 // Add appends an observation.
 func (s *Sample) Add(v float64) {
-	s.values = append(s.values, v)
 	s.sorted = false
+	if s.wide == nil {
+		if i, ok := asInt32(v); ok {
+			s.small = append(s.small, i)
+			return
+		}
+		s.wide = s.appendTo(make([]float64, 0, len(s.small)+1))
+		s.small = nil
+	}
+	s.wide = append(s.wide, v)
+}
+
+// asInt32 returns v as an int32 when float64 of the result is v, bit
+// for bit.
+func asInt32(v float64) (int32, bool) {
+	if !(v >= -math.MaxInt32 && v <= math.MaxInt32) { // NaN fails too
+		return 0, false
+	}
+	i := int32(v)
+	return i, float64(i) == v && !(i == 0 && math.Signbit(v))
+}
+
+// appendTo appends the observations, in order, to dst as float64s.
+func (s *Sample) appendTo(dst []float64) []float64 {
+	for _, v := range s.small {
+		dst = append(dst, float64(v))
+	}
+	return append(dst, s.wide...)
 }
 
 // Clip releases the spare capacity append growth left behind, moving
 // the observations into a buffer of exactly their count. Call it once
 // a sample is complete: a DistFold holds folded samples as they are.
 func (s *Sample) Clip() {
-	if cap(s.values) > len(s.values) {
-		s.values = append(make([]float64, 0, len(s.values)), s.values...)
+	if cap(s.wide) > len(s.wide) {
+		s.wide = append(make([]float64, 0, len(s.wide)), s.wide...)
+	}
+	if cap(s.small) > len(s.small) {
+		s.small = append(make([]int32, 0, len(s.small)), s.small...)
 	}
 }
 
 // N returns the number of observations.
-func (s *Sample) N() int { return len(s.values) }
+func (s *Sample) N() int { return len(s.small) + len(s.wide) }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
+	if s.wide != nil {
+		return mean(s.wide)
+	}
+	return mean(s.small)
+}
+
+func mean[T number](vs []T) float64 {
+	if len(vs) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, v := range s.values {
-		sum += v
+	for _, v := range vs {
+		sum += float64(v)
 	}
-	return sum / float64(len(s.values))
+	return sum / float64(len(vs))
 }
 
 // Variance returns the population variance, or 0 for fewer than two
 // observations.
 func (s *Sample) Variance() float64 {
-	if len(s.values) < 2 {
+	if s.wide != nil {
+		return variance(s.wide)
+	}
+	return variance(s.small)
+}
+
+func variance[T number](vs []T) float64 {
+	if len(vs) < 2 {
 		return 0
 	}
-	m := s.Mean()
+	m := mean(vs)
 	var sum float64
-	for _, v := range s.values {
-		d := v - m
+	for _, v := range vs {
+		d := float64(v) - m
 		sum += d * d
 	}
-	return sum / float64(len(s.values))
+	return sum / float64(len(vs))
 }
 
 // StdDev returns the population standard deviation.
@@ -72,53 +128,74 @@ func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Min returns the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
+	if s.wide != nil {
+		return minOf(s.wide)
+	}
+	return minOf(s.small)
+}
+
+func minOf[T number](vs []T) float64 {
+	if len(vs) == 0 {
 		return 0
 	}
-	min := s.values[0]
-	for _, v := range s.values {
+	min := vs[0]
+	for _, v := range vs {
 		if v < min {
 			min = v
 		}
 	}
-	return min
+	return float64(min)
 }
 
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
+	if s.wide != nil {
+		return maxOf(s.wide)
+	}
+	return maxOf(s.small)
+}
+
+func maxOf[T number](vs []T) float64 {
+	if len(vs) == 0 {
 		return 0
 	}
-	max := s.values[0]
-	for _, v := range s.values {
+	max := vs[0]
+	for _, v := range vs {
 		if v > max {
 			max = v
 		}
 	}
-	return max
+	return float64(max)
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using
-// nearest-rank on the sorted sample, or 0 for an empty sample.
+// nearest-rank on the sorted sample, or 0 for an empty sample. The
+// sort is in place; integers sort to one order whatever the algorithm.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.values) == 0 {
+	n := s.N()
+	if n == 0 {
 		return 0
 	}
 	if !s.sorted {
-		sort.Float64s(s.values)
+		if s.wide != nil {
+			sort.Float64s(s.wide)
+		} else {
+			slices.Sort(s.small)
+		}
 		s.sorted = true
 	}
-	if p <= 0 {
-		return s.values[0]
+	var rank int
+	switch {
+	case p <= 0:
+	case p >= 100:
+		rank = n - 1
+	default:
+		rank = max(int(math.Ceil(p/100*float64(n)))-1, 0)
 	}
-	if p >= 100 {
-		return s.values[len(s.values)-1]
+	if s.wide != nil {
+		return s.wide[rank]
 	}
-	rank := int(math.Ceil(p/100*float64(len(s.values)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s.values[rank]
+	return float64(s.small[rank])
 }
 
 // String summarizes the sample.

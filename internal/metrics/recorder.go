@@ -4,8 +4,9 @@
 // implementations exist:
 //
 //   - Sample — the exact buffered recorder: keeps every value, answers
-//     nearest-rank percentiles exactly. O(n) memory; the default, and
-//     the reference the experiment tables are rendered from.
+//     nearest-rank percentiles exactly. O(n) memory: 4 bytes per slot
+//     observation; any other value widens the sample to 8. The default,
+//     and the reference the experiment tables are rendered from.
 //   - Streaming — bounded memory: Welford running moments, exact
 //     min/max, and a mergeable KLL quantile sketch. Memory is
 //     independent of the observation count (up to the sketch's

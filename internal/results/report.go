@@ -77,6 +77,7 @@ type Analysis struct {
 	Success     []Trend // success ratio per sweep key
 	Footprints  []Trend // interval bytes per slot-table device
 	Sketches    []SketchRow
+	Robustness  []RobustnessRow // fault rows of the newest run carrying any
 	Regressions []string
 }
 
@@ -128,6 +129,9 @@ func Analyze(traj *Trajectory) *Analysis {
 	for _, run := range traj.Runs {
 		for _, s := range run.Speedups {
 			speed.add(s.Name, s.Speedup)
+		}
+		if len(run.Robustness) > 0 {
+			a.Robustness = run.Robustness
 		}
 		for _, row := range run.SlotTables {
 			foot.add(row.Device, float64(row.IntervalBytes))
@@ -248,6 +252,16 @@ func Render(a *Analysis) string {
 		for _, r := range a.Sketches {
 			fmt.Fprintf(&b, "| %s | %d | %.3f | %.3f | %d | %.0f | %.0f | %.0f | %.0f |\n",
 				r.Key, r.Trials, r.SuccessRatio, r.ThroughputMean, r.N, r.P50, r.P99, r.Max, r.TardP99)
+		}
+	}
+	if len(a.Robustness) > 0 {
+		b.WriteString("\n## Fault robustness (latest run)\n\n")
+		b.WriteString("| scenario | system | trials | success | misses/trial | faulted misses/trial | drops/trial | dups/trial | accuracy mean | accuracy p99 |\n")
+		b.WriteString("|---|---|---|---|---|---|---|---|---|---|\n")
+		for _, r := range a.Robustness {
+			fmt.Fprintf(&b, "| %s | %s | %d | %.3f | %.2f | %.2f | %.2f | %.2f | %.2f | %.0f |\n",
+				r.Scenario, r.System, r.Trials, r.SuccessRatio, r.MissesPerTrial, r.FaultedMissesPerTrial,
+				r.DropsPerTrial, r.DupsPerTrial, r.AccuracyMeanSlots, r.AccuracyP99Slots)
 		}
 	}
 	if len(a.Quantiles) > 0 {

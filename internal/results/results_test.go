@@ -179,6 +179,42 @@ func TestRenderShape(t *testing.T) {
 	}
 }
 
+// TestRenderRobustness: the fault-robustness table shows the rows of
+// the newest run carrying any, one line per (scenario, system) in run
+// order, and a later run appended without the sweep keeps that table.
+func TestRenderRobustness(t *testing.T) {
+	older, latest, bare := run(t, "1", 100, 5), run(t, "2", 100, 5), run(t, "3", 100, 5)
+	older.Robustness = []RobustnessRow{{Scenario: "storm", System: "BS|PART", Trials: 1, SuccessRatio: 1}}
+	latest.Robustness = []RobustnessRow{
+		{Scenario: "storm", System: "BS|PART", Trials: 20, SuccessRatio: 0.85,
+			MissesPerTrial: 3.25, FaultedMissesPerTrial: 1.5, DropsPerTrial: 12.05, DupsPerTrial: 0.4,
+			AccuracyMeanSlots: 17.3, AccuracyP99Slots: 88},
+		{Scenario: "clean", System: "I/O-GUARD-70", Trials: 20, SuccessRatio: 1,
+			AccuracyMeanSlots: 2.5, AccuracyP99Slots: 9},
+	}
+	const table = `
+## Fault robustness (latest run)
+
+| scenario | system | trials | success | misses/trial | faulted misses/trial | drops/trial | dups/trial | accuracy mean | accuracy p99 |
+|---|---|---|---|---|---|---|---|---|---|
+| storm | BS|PART | 20 | 0.850 | 3.25 | 1.50 | 12.05 | 0.40 | 17.30 | 88 |
+| clean | I/O-GUARD-70 | 20 | 1.000 | 0.00 | 0.00 | 0.00 | 0.00 | 2.50 | 9 |
+`
+	for name, runs := range map[string][]Report{
+		"latest":         {older, latest},
+		"appended-after": {older, latest, bare},
+	} {
+		out := Render(Analyze(&Trajectory{Schema: TrajectorySchema, Runs: runs}))
+		if !strings.Contains(out, table) {
+			t.Errorf("%s: rendered report lacks the robustness table\n%s\ngot:\n%s", name, table, out)
+		}
+	}
+	out := Render(Analyze(&Trajectory{Schema: TrajectorySchema, Runs: []Report{bare}}))
+	if strings.Contains(out, "Fault robustness") {
+		t.Errorf("a trajectory without robustness rows renders the table:\n%s", out)
+	}
+}
+
 // TestReportJSONRoundTrip: a v2 report with sketches survives encode →
 // decode with its quantiles intact.
 func TestReportJSONRoundTrip(t *testing.T) {

@@ -256,7 +256,14 @@ func TestCollectorResultClipsSamples(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s recorder is %T, want *metrics.Sample", name, r)
 		}
-		values := reflect.ValueOf(s).Elem().FieldByName("values")
+		// The live buffer is wide once an observation widened the
+		// sample, small (int32) otherwise; slot counts never widen.
+		fields := reflect.ValueOf(s).Elem()
+		values := fields.FieldByName("small")
+		if wide := fields.FieldByName("wide"); !wide.IsNil() {
+			t.Errorf("%s: widened to float64; want int32 storage for slot counts", name)
+			values = wide
+		}
 		if values.Len() != n || values.Cap() != n {
 			t.Errorf("%s: len %d, cap %d; want both %d", name, values.Len(), values.Cap(), n)
 		}
